@@ -37,7 +37,6 @@ from .metrics import (
     ConstraintCheck,
     DepthProfile,
     MetricReport,
-    PrefixState,
     StepCheck,
     Verdict,
     depth_profile,
@@ -53,6 +52,7 @@ from .model import (
     IntrinsicMatrix,
     JointMatrix,
     NormalizedConfusionMatrix,
+    PrefixState,
     context_switch,
     expected_confusion,
     factorize,
@@ -85,6 +85,7 @@ from .taxonomy import (
     check_label_consistency,
     covering_char,
     enumerate_pipelines,
+    find_pipeline,
     pipeline_leq,
     relative_sets,
     relevance,

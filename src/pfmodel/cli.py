@@ -44,7 +44,7 @@ from .simulate import (
     simulate_pipeline,
     simulate_taxonomy,
 )
-from .taxonomy import Pipeline, enumerate_pipelines
+from .taxonomy import Pipeline, enumerate_pipelines, find_pipeline
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -216,17 +216,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.replications < 1:
+        raise PFModelError(f"--replications must be at least 1, got {args.replications}")
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
+    pipeline = find_pipeline(bundle.taxonomy, args.pipeline) if args.pipeline else None
     rows = []
     for r in range(args.replications):
-        cfg = SimConfig(m=args.m, seed=args.seed + r,
-                        mode="pipeline" if args.pipeline else "taxonomy")
-        if args.pipeline:
-            matches = [p for p in enumerate_pipelines(bundle.taxonomy)
-                       if p.path == args.pipeline]
-            if not matches:
-                raise PFModelError(f"no pipeline {args.pipeline!r} in this taxonomy")
-            pipeline = matches[0]
+        cfg = SimConfig(m=args.m, seed=args.seed + r)
+        if pipeline is not None:
             outcome = simulate_pipeline(pipeline, bundle.profiles, cfg)
             model = omega_closed(pipeline, bundle.profiles)
             reports = {pipeline.path: (model, outcome)}
@@ -243,8 +240,7 @@ def _cmd_simulate(args) -> int:
                 "m": outcome.m,
                 "counts": {"tn": outcome.counts[0], "fp": outcome.counts[1],
                            "fn": outcome.counts[2], "tp": outcome.counts[3]},
-                "model": {"w00": pfio.round12(model.tn), "w01": pfio.round12(model.fp),
-                          "w10": pfio.round12(model.fn), "w11": pfio.round12(model.tp)},
+                "model": pfio.omega_payload(model),
                 "max_z": pfio.round12(deviation.max_z),
                 "passed": deviation.passed,
             })
@@ -276,20 +272,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
-    matches = [p for p in enumerate_pipelines(bundle.taxonomy) if p.path == args.pipeline]
-    if not matches:
-        raise PFModelError(f"no pipeline {args.pipeline!r} in this taxonomy")
-    pipeline = matches[0]
+    pipeline = find_pipeline(bundle.taxonomy, args.pipeline)
     cfg = SimConfig(m=1, seed=args.seed)
     result = imbalance_sweep(pipeline, bundle.profiles, args.target, args.n, cfg)
-
-    def metric_cells(report):
-        return [
-            "-" if report.precision is None else pfio.fmt12(report.precision),
-            "-" if report.recall is None else pfio.fmt12(report.recall),
-            "-" if report.f1 is None else pfio.fmt12(report.f1),
-            pfio.fmt12(report.accuracy),
-        ]
 
     if args.format == "json":
         text = pfio.dump_json({
@@ -300,10 +285,7 @@ def _cmd_sweep(args) -> int:
             "rows": [
                 {
                     "fs": [pfio.round12(f) for f in row.fs],
-                    "omega": {"w00": pfio.round12(row.omega.tn),
-                              "w01": pfio.round12(row.omega.fp),
-                              "w10": pfio.round12(row.omega.fn),
-                              "w11": pfio.round12(row.omega.tp)},
+                    "omega": pfio.omega_payload(row.omega),
                     "metrics": pfio.metrics_payload(row.report),
                 }
                 for row in result.rows
@@ -322,7 +304,7 @@ def _cmd_sweep(args) -> int:
         lines = ["\t".join(cols)]
         for i, row in enumerate(result.rows):
             lines.append("\t".join(
-                [str(i)] + [pfio.fmt12(f) for f in row.fs[1:]] + metric_cells(row.report)
+                [str(i)] + [pfio.fmt12(f) for f in row.fs[1:]] + pfio.metric_cells(row.report)
             ))
         for s in result.spreads:
             if s.metric not in ("precision", "f1"):

@@ -10,6 +10,10 @@ from __future__ import annotations
 class PFModelError(Exception):
     """Base class for all pfmodel errors."""
 
+    # KeyError's __str__ would wrap the message of the KeyError subclasses
+    # below in quotes; every pfmodel error prints its message as given.
+    __str__ = Exception.__str__
+
 
 # --- taxonomy structure ------------------------------------------------------
 

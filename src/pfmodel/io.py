@@ -40,6 +40,7 @@ from .errors import (
 )
 from .metrics import DepthProfile, MetricReport, StepCheck, depth_profile
 from .model import (
+    Cells2x2,
     ClassifierProfileSet,
     Factorization,
     IntrinsicMatrix,
@@ -47,7 +48,15 @@ from .model import (
     factorize,
     psi,
 )
-from .taxonomy import Edge, Pipeline, Taxonomy, enumerate_pipelines, validate_taxonomy, wfs_char
+from .taxonomy import (
+    Edge,
+    Pipeline,
+    Taxonomy,
+    enumerate_pipelines,
+    find_pipeline,
+    validate_taxonomy,
+    wfs_char,
+)
 
 #: tolerance for accepting hand-typed confusion rows before renormalizing
 ROW_SUM_TOLERANCE = 1e-9
@@ -283,11 +292,10 @@ def build_report(
     bundle: InputBundle, leaf_only: bool = False, pipeline_path: str | None = None
 ) -> Report:
     """Analyze the bundle's pipelines (sorted) into a :class:`Report`."""
-    pipelines = enumerate_pipelines(bundle.taxonomy, leaf_only=leaf_only)
-    if pipeline_path is not None:
-        pipelines = tuple(p for p in pipelines if p.path == pipeline_path)
-        if not pipelines:
-            raise UnknownCategoryError(f"no pipeline {pipeline_path!r} in this taxonomy")
+    if pipeline_path is None:
+        pipelines = enumerate_pipelines(bundle.taxonomy, leaf_only=leaf_only)
+    else:
+        pipelines = (find_pipeline(bundle.taxonomy, pipeline_path, leaf_only=leaf_only),)
     blocks = []
     for p in pipelines:
         blocks.append(
@@ -305,6 +313,22 @@ def build_report(
         renormalized=bundle.renormalized,
         blocks=tuple(blocks),
     )
+
+
+def omega_payload(omega: Cells2x2) -> dict:
+    """A joint matrix as its ``w00``..``w11`` JSON object."""
+    return {"w00": round12(omega.tn), "w01": round12(omega.fp),
+            "w10": round12(omega.fn), "w11": round12(omega.tp)}
+
+
+def metric_cells(r: MetricReport) -> list[str]:
+    """tP, tR, tF1 and tA as TSV cells, ``-`` where undefined."""
+    return [
+        "-" if r.precision is None else fmt12(r.precision),
+        "-" if r.recall is None else fmt12(r.recall),
+        "-" if r.f1 is None else fmt12(r.f1),
+        fmt12(r.accuracy),
+    ]
 
 
 def metrics_payload(r: MetricReport) -> dict:
@@ -340,7 +364,6 @@ def _block_payload(b: PipelineBlock) -> dict:
     if fact.eta is not None and math.isinf(fact.eta):
         flags.append("eta_infinite")
     eta = fact.eta
-    omega = b.profile.omegas[-1]
     fs = b.pipeline.require_fs()
     depth_rows = []
     for k, (om, rep) in enumerate(zip(b.profile.omegas, b.profile.reports)):
@@ -349,8 +372,7 @@ def _block_payload(b: PipelineBlock) -> dict:
             {
                 "k": k,
                 "f": round12(fs[k]),
-                "omega": {"w00": round12(om.tn), "w01": round12(om.fp),
-                          "w10": round12(om.fn), "w11": round12(om.tp)},
+                "omega": omega_payload(om),
                 "metrics": metrics_payload(rep),
                 "precision_verdict": _verdict_text(step),
                 "precision_bound": None if step is None or step.bound is None
@@ -361,8 +383,7 @@ def _block_payload(b: PipelineBlock) -> dict:
         "pipeline": b.pipeline.path,
         "depth": b.pipeline.depth,
         "fs": [round12(f) for f in fs],
-        "omega": {"w00": round12(omega.tn), "w01": round12(omega.fp),
-                  "w10": round12(omega.fn), "w11": round12(omega.tp)},
+        "omega": omega_payload(b.profile.omegas[-1]),
         "prior": {"neg": round12(fact.prior_neg), "pos": round12(fact.prior_pos)},
         "phi": _matrix_payload(fact.phi),
         "psi": _matrix_payload(b.intrinsic),
@@ -400,10 +421,7 @@ def write_report(report: Report, format: str = "json") -> str:
                     str(k),
                     fmt12(fs[k]),
                     fmt12(om.tn), fmt12(om.fp), fmt12(om.fn), fmt12(om.tp),
-                    "-" if rep.precision is None else fmt12(rep.precision),
-                    "-" if rep.recall is None else fmt12(rep.recall),
-                    "-" if rep.f1 is None else fmt12(rep.f1),
-                    fmt12(rep.accuracy),
+                    *metric_cells(rep),
                     _verdict_text(step),
                 ]))
         return "\n".join(lines) + "\n"

@@ -25,6 +25,7 @@ from .model import (
     ClassifierProfileSet,
     JointMatrix,
     NormalizedConfusionMatrix,
+    PrefixState,
     omega_step,
 )
 from .taxonomy import Pipeline
@@ -91,41 +92,6 @@ def pipeline_metrics(omega: JointMatrix) -> MetricReport:
 
 
 @dataclass(frozen=True)
-class PrefixState:
-    """Running quantities of a pipeline prefix needed by the precision bound.
-
-    ``leak`` accumulates, over the depths where truth switched to negative,
-    the switched mass scaled by how much easier it was to keep accepting it
-    than the intrinsic fp-rate alone would suggest (it equals the prefix's
-    negative prior times its eta).  ``prior_pos`` is the oracle traversal
-    probability, ``psi01``/``psi11`` the intrinsic column products.
-    """
-
-    leak: float
-    prior_pos: float
-    psi01: float
-    psi11: float
-
-    @staticmethod
-    def initial() -> "PrefixState":
-        return PrefixState(leak=0.0, prior_pos=1.0, psi01=1.0, psi11=1.0)
-
-    def advance(self, f_k: float, gamma_k: NormalizedConfusionMatrix) -> "PrefixState":
-        """State after appending a classifier with edge probability ``f_k``."""
-        switched = (1.0 - f_k) * self.prior_pos * self.psi11
-        if switched > 0.0:
-            leak = (self.leak + switched / self.psi01) if self.psi01 > 0.0 else math.inf
-        else:
-            leak = self.leak
-        return PrefixState(
-            leak=leak,
-            prior_pos=self.prior_pos * f_k,
-            psi01=self.psi01 * gamma_k.fp,
-            psi11=self.psi11 * gamma_k.tp,
-        )
-
-
-@dataclass(frozen=True)
 class ConstraintCheck:
     """Outcome of the per-step precision constraint."""
 
@@ -146,7 +112,14 @@ def precision_constraint_check(
     :class:`DegenerateBoundError` when ``leak'`` is zero (no negative mass
     has ever been produced, so precision is pinned at 1) or non-finite.
     """
-    leak_next = state.advance(f_k, gamma_k).leak
+    return _constraint_check(state, state.advance(f_k, gamma_k), f_k, gamma_k)
+
+
+def _constraint_check(
+    state: PrefixState, advanced: PrefixState, f_k: float, gamma_k: NormalizedConfusionMatrix
+) -> ConstraintCheck:
+    """:func:`precision_constraint_check` with the advanced state given."""
+    leak_next = advanced.leak
     if leak_next == 0.0 or not math.isfinite(leak_next):
         raise DegenerateBoundError(
             f"precision bound undefined: accumulated leakage is {leak_next}"
@@ -198,12 +171,13 @@ def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthPr
     recall_chain = 1.0
     for k in range(1, len(pipeline.nodes)):
         f_k, gamma_k = fs[k], gammas[k - 1]
+        advanced = state.advance(f_k, gamma_k)
         try:
-            check = precision_constraint_check(state, f_k, gamma_k)
+            check = _constraint_check(state, advanced, f_k, gamma_k)
             steps.append(StepCheck(k=k, verdict=check.verdict, bound=check.bound))
         except DegenerateBoundError:
             steps.append(StepCheck(k=k, verdict=None, bound=None, degenerate=True))
-        state = state.advance(f_k, gamma_k)
+        state = advanced
 
         omega = omega_step(omegas[-1], f_k, gamma_k)
         omegas.append(omega)

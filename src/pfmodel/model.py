@@ -57,9 +57,6 @@ class Cells2x2:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.tn, self.fp, self.fn, self.tp)
 
-    def as_rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        return ((self.tn, self.fp), (self.fn, self.tp))
-
     @property
     def total(self) -> float:
         return self.tn + self.fp + self.fn + self.tp
@@ -253,8 +250,13 @@ def omega_closed(pipeline: Pipeline, profiles: ClassifierProfileSet) -> JointMat
     negative.  The other two cells follow by complementation against the
     oracle priors.
     """
-    fs = pipeline.require_fs()
-    gammas = profiles.gamma_chain(pipeline)
+    return JointMatrix(*_closed_form(pipeline.require_fs(), profiles.gamma_chain(pipeline)))
+
+
+def _closed_form(
+    fs: Sequence[float], gammas: Sequence[NormalizedConfusionMatrix]
+) -> tuple[float, float, float, float]:
+    """Unvalidated (tn, fp, fn, tp) of :func:`omega_closed`; step k has fs[k], gammas[k-1]."""
     L = len(gammas)
 
     big_f = 1.0
@@ -273,7 +275,7 @@ def omega_closed(pipeline: Pipeline, profiles: ClassifierProfileSet) -> JointMat
     w11 = big_f * psi11
     w10 = big_f - w11
     w00 = (1.0 - big_f) - w01
-    return JointMatrix(tn=w00, fp=w01, fn=w10, tp=w11)
+    return w00, w01, w10, w11
 
 
 def psi(
@@ -361,35 +363,53 @@ class Factorization:
         )
 
 
+@dataclass(frozen=True)
+class PrefixState:
+    """Running quantities of a pipeline prefix, advanced one step at a time.
+
+    ``leak`` accumulates, over the depths where truth switched to negative,
+    the switched mass scaled by how much easier it was to keep accepting it
+    than the intrinsic fp-rate alone would suggest (it equals the prefix's
+    negative prior times its eta).  ``prior_pos`` is the oracle traversal
+    probability, ``psi01``/``psi11`` the intrinsic column products.
+    """
+
+    leak: float
+    prior_pos: float
+    psi01: float
+    psi11: float
+
+    @staticmethod
+    def initial() -> "PrefixState":
+        return PrefixState(leak=0.0, prior_pos=1.0, psi01=1.0, psi11=1.0)
+
+    def advance(self, f_k: float, gamma_k: NormalizedConfusionMatrix) -> "PrefixState":
+        """State after appending a classifier with edge probability ``f_k``."""
+        # Terms without switched mass are dropped, so a vanished fp-rate
+        # upstream cannot turn 0/0 into a spurious infinity.
+        switched = (1.0 - f_k) * self.prior_pos * self.psi11
+        if switched > 0.0:
+            leak = (self.leak + switched / self.psi01) if self.psi01 > 0.0 else math.inf
+        else:
+            leak = self.leak
+        return PrefixState(
+            leak=leak,
+            prior_pos=self.prior_pos * f_k,
+            psi01=self.psi01 * gamma_k.fp,
+            psi11=self.psi11 * gamma_k.tp,
+        )
+
+
 def factorize(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Factorization:
     """Split a pipeline's joint mass into input priors and deterioration."""
     fs = pipeline.require_fs()
     gammas = profiles.gamma_chain(pipeline)
-    L = len(gammas)
-
-    surv = [1.0] * (L + 2)
-    for s in range(L, 0, -1):
-        surv[s] = gammas[s - 1].fp * surv[s + 1]
-
-    big_f = 1.0
-    psi11 = 1.0
-    psi01 = 1.0
-    w01 = 0.0
-    # Accumulate eta's defining sum alongside, dropping mass-free terms so
-    # a vanished fp-rate upstream cannot turn 0/0 into a spurious infinity.
-    eta_sum = 0.0
-    for j in range(1, L + 1):
-        f_j = fs[j]
-        weight = (1.0 - f_j) * big_f * psi11  # mass switched to negative at depth j
-        w01 += weight * surv[j]
-        if weight > 0.0:
-            eta_sum = (eta_sum + weight / psi01) if psi01 > 0.0 else math.inf
-        big_f *= f_j
-        psi11 *= gammas[j - 1].tp
-        psi01 *= gammas[j - 1].fp
-
-    prior_pos = big_f
-    prior_neg = 1.0 - big_f
+    state = PrefixState.initial()
+    for f_k, gamma_k in zip(fs[1:], gammas):
+        state = state.advance(f_k, gamma_k)
+    psi01, psi11 = state.psi01, state.psi11
+    prior_pos = state.prior_pos
+    prior_neg = 1.0 - prior_pos
 
     if prior_neg == 0.0:
         phi = NormalizedConfusionMatrix(tn=1.0 - psi01, fp=psi01, fn=1.0 - psi11, tp=psi11)
@@ -401,9 +421,9 @@ def factorize(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Factorizati
             zero_negative_mass=True,
         )
 
-    phi01 = w01 / prior_neg
+    phi01 = _closed_form(fs, gammas)[1] / prior_neg
     phi = NormalizedConfusionMatrix(tn=1.0 - phi01, fp=phi01, fn=1.0 - psi11, tp=psi11)
-    eta = phi01 / psi01 if psi01 > 0.0 else eta_sum / prior_neg
+    eta = phi01 / psi01 if psi01 > 0.0 else state.leak / prior_neg
     return Factorization(
         prior_neg=prior_neg,
         prior_pos=prior_pos,

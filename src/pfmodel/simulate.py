@@ -33,11 +33,11 @@ from .model import (
     Cells2x2,
     ClassifierProfileSet,
     JointMatrix,
-    NormalizedConfusionMatrix,
+    _closed_form,
     omega_closed,
 )
 from .rng import stream_key, uniforms
-from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines, relative_sets
+from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
 
 #: default per-cell deviation threshold, in binomial standard errors
 DEFAULT_Z_THRESHOLD = 4.0
@@ -49,14 +49,10 @@ class SimConfig:
 
     m: int
     seed: int = 42
-    replications: int = 1
-    mode: str = "pipeline"
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -102,12 +98,11 @@ def enumerate_exact(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Joint
 
 
 def _tally(x: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
-    return (
-        int(np.sum(~x & ~c)),
-        int(np.sum(~x & c)),
-        int(np.sum(x & ~c)),
-        int(np.sum(x & c)),
-    )
+    """(tn, fp, fn, tp) counts of truth ``x`` against decision ``c``."""
+    tp = int(np.count_nonzero(x & c))
+    positive = int(np.count_nonzero(x))
+    accepted = int(np.count_nonzero(c))
+    return x.size - positive - accepted + tp, accepted - tp, positive - tp, tp
 
 
 @dataclass(frozen=True)
@@ -173,11 +168,7 @@ def _membership_gate_edge(t: Taxonomy, node: CategoryId):
     by the remaining parents are divided out separately.
     """
     parents = t.parents_of(node)
-    minimal = []
-    for p in parents:
-        _, offspring, _ = relative_sets(t, p)
-        if not any(q != p and q in offspring for q in parents):
-            minimal.append(p)
+    minimal = [p for p in parents if not any(p in t.ancestors_of(q) for q in parents)]
     chosen = sorted(minimal)[0]
     edge = t.edge(node, chosen)
     assert edge is not None
@@ -196,10 +187,9 @@ def _firing_probability(
     those out to get the coin.  Exact for any DAG whose edge probabilities
     are mutually consistent (trees trivially are).
     """
-    ancestors, _, _ = relative_sets(t, node)
-    parent_closure = {edge.parent} | relative_sets(t, edge.parent)[0]
+    parent_closure = {edge.parent} | t.ancestors_of(edge.parent)
     divisor = 1.0
-    for a in ancestors - parent_closure:
+    for a in t.ancestors_of(node) - parent_closure:
         divisor *= q_of[a]
     if divisor == 0.0:
         if edge.f == 0.0:
@@ -254,12 +244,11 @@ def simulate_taxonomy(
     matrices in ``models`` are built.
     """
     m = cfg.m
-    pipelines = enumerate_pipelines(t)
 
     # truth: one membership coin per category, gated by all parents
     memberships: dict[CategoryId, np.ndarray] = {t.root: np.ones(m, dtype=bool)}
     q_of: dict[CategoryId, float] = {t.root: 1.0}
-    order = sorted(t.categories - {t.root}, key=lambda c: (len(relative_sets(t, c)[0]), c))
+    order = sorted(t.categories - {t.root}, key=lambda c: (len(t.ancestors_of(c)), c))
     for node in order:
         edge, parents = _membership_gate_edge(t, node)
         if edge.f is None:
@@ -272,42 +261,28 @@ def simulate_taxonomy(
         u = uniforms(cfg.seed, ("taxonomy-membership", node), m)
         memberships[node] = gate & (u < q)
 
-    # decisions: one stream per rooted prefix, shared by extending pipelines
-    decisions: dict[tuple[CategoryId, ...], np.ndarray] = {
-        (t.root,): np.ones(m, dtype=bool)
-    }
-    resolved: dict[tuple[CategoryId, ...], NormalizedConfusionMatrix] = {}
-
-    def decision_for(prefix: Pipeline) -> np.ndarray:
-        nodes = prefix.nodes
-        if nodes in decisions:
-            return decisions[nodes]
-        prev = decision_for(prefix.prefix(prefix.depth - 1))
-        k = prefix.depth
-        g = profiles.resolve(prefix, k)
-        resolved[nodes] = g
-        x = memberships[nodes[-1]]
-        accept_p = np.where(x, g.tp, g.fp)
-        u = uniforms(cfg.seed, ("taxonomy-decision", prefix.path), m)
-        d = prev & (u < accept_p)
-        decisions[nodes] = d
-        return d
-
+    # decisions: one stream per rooted prefix, shared by extending pipelines.
+    # Pipelines come prefix-first, so each one extends its parent prefix's
+    # decisions, tallies and resolved classifiers by one step.
+    prefixes: dict[tuple[CategoryId, ...], tuple] = {}
     per_pipeline: dict[str, SimOutcome] = {}
     models: dict[str, JointMatrix] = {}
-    for p in pipelines:
-        by_depth = []
-        for k in range(p.depth + 1):
-            prefix = p.prefix(k)
-            by_depth.append(_tally(memberships[prefix.nodes[-1]], decision_for(prefix)))
+    for p in enumerate_pipelines(t):
+        x = memberships[p.nodes[-1]]
+        if p.depth == 0:
+            d, chain, by_depth = np.ones(m, dtype=bool), (), ()
+        else:
+            d, chain, by_depth = prefixes[p.nodes[:-1]]
+            g = profiles.resolve(p, p.depth)
+            u = uniforms(cfg.seed, ("taxonomy-decision", p.path), m)
+            d = d & (u < np.where(x, g.tp, g.fp))
+            chain += (g,)
+        by_depth += (_tally(x, d),)
+        prefixes[p.nodes] = d, chain, by_depth
         per_pipeline[p.path] = SimOutcome(
-            pipeline=p.path, m=m, counts=by_depth[-1], counts_by_depth=tuple(by_depth)
+            pipeline=p.path, m=m, counts=by_depth[-1], counts_by_depth=by_depth
         )
-        chain = ClassifierProfileSet(
-            base={p.nodes[k]: resolved[p.prefix(k).nodes] for k in range(1, p.depth + 1)},
-            root=t.root,
-        )
-        models[p.path] = omega_closed(p, chain)
+        models[p.path] = JointMatrix(*_closed_form(p.require_fs(), chain))
 
     return TaxonomySimOutcome(
         m=m,

@@ -127,6 +127,38 @@ class Taxonomy:
     def _edge_map(self) -> dict[tuple[CategoryId, CategoryId], Edge]:
         return {(e.child, e.parent): e for e in self.edges}
 
+    @cached_property
+    def _topological_order(self) -> tuple[CategoryId, ...]:
+        """Every category after all its parents (Kahn's walk); raises on a cycle."""
+        pending = dict.fromkeys(self.categories, 0)
+        for e in self.edges:
+            pending[e.child] += 1
+        order: list[CategoryId] = []
+        stack = [self.root]
+        while stack:
+            c = stack.pop()
+            order.append(c)
+            for e in self._children[c]:
+                pending[e.child] -= 1
+                if pending[e.child] == 0:
+                    stack.append(e.child)
+        if len(order) != len(self.categories):
+            cyclic = sorted(c for c in self.categories if pending[c] > 0)
+            raise CycleDetectedError(f"cycle through {cyclic}")
+        return tuple(order)
+
+    @cached_property
+    def _ancestors(self) -> dict[CategoryId, frozenset[CategoryId]]:
+        """Ancestor closure of every category, each built from its parents'."""
+        out: dict[CategoryId, frozenset[CategoryId]] = {}
+        for c in self._topological_order:
+            closure: set[CategoryId] = set()
+            for e in self._parents[c]:
+                closure.add(e.parent)
+                closure |= out[e.parent]
+            out[c] = frozenset(closure)
+        return out
+
     def _require(self, c: CategoryId) -> None:
         if c not in self.categories:
             raise UnknownCategoryError(f"unknown category {c!r}")
@@ -138,6 +170,11 @@ class Taxonomy:
     def children_of(self, c: CategoryId) -> tuple[CategoryId, ...]:
         self._require(c)
         return tuple(e.child for e in self._children[c])
+
+    def ancestors_of(self, c: CategoryId) -> frozenset[CategoryId]:
+        """Every category strictly above ``c``."""
+        self._require(c)
+        return self._ancestors[c]
 
     def is_leaf(self, c: CategoryId) -> bool:
         self._require(c)
@@ -193,10 +230,8 @@ def validate_taxonomy(
             )
 
     indeg = {c: 0 for c in cats}
-    children: dict[CategoryId, list[CategoryId]] = {c: [] for c in cats}
     for e in norm_edges:
         indeg[e.child] += 1
-        children[e.parent].append(e.child)
 
     roots = sorted(c for c, d in indeg.items() if d == 0)
     if not roots:
@@ -209,34 +244,21 @@ def validate_taxonomy(
             f"declared root {root!r} is not the unique parentless category {found_root!r}"
         )
 
+    taxonomy = Taxonomy(categories=cats, edges=tuple(norm_edges), root=found_root)
     reachable = {found_root}
     frontier = [found_root]
     while frontier:
         c = frontier.pop()
-        for ch in children[c]:
-            if ch not in reachable:
-                reachable.add(ch)
-                frontier.append(ch)
+        for e in taxonomy._children[c]:
+            if e.child not in reachable:
+                reachable.add(e.child)
+                frontier.append(e.child)
     missing = sorted(cats - reachable)
     if missing:
         raise UnreachableCategoryError(f"not reachable from root: {missing}")
 
-    # Kahn's algorithm on parent->child arrows detects any remaining cycle.
-    pending = dict(indeg)
-    queue = [found_root]
-    visited = 0
-    while queue:
-        c = queue.pop(0)
-        visited += 1
-        for ch in sorted(children[c]):
-            pending[ch] -= 1
-            if pending[ch] == 0:
-                queue.append(ch)
-    if visited != len(cats):
-        cyclic = sorted(c for c in cats if pending[c] > 0)
-        raise CycleDetectedError(f"cycle through {cyclic}")
-
-    return Taxonomy(categories=cats, edges=tuple(norm_edges), root=found_root)
+    taxonomy._topological_order  # raises CycleDetectedError on any remaining cycle
+    return taxonomy
 
 
 def relative_sets(
@@ -247,15 +269,7 @@ def relative_sets(
     Ancestors are every category strictly above ``r``, offspring every
     category strictly below, children only the immediate neighbors below.
     """
-    t._require(r)
-    ancestors: set[CategoryId] = set()
-    frontier = [r]
-    while frontier:
-        c = frontier.pop()
-        for p in t.parents_of(c):
-            if p not in ancestors:
-                ancestors.add(p)
-                frontier.append(p)
+    ancestors = t.ancestors_of(r)
     offspring: set[CategoryId] = set()
     frontier = [r]
     while frontier:
@@ -264,7 +278,7 @@ def relative_sets(
             if ch not in offspring:
                 offspring.add(ch)
                 frontier.append(ch)
-    return frozenset(ancestors), frozenset(offspring), frozenset(t.children_of(r))
+    return ancestors, frozenset(offspring), frozenset(t.children_of(r))
 
 
 def covering_char(
@@ -312,21 +326,26 @@ def enumerate_pipelines(t: Taxonomy, leaf_only: bool = False) -> tuple[Pipeline,
     Order is deterministic: lexicographic on the node sequence.
     """
     out: list[Pipeline] = []
-
-    def walk(nodes: list[CategoryId], fs: list[float | None]) -> None:
-        tip = nodes[-1]
-        if not leaf_only or t.is_leaf(tip):
-            out.append(Pipeline(tuple(nodes), tuple(fs)))
-        for e in t._children[tip]:
-            nodes.append(e.child)
-            fs.append(e.f)
-            walk(nodes, fs)
-            nodes.pop()
-            fs.pop()
-
-    walk([t.root], [1.0])
-    out.sort(key=lambda p: p.nodes)
+    # Depth-first from the root, children pushed in reverse name order: the
+    # visit order is then lexicographic, every prefix before its extensions.
+    stack: list[tuple[tuple[CategoryId, ...], tuple[float | None, ...]]] = [((t.root,), (1.0,))]
+    while stack:
+        nodes, fs = stack.pop()
+        children = t._children[nodes[-1]]
+        if not leaf_only or not children:
+            out.append(Pipeline(nodes, fs))
+        for e in reversed(children):
+            stack.append((nodes + (e.child,), fs + (e.f,)))
     return tuple(out)
+
+
+def find_pipeline(t: Taxonomy, path: str, leaf_only: bool = False) -> Pipeline:
+    """The pipeline :func:`enumerate_pipelines` lists under ``path``; raises if none."""
+    nodes = tuple(path.split("/"))
+    edges = [t._edge_map.get(pair) for pair in zip(nodes[1:], nodes)]
+    if nodes[0] != t.root or None in edges or (leaf_only and t._children[nodes[-1]]):
+        raise UnknownCategoryError(f"no pipeline {path!r} in this taxonomy")
+    return Pipeline(nodes, (1.0,) + tuple(e.f for e in edges))
 
 
 def pipeline_leq(p1: Pipeline, p2: Pipeline) -> bool:
@@ -347,8 +366,7 @@ def check_label_consistency(
         t._require(c)
     missing: set[CategoryId] = set()
     for c in label_set:
-        ancestors, _, _ = relative_sets(t, c)
-        missing |= ancestors - label_set
+        missing |= t.ancestors_of(c) - label_set
     return (not missing, frozenset(missing))
 
 

@@ -116,6 +116,24 @@ L2_PROFILES_JSON = json.dumps(
 )
 
 
+#: categories of a chain deeper than a recursive walk of it could go
+DEEP_CHAIN_SIZE = 1_500
+
+
+def chain_json(n: int) -> tuple[str, str]:
+    """Taxonomy and profiles JSON of the chain c0 > c1 > ... > c<n-1>."""
+    names = [f"c{i}" for i in range(n)]
+    taxonomy = {
+        "root": names[0],
+        "categories": names,
+        "edges": [{"child": c, "parent": p, "f": 0.9} for p, c in zip(names, names[1:])],
+    }
+    profiles = {
+        "classifiers": {c: {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8} for c in names[1:]}
+    }
+    return json.dumps(taxonomy), json.dumps(profiles)
+
+
 @pytest.fixture
 def dag_files(tmp_path):
     t = tmp_path / "taxonomy.json"
@@ -131,4 +149,14 @@ def l2_files(tmp_path):
     p = tmp_path / "profiles.json"
     t.write_text(L2_TAXONOMY_JSON)
     p.write_text(L2_PROFILES_JSON)
+    return str(t), str(p)
+
+
+@pytest.fixture
+def deep_chain_files(tmp_path):
+    t = tmp_path / "taxonomy.json"
+    p = tmp_path / "profiles.json"
+    taxonomy, profiles = chain_json(DEEP_CHAIN_SIZE)
+    t.write_text(taxonomy)
+    p.write_text(profiles)
     return str(t), str(p)

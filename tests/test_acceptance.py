@@ -223,7 +223,7 @@ def test_criterion_9_taxonomy_simulation():
     with criterion(9, "taxonomy simulation: consistent labels, per-pipeline 4 sigma"):
         bundle = pf.parse_inputs(DAG_TAXONOMY_JSON, DAG_PROFILES_JSON)
         res = pf.simulate_taxonomy(
-            bundle.taxonomy, bundle.profiles, SimConfig(m=100_000, seed=42, mode="taxonomy")
+            bundle.taxonomy, bundle.profiles, SimConfig(m=100_000, seed=42)
         )
         for c in bundle.taxonomy.categories:
             ancestors, _, _ = pf.relative_sets(bundle.taxonomy, c)

@@ -8,6 +8,8 @@ import pytest
 
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INVALID, EXIT_OK, main
 
+from conftest import DEEP_CHAIN_SIZE
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -30,6 +32,15 @@ def test_pipelines_leaf_only(dag_files, capsys):
     code, out, _ = run(["pipelines", "--taxonomy", taxonomy, "--leaf-only"], capsys)
     assert code == EXIT_OK
     assert out.splitlines() == ["A/B/C", "A/B/D", "A/C"]
+
+
+def test_pipelines_of_deep_chain(deep_chain_files, capsys):
+    taxonomy, _ = deep_chain_files
+    code, out, _ = run(["pipelines", "--taxonomy", taxonomy], capsys)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == DEEP_CHAIN_SIZE
+    assert lines[-1] == "/".join(f"c{i}" for i in range(DEEP_CHAIN_SIZE))
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -192,6 +203,35 @@ def test_simulate_unknown_pipeline(l2_files, capsys):
         capsys,
     )
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("replications", ["0", "-1"])
+def test_simulate_rejects_replications_below_one(l2_files, replications, capsys):
+    taxonomy, profiles = l2_files
+    code, out, err = run(
+        ["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
+         "--m", "100", "--replications", replications],
+        capsys,
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"pfmodel: error: --replications must be at least 1, got {replications}\n"
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["analyze", "--pipeline", "A/Z"], "A/Z"),
+    (["analyze", "--leaf-only", "--pipeline", "A/B"], "A/B"),
+    (["simulate", "--m", "100", "--pipeline", "A/Z"], "A/Z"),
+    (["sweep", "--target", "0.1", "--pipeline", "A/Z"], "A/Z"),
+])
+def test_unknown_pipeline_error_text(l2_files, argv, path, capsys):
+    taxonomy, profiles = l2_files
+    code, out, err = run(
+        [argv[0], "--taxonomy", taxonomy, "--profiles", profiles, *argv[1:]], capsys
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"pfmodel: error: no pipeline {path!r} in this taxonomy\n"
 
 
 # --- sweep ------------------------------------------------------------------------

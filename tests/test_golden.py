@@ -1,0 +1,46 @@
+"""Byte-for-byte CLI output on a small DAG, pinned against committed files.
+
+The DAG in ``golden/`` has a category with two parents (D under B and C)
+and a classifier override on a step that is not the pipeline's last one
+(D inside A/B/D/E), next to one on a last step (D inside A/C/D): the cases
+where whole-taxonomy evaluation and per-pipeline profile resolution could
+drift apart.  The expected files are reference outputs; change them only
+with a deliberate change of the output format or of the numbers.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from pfmodel.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: expected output file -> subcommand and its options
+CASES = {
+    "analyze.json": ["analyze"],
+    "analyze.tsv": ["analyze", "--format", "tsv"],
+    "verify.json": ["verify", "--samples", "5"],
+    "simulate.json": ["simulate", "--m", "20000"],
+    "simulate-pipeline.tsv": ["simulate", "--pipeline", "A/B/D/E", "--m", "20000",
+                              "--replications", "2", "--format", "tsv"],
+    "sweep.json": ["sweep", "--pipeline", "A/B/D/E", "--target", "0.05", "--n", "20"],
+    "sweep.tsv": ["sweep", "--pipeline", "A/B/D/E", "--target", "0.05", "--n", "20",
+                  "--format", "tsv"],
+}
+
+
+def golden_argv(name: str) -> list[str]:
+    command, *options = CASES[name]
+    return [command, "--taxonomy", str(GOLDEN / "taxonomy.json"),
+            "--profiles", str(GOLDEN / "profiles.json"), *options]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, capsys):
+    code = main(golden_argv(name))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

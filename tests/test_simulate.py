@@ -18,7 +18,7 @@ from pfmodel import (
 )
 from pfmodel.rng import uniforms
 
-from conftest import GAMMA_B, random_pipeline
+from conftest import DEEP_CHAIN_SIZE, GAMMA_B, chain_json, random_pipeline
 
 
 def brute_force_joint(fs, gammas):
@@ -213,7 +213,7 @@ def dag_sim_inputs(dag_example):
 
 def test_taxonomy_labels_are_ancestor_closed(dag_sim_inputs):
     t, profiles = dag_sim_inputs
-    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=20_000, seed=5, mode="taxonomy"))
+    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=20_000, seed=5))
     for c in t.categories:
         ancestors, _, _ = pf.relative_sets(t, c)
         for a in ancestors:
@@ -226,7 +226,7 @@ def test_taxonomy_labels_are_ancestor_closed(dag_sim_inputs):
 def test_taxonomy_regression_counts(dag_sim_inputs):
     # pinned after a verified run (all pipelines within 4 sigma of their models)
     t, profiles = dag_sim_inputs
-    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=100_000, seed=42, mode="taxonomy"))
+    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=100_000, seed=42))
     assert res.per_pipeline["A/B"].counts == (36274, 3932, 12084, 47710)
     assert res.per_pipeline["A/B/C"].counts == (66076, 4123, 8410, 21391)
     assert res.per_pipeline["A/B/D"].counts == (74477, 1611, 9702, 14210)
@@ -235,7 +235,7 @@ def test_taxonomy_regression_counts(dag_sim_inputs):
 
 def test_taxonomy_tallies_match_models(dag_sim_inputs):
     t, profiles = dag_sim_inputs
-    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=100_000, seed=42, mode="taxonomy"))
+    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=100_000, seed=42))
     for path, outcome in res.per_pipeline.items():
         report = pf.compare(res.models[path], outcome)
         assert report.passed, (path, report.max_z)
@@ -250,7 +250,7 @@ def test_single_chain_taxonomy_matches_pipeline_mode(chain_abd):
         root="A",
     )
     m = 50_000
-    tax = pf.simulate_taxonomy(chain_abd, profiles, SimConfig(m=m, seed=1, mode="taxonomy"))
+    tax = pf.simulate_taxonomy(chain_abd, profiles, SimConfig(m=m, seed=1))
     pipe = [p for p in pf.enumerate_pipelines(chain_abd) if p.path == "A/B/D"][0]
     ind = pf.simulate_pipeline(pipe, profiles, SimConfig(m=m, seed=2))
     for c1, c2 in zip(tax.per_pipeline["A/B/D"].counts, ind.counts):
@@ -262,11 +262,23 @@ def test_single_chain_taxonomy_matches_pipeline_mode(chain_abd):
         assert abs(c1 / m - c2 / m) / se <= 4.0
 
 
+def test_deep_chain_taxonomy_tallies_each_prefix():
+    bundle = pf.parse_inputs(*chain_json(DEEP_CHAIN_SIZE))
+    res = pf.simulate_taxonomy(bundle.taxonomy, bundle.profiles, SimConfig(m=16, seed=0))
+    pipelines = pf.enumerate_pipelines(bundle.taxonomy)
+    assert list(res.per_pipeline) == [p.path for p in pipelines]
+    assert list(res.models) == [p.path for p in pipelines]
+    deepest = res.per_pipeline[pipelines[-1].path].counts_by_depth
+    for k, p in enumerate(pipelines):
+        assert res.per_pipeline[p.path].counts == deepest[k]
+        assert res.per_pipeline[p.path].counts_by_depth == deepest[: k + 1]
+
+
 def test_taxonomy_requires_edge_probabilities():
     t = pf.validate_taxonomy(["A", "B"], [Edge("B", "A")])
     profiles = ClassifierProfileSet(base={"B": GAMMA_B}, root="A")
     with pytest.raises(pf.MissingEdgeProbabilityError):
-        pf.simulate_taxonomy(t, profiles, SimConfig(m=10, seed=0, mode="taxonomy"))
+        pf.simulate_taxonomy(t, profiles, SimConfig(m=10, seed=0))
 
 
 def test_diamond_dag_consistent_edges_match_models():
@@ -279,7 +291,7 @@ def test_diamond_dag_consistent_edges_match_models():
     )
     g = NormalizedConfusionMatrix(tn=0.9, fp=0.1, fn=0.2, tp=0.8)
     profiles = ClassifierProfileSet(base={"B": g, "C": g, "D": g}, root="A")
-    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=100_000, seed=3, mode="taxonomy"))
+    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=100_000, seed=3))
     for path, outcome in res.per_pipeline.items():
         assert pf.compare(res.models[path], outcome).passed, path
     for c in t.categories:
@@ -297,7 +309,7 @@ def test_diamond_dag_infeasible_edges_rejected():
     g = NormalizedConfusionMatrix(tn=0.9, fp=0.1, fn=0.2, tp=0.8)
     profiles = ClassifierProfileSet(base={"B": g, "C": g, "D": g}, root="A")
     with pytest.raises(pf.OutOfRangeProbabilityError):
-        pf.simulate_taxonomy(t, profiles, SimConfig(m=100, seed=0, mode="taxonomy"))
+        pf.simulate_taxonomy(t, profiles, SimConfig(m=100, seed=0))
 
 
 # --- deviation report ---------------------------------------------------------------

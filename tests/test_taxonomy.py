@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
-from pfmodel import Edge
+from pfmodel import Edge, parse_taxonomy
 
-from conftest import random_tree
+from conftest import DEEP_CHAIN_SIZE, chain_json, random_tree
 
 
 # --- validation ---------------------------------------------------------------
@@ -27,6 +27,11 @@ def test_smallest_branching_tree():
 def test_cycle_detected():
     with pytest.raises(pf.CycleDetectedError):
         pf.validate_taxonomy(["A", "B"], [Edge("B", "A"), Edge("A", "B")])
+    # a cycle below a proper root, every category reachable from it
+    with pytest.raises(pf.CycleDetectedError, match=r"cycle through \['B', 'C'\]"):
+        pf.validate_taxonomy(
+            ["A", "B", "C"], [Edge("B", "A"), Edge("C", "B"), Edge("B", "C")]
+        )
 
 
 def test_self_loop_detected():
@@ -216,11 +221,20 @@ def test_enumeration_prefix_closed_and_well_formed():
     for _ in range(20):
         t = random_tree(rng, int(rng.integers(1, 12)))
         pipelines = pf.enumerate_pipelines(t)
+        assert [p.nodes for p in pipelines] == sorted(p.nodes for p in pipelines)
         paths = {p.nodes for p in pipelines}
         for p in pipelines:
             assert pf.wfs_char(t, p.nodes) == 1.0
             for k in range(p.depth + 1):
                 assert p.nodes[: k + 1] in paths
+
+
+def test_deep_chain_enumerates_every_prefix():
+    t = parse_taxonomy(chain_json(DEEP_CHAIN_SIZE)[0])
+    pipelines = pf.enumerate_pipelines(t)
+    assert len(pipelines) == DEEP_CHAIN_SIZE
+    assert [p.depth for p in pipelines] == list(range(DEEP_CHAIN_SIZE))
+    assert pf.enumerate_pipelines(t, leaf_only=True) == pipelines[-1:]
 
 
 def test_traversal_probability_is_prefix_product():

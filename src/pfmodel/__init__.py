@@ -34,6 +34,7 @@ from .io import (
     write_report,
 )
 from .metrics import (
+    DEFAULT_Z_THRESHOLD,
     ConstraintCheck,
     DepthProfile,
     MetricReport,
@@ -63,19 +64,6 @@ from .model import (
     oplus,
     psi,
 )
-from .simulate import (
-    DEFAULT_Z_THRESHOLD,
-    DeviationReport,
-    SimConfig,
-    SimOutcome,
-    SweepResult,
-    TaxonomySimOutcome,
-    compare,
-    enumerate_exact,
-    imbalance_sweep,
-    simulate_pipeline,
-    simulate_taxonomy,
-)
 from .taxonomy import (
     Edge,
     InstanceLabeling,
@@ -94,3 +82,33 @@ from .taxonomy import (
 )
 
 __version__ = "0.1.0"
+
+# The simulator needs numpy; resolving its names on first use keeps numpy
+# out of the commands that never simulate (``pipelines``, ``analyze``).
+_SIMULATE_NAMES = frozenset({
+    "DeviationReport",
+    "SimConfig",
+    "SimOutcome",
+    "SweepResult",
+    "TaxonomySimOutcome",
+    "compare",
+    "enumerate_exact",
+    "imbalance_sweep",
+    "simulate_pipeline",
+    "simulate_taxonomy",
+})
+#: the submodules that import numpy; loading ``simulate`` binds both
+_NUMPY_MODULES = frozenset({"rng", "simulate"})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES or name in _NUMPY_MODULES:
+        import importlib
+
+        simulate = importlib.import_module(".simulate", __name__)
+        return getattr(simulate, name) if name in _SIMULATE_NAMES else globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATE_NAMES | _NUMPY_MODULES)

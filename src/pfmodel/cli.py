@@ -21,30 +21,26 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Sequence
-
-from numpy.random import Generator, Philox
+from typing import TYPE_CHECKING, Sequence
 
 from . import io as pfio
 from .errors import PFModelError
+from .metrics import DEFAULT_Z_THRESHOLD
 from .model import (
     ClassifierProfileSet,
     NormalizedConfusionMatrix,
     omega_closed,
     omega_recursive,
 )
-from .rng import stream_key
-from .simulate import (
-    DEFAULT_Z_THRESHOLD,
-    SimConfig,
-    compare,
-    enumerate_exact,
-    imbalance_sweep,
-    simulate_pipeline,
-    simulate_taxonomy,
-)
 from .taxonomy import Pipeline, enumerate_pipelines, find_pipeline
+
+# numpy, and with it the simulator and the random streams, is imported by
+# the handlers that draw random numbers, so ``pipelines`` and ``analyze``
+# never load it.
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -111,6 +107,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _require_finite_nonnegative(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise PFModelError(f"{flag} must be finite and at least 0, got {value}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -155,6 +156,11 @@ def _random_pipeline(rng: Generator, max_len: int) -> tuple[Pipeline, Classifier
 
 def _verify_checks(bundle: pfio.InputBundle, tol: float, max_len: int,
                    samples: int, seed: int) -> list[dict]:
+    from numpy.random import Generator, Philox
+
+    from .rng import stream_key
+    from .simulate import enumerate_exact
+
     checks = []
 
     def run_one(label: str, pipeline: Pipeline, profiles: ClassifierProfileSet) -> None:
@@ -188,6 +194,13 @@ def _verify_checks(bundle: pfio.InputBundle, tol: float, max_len: int,
 
 
 def _cmd_verify(args) -> int:
+    _require_finite_nonnegative("--tol", args.tol)
+    if args.samples < 0:
+        raise PFModelError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples > 0 and args.max_len < 1:
+        raise PFModelError(
+            f"--max-len must be at least 1 when --samples is above 0, got {args.max_len}"
+        )
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     checks = _verify_checks(bundle, args.tol, args.max_len, args.samples, args.seed)
     passed = all(c["passed"] for c in checks)
@@ -216,8 +229,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import SimConfig, compare, simulate_pipeline, simulate_taxonomy
+
     if args.replications < 1:
         raise PFModelError(f"--replications must be at least 1, got {args.replications}")
+    _require_finite_nonnegative("--z-threshold", args.z_threshold)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline) if args.pipeline else None
     rows = []
@@ -271,6 +287,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .simulate import SimConfig, imbalance_sweep
+
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline)
     cfg = SimConfig(m=1, seed=args.seed)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .errors import (
     MissingGammaError,
@@ -227,9 +227,69 @@ def round12(x: float) -> float:
     return float(fmt12(x))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INFINITIES = (math.inf, -math.inf)
+
+
+def _write_json(o: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``o`` to ``out``, as ``json.dumps(indent=2)``
+    writes it; ``newline`` is a line break plus the indent of o's own line.
+
+    Objects and floats, the bulk of a report, are tested first; the other
+    types are disjoint from them, so the order changes no output.
+    """
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, float):
+        if o != o or o in _INFINITIES:
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+        out.append(float.__repr__(o))
+    elif isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple, Iterator)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append("[]" if sep[0] == "[" else newline + "]")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(payload: Any) -> str:
-    """Canonical JSON text: fixed key order as constructed, trailing newline."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text: fixed key order as constructed, trailing newline.
+
+    The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``
+    plus a newline: two-space indent, ASCII-escaped strings, floats as
+    ``repr`` writes them, and ``ValueError`` on NaN or infinity.  Dict keys
+    must be strings.  An iterator (a generator, say) is written as an array,
+    so a caller can stream a large array without building it as a list.
+    """
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def serialize_taxonomy(t: Taxonomy) -> str:
@@ -405,7 +465,7 @@ def write_report(report: Report, format: str = "json") -> str:
                 "pipeline_count": len(report.blocks),
                 "renormalized_classifiers": list(report.renormalized),
             },
-            "pipelines": [_block_payload(b) for b in report.blocks],
+            "pipelines": (_block_payload(b) for b in report.blocks),
         }
         return dump_json(payload)
     if format == "tsv":

@@ -30,6 +30,10 @@ from .model import (
 )
 from .taxonomy import Pipeline
 
+#: default per-cell deviation threshold of the simulator's tally check, in
+#: binomial standard errors (defined here, free of numpy, for the CLI parser)
+DEFAULT_Z_THRESHOLD = 4.0
+
 #: tie tolerance when comparing precision across consecutive prefixes
 _TIE_EPS = 1e-12
 

@@ -28,7 +28,7 @@ from .errors import (
     MissingEdgeProbabilityError,
     OutOfRangeProbabilityError,
 )
-from .metrics import MetricReport, pipeline_metrics
+from .metrics import DEFAULT_Z_THRESHOLD, MetricReport, pipeline_metrics
 from .model import (
     Cells2x2,
     ClassifierProfileSet,
@@ -38,9 +38,6 @@ from .model import (
 )
 from .rng import stream_key, uniforms
 from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
-
-#: default per-cell deviation threshold, in binomial standard errors
-DEFAULT_Z_THRESHOLD = 4.0
 
 
 @dataclass(frozen=True)
@@ -324,8 +321,8 @@ def compare(
     """Score a tally against its predicted joint matrix.
 
     Each cell's deviation |count/m - prediction| is expressed in binomial
-    standard errors sqrt(p (1-p) / m); a zero-variance cell scores 0 when
-    it matches exactly and infinity otherwise.
+    standard errors sqrt(p (1-p) / m); a zero-variance cell (p of 0 or 1)
+    scores 0 when it matches exactly and infinity otherwise.
     """
     if isinstance(outcome, SimOutcome):
         counts = outcome.counts
@@ -339,6 +336,10 @@ def compare(
         emp = count / m
         dev = abs(emp - pred)
         sigma = math.sqrt(pred * (1.0 - pred) / m)
+        if sigma == 0.0 and 0.0 < pred < 1.0:
+            # pred*(1-pred)/m underflows for subnormal pred; the product of
+            # square roots does not
+            sigma = math.sqrt(pred) * math.sqrt((1.0 - pred) / m)
         if sigma > 0.0:
             z = dev / sigma
         else:

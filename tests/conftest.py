@@ -120,13 +120,14 @@ L2_PROFILES_JSON = json.dumps(
 DEEP_CHAIN_SIZE = 1_500
 
 
-def chain_json(n: int) -> tuple[str, str]:
-    """Taxonomy and profiles JSON of the chain c0 > c1 > ... > c<n-1>."""
+def chain_json(n: int, f: float = 0.9) -> tuple[str, str]:
+    """Taxonomy and profiles JSON of the chain c0 > c1 > ... > c<n-1>, every
+    edge with probability ``f``."""
     names = [f"c{i}" for i in range(n)]
     taxonomy = {
         "root": names[0],
         "categories": names,
-        "edges": [{"child": c, "parent": p, "f": 0.9} for p, c in zip(names, names[1:])],
+        "edges": [{"child": c, "parent": p, "f": f} for p, c in zip(names, names[1:])],
     }
     profiles = {
         "classifiers": {c: {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8} for c in names[1:]}

@@ -8,7 +8,7 @@ import pytest
 
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INVALID, EXIT_OK, main
 
-from conftest import DEEP_CHAIN_SIZE
+from conftest import DEEP_CHAIN_SIZE, chain_json
 
 
 def run(argv, capsys):
@@ -142,6 +142,44 @@ def test_verify_tsv(l2_files, capsys):
     assert header == ["source", "pipeline", "depth", "check", "discrepancy", "passed"]
 
 
+def test_verify_max_len_zero_without_samples(l2_files, capsys):
+    taxonomy, profiles = l2_files
+    code, _, _ = run(
+        ["verify", "--taxonomy", taxonomy, "--profiles", profiles,
+         "--max-len", "0", "--samples", "0"],
+        capsys,
+    )
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--tol", "nan"], "--tol must be finite and at least 0, got nan"),
+    (["verify", "--tol", "-1"], "--tol must be finite and at least 0, got -1.0"),
+    (["verify", "--tol", "inf"], "--tol must be finite and at least 0, got inf"),
+    (["verify", "--samples", "-1"], "--samples must be at least 0, got -1"),
+    (["verify", "--max-len", "0"],
+     "--max-len must be at least 1 when --samples is above 0, got 0"),
+    (["simulate", "--m", "100", "--z-threshold", "nan"],
+     "--z-threshold must be finite and at least 0, got nan"),
+    (["simulate", "--m", "100", "--z-threshold", "-1"],
+     "--z-threshold must be finite and at least 0, got -1.0"),
+    (["simulate", "--m", "100", "--z-threshold", "inf"],
+     "--z-threshold must be finite and at least 0, got inf"),
+], ids=["tol-nan", "tol-neg", "tol-inf", "samples-neg", "max-len-0",
+        "z-nan", "z-neg", "z-inf"])
+def test_bad_numeric_flags_are_invalid_input(l2_files, argv, message, fmt, capsys):
+    taxonomy, profiles = l2_files
+    code, out, err = run(
+        [argv[0], "--taxonomy", taxonomy, "--profiles", profiles, "--format", fmt,
+         *argv[1:]],
+        capsys,
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"pfmodel: error: {message}\n"
+
+
 # --- simulate ---------------------------------------------------------------------
 
 
@@ -203,6 +241,27 @@ def test_simulate_unknown_pipeline(l2_files, capsys):
         capsys,
     )
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_simulate_subnormal_predictions_do_not_falsify(tmp_path, fmt, capsys):
+    # at f=0.5 a few cells of this chain's deep pipelines predict subnormal
+    # mass, where p (1-p) / m underflows; a count of 0 there is no deviation
+    taxonomy, profiles = tmp_path / "taxonomy.json", tmp_path / "profiles.json"
+    for path, text in zip((taxonomy, profiles), chain_json(DEEP_CHAIN_SIZE, f=0.5)):
+        path.write_text(text)
+    code, out, err = run(
+        ["simulate", "--taxonomy", str(taxonomy), "--profiles", str(profiles),
+         "--m", "16", "--format", fmt],
+        capsys,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    if fmt == "json":
+        runs = json.loads(out)["runs"]
+        assert len(runs) == DEEP_CHAIN_SIZE and all(r["passed"] for r in runs)
+    else:
+        rows = out.splitlines()[1:]
+        assert len(rows) == DEEP_CHAIN_SIZE and all(r.endswith("\ttrue") for r in rows)
 
 
 @pytest.mark.parametrize("replications", ["0", "-1"])

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfmodel as pf
-from pfmodel.io import build_report, fmt12, round12, write_report
+from pfmodel.io import build_report, dump_json, fmt12, round12, write_report
 
 from conftest import (
     DAG_PROFILES_JSON,
@@ -249,3 +252,55 @@ def test_number_formatting_helpers():
     assert fmt12(1 / 3) == "0.333333333333"
     assert round12(1 / 3) == 0.333333333333
     assert fmt12(float("inf")) == "inf"
+
+
+# --- the JSON writer --------------------------------------------------------------
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308])
+    | st.text()
+    | st.sampled_from(["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\t\n\"\\/", "\u2028\x7f"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+@settings(max_examples=150, deadline=None)
+def test_dump_json_matches_the_stdlib_pretty_printer(value):
+    assert dump_json(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_dump_json_rejects_non_finite_floats_like_the_stdlib(x):
+    with pytest.raises(ValueError) as ours:
+        dump_json({"a": [1.0, x]})
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps({"a": [1.0, x]}, indent=2, allow_nan=False)
+    assert str(ours.value) == str(stdlib.value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", object(), {1: 2.0}, {"a": [{None: 1}]}])
+def test_dump_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        dump_json(value)
+
+
+def test_dump_json_writes_iterators_as_arrays():
+    expected = {"empty": [], "rows": [{"k": 0}, {"k": 1}], "nested": [[1.5, "x"]]}
+    streamed = {
+        "empty": (k for k in ()),
+        "rows": ({"k": k} for k in range(2)),
+        "nested": iter([iter([1.5, "x"])]),
+    }
+    assert dump_json(streamed) == json.dumps(expected, indent=2) + "\n"
+    assert dump_json(k for k in ()) == "[]\n"

@@ -335,6 +335,17 @@ def test_compare_zero_variance_cells():
     assert pf.compare(model, (1, 0, 0, 99), m=100).max_z == math.inf
 
 
+def test_compare_subnormal_prediction_has_nonzero_sigma():
+    # 5e-324 * (1 - 5e-324) / 16 underflows to 0; the cell's sigma must not
+    tiny = 5e-324
+    model = pf.JointMatrix(tn=1.0 - 0.5 - tiny, fp=tiny, fn=0.0, tp=0.5)
+    report = pf.compare(model, (8, 0, 0, 8), m=16)
+    assert report.cells[1].sigma > 0.0
+    assert report.max_z < 1.0 and report.passed
+    report = pf.compare(model, (7, 1, 0, 8), m=16)
+    assert math.isfinite(report.max_z) and not report.passed
+
+
 def test_compare_requires_m_for_raw_counts():
     model = pf.JointMatrix(tn=0.4, fp=0.1, fn=0.05, tp=0.45)
     with pytest.raises(ValueError):

@@ -112,6 +112,14 @@ def _require_finite_nonnegative(flag: str, value: float) -> None:
         raise PFModelError(f"{flag} must be finite and at least 0, got {value}")
 
 
+def _require_seed(seed: int, streams: int = 1) -> None:
+    """Seeds ``seed`` .. ``seed + streams - 1`` must all fit in 64 bits."""
+    if not 0 <= seed <= 2**64 - streams:
+        raise PFModelError(
+            f"--seed must be at least 0 and at most {2**64 - streams}, got {seed}"
+        )
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -201,6 +209,7 @@ def _cmd_verify(args) -> int:
         raise PFModelError(
             f"--max-len must be at least 1 when --samples is above 0, got {args.max_len}"
         )
+    _require_seed(args.seed)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     checks = _verify_checks(bundle, args.tol, args.max_len, args.samples, args.seed)
     passed = all(c["passed"] for c in checks)
@@ -234,6 +243,7 @@ def _cmd_simulate(args) -> int:
     if args.replications < 1:
         raise PFModelError(f"--replications must be at least 1, got {args.replications}")
     _require_finite_nonnegative("--z-threshold", args.z_threshold)
+    _require_seed(args.seed, streams=args.replications)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline) if args.pipeline else None
     rows = []
@@ -287,12 +297,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .simulate import SimConfig, imbalance_sweep
+    from .simulate import imbalance_sweep
 
+    _require_seed(args.seed)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline)
-    cfg = SimConfig(m=1, seed=args.seed)
-    result = imbalance_sweep(pipeline, bundle.profiles, args.target, args.n, cfg)
+    result = imbalance_sweep(pipeline, bundle.profiles, args.target, args.n, args.seed)
 
     if args.format == "json":
         text = pfio.dump_json({

@@ -43,10 +43,9 @@ from .model import (
     Cells2x2,
     ClassifierProfileSet,
     Factorization,
-    IntrinsicMatrix,
+    JointMatrix,
     NormalizedConfusionMatrix,
-    factorize,
-    psi,
+    _factorization,
 )
 from .taxonomy import (
     Edge,
@@ -95,10 +94,14 @@ def parse_taxonomy(text: str) -> Taxonomy:
     cats = data["categories"]
     if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
         raise ParseError("categories must be a list of strings", location="taxonomy.categories")
+    if not isinstance(data["edges"], list):
+        raise ParseError("edges must be a list", location="taxonomy.edges")
     edges = []
     for i, raw in enumerate(data["edges"]):
         where = f"taxonomy.edges[{i}]"
         _require_keys(raw, {"child", "parent", "f"}, {"child", "parent"}, where)
+        if not isinstance(raw["child"], str) or not isinstance(raw["parent"], str):
+            raise ParseError("child and parent must be strings", location=where)
         f = raw.get("f")
         if f is not None and not _is_number(f):
             raise ParseError(f"f must be a number, got {f!r}", location=where)
@@ -168,11 +171,16 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
         if moved:
             renormalized.append(name)
 
+    raw_overrides = data.get("overrides", [])
+    if not isinstance(raw_overrides, list):
+        raise ParseError("overrides must be a list", location="profiles.overrides")
     overrides: dict[tuple[str, str], NormalizedConfusionMatrix] = {}
-    for i, raw in enumerate(data.get("overrides", [])):
+    for i, raw in enumerate(raw_overrides):
         where = f"profiles.overrides[{i}]"
         _require_keys(raw, {"pipeline", "category", "tn", "fp", "fn", "tp"},
                       {"pipeline", "category", "tn", "fp", "fn", "tp"}, where)
+        if not isinstance(raw["pipeline"], str) or not isinstance(raw["category"], str):
+            raise ParseError("pipeline and category must be strings", location=where)
         path = raw["pipeline"]
         nodes = tuple(path.split("/"))
         for c in nodes:
@@ -334,7 +342,6 @@ class PipelineBlock:
     pipeline: Pipeline
     profile: DepthProfile
     factorization: Factorization
-    intrinsic: IntrinsicMatrix
 
 
 @dataclass(frozen=True)
@@ -351,21 +358,32 @@ class Report:
 def build_report(
     bundle: InputBundle, leaf_only: bool = False, pipeline_path: str | None = None
 ) -> Report:
-    """Analyze the bundle's pipelines (sorted) into a :class:`Report`."""
+    """Analyze the bundle's pipelines (sorted) into a :class:`Report`.
+
+    Pipelines arrive prefix-first, so each one whose parent prefix was
+    analyzed extends that profile by its last step.  Overrides are keyed by
+    the full pipeline path, so a pipeline whose own path or parent's path
+    carries one is folded from the root instead; so are the root, and every
+    pipeline whose parent is not in the report (``leaf_only``,
+    ``pipeline_path``).
+    """
     if pipeline_path is None:
         pipelines = enumerate_pipelines(bundle.taxonomy, leaf_only=leaf_only)
     else:
         pipelines = (find_pipeline(bundle.taxonomy, pipeline_path, leaf_only=leaf_only),)
+    profiles = bundle.profiles
+    overridden = {path for path, _ in profiles.overrides}
+    analyzed: dict[tuple[str, ...], DepthProfile] = {}
     blocks = []
     for p in pipelines:
-        blocks.append(
-            PipelineBlock(
-                pipeline=p,
-                profile=depth_profile(p, bundle.profiles),
-                factorization=factorize(p, bundle.profiles),
-                intrinsic=psi(p, bundle.profiles),
-            )
-        )
+        parent = analyzed.get(p.nodes[:-1])
+        if parent is None or p.path in overridden or parent.pipeline.path in overridden:
+            profile = depth_profile(p, profiles)
+        else:
+            profile = parent.extend(p, profiles.resolve(p, p.depth))
+        analyzed[p.nodes] = profile
+        factorization = _factorization(profile.state, p.require_fs(), profiles.gamma_chain(p))
+        blocks.append(PipelineBlock(pipeline=p, profile=profile, factorization=factorization))
     return Report(
         root=bundle.taxonomy.root,
         categories=tuple(sorted(bundle.taxonomy.categories)),
@@ -416,6 +434,17 @@ def _verdict_text(step: StepCheck | None) -> str:
     return step.verdict.value
 
 
+def _depth_rows(
+    b: PipelineBlock,
+) -> Iterator[tuple[int, float, JointMatrix, MetricReport, str, StepCheck | None]]:
+    """Per-depth rows of a block, shared by both report formats:
+    ``(k, f_k, omega, report, verdict text, step)``, with no step at k=0."""
+    prof = b.profile
+    rows = zip(b.pipeline.fs, prof.omegas, prof.reports, (None, *prof.steps))
+    for k, (f_k, om, rep, step) in enumerate(rows):
+        yield k, f_k, om, rep, _verdict_text(step), step
+
+
 def _block_payload(b: PipelineBlock) -> dict:
     fact = b.factorization
     flags = []
@@ -424,29 +453,26 @@ def _block_payload(b: PipelineBlock) -> dict:
     if fact.eta is not None and math.isinf(fact.eta):
         flags.append("eta_infinite")
     eta = fact.eta
-    fs = b.pipeline.require_fs()
-    depth_rows = []
-    for k, (om, rep) in enumerate(zip(b.profile.omegas, b.profile.reports)):
-        step = b.profile.steps[k - 1] if k >= 1 else None
-        depth_rows.append(
-            {
-                "k": k,
-                "f": round12(fs[k]),
-                "omega": omega_payload(om),
-                "metrics": metrics_payload(rep),
-                "precision_verdict": _verdict_text(step),
-                "precision_bound": None if step is None or step.bound is None
-                else round12(step.bound),
-            }
-        )
+    depth_rows = [
+        {
+            "k": k,
+            "f": round12(f_k),
+            "omega": omega_payload(om),
+            "metrics": metrics_payload(rep),
+            "precision_verdict": verdict,
+            "precision_bound": None if step is None or step.bound is None
+            else round12(step.bound),
+        }
+        for k, f_k, om, rep, verdict, step in _depth_rows(b)
+    ]
     return {
         "pipeline": b.pipeline.path,
         "depth": b.pipeline.depth,
-        "fs": [round12(f) for f in fs],
+        "fs": [round12(f) for f in b.pipeline.fs],
         "omega": omega_payload(b.profile.omegas[-1]),
         "prior": {"neg": round12(fact.prior_neg), "pos": round12(fact.prior_pos)},
         "phi": _matrix_payload(fact.phi),
-        "psi": _matrix_payload(b.intrinsic),
+        "psi": _matrix_payload(b.profile.state.intrinsic()),
         "eta": None if eta is None or not math.isfinite(eta) else round12(eta),
         "flags": flags,
         "metrics": metrics_payload(b.profile.reports[-1]),
@@ -473,16 +499,14 @@ def write_report(report: Report, format: str = "json") -> str:
                 "tP", "tR", "tF1", "tA", "precision_verdict"]
         lines = ["\t".join(cols)]
         for b in report.blocks:
-            fs = b.pipeline.require_fs()
-            for k, (om, rep) in enumerate(zip(b.profile.omegas, b.profile.reports)):
-                step = b.profile.steps[k - 1] if k >= 1 else None
+            for k, f_k, om, rep, verdict, _ in _depth_rows(b):
                 lines.append("\t".join([
                     b.pipeline.path,
                     str(k),
-                    fmt12(fs[k]),
+                    fmt12(f_k),
                     fmt12(om.tn), fmt12(om.fp), fmt12(om.fn), fmt12(om.tp),
                     *metric_cells(rep),
-                    _verdict_text(step),
+                    verdict,
                 ]))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {format!r}")

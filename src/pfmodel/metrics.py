@@ -149,22 +149,63 @@ class DepthProfile:
 
     Index ``k`` of ``omegas``/``reports`` refers to the prefix ending at
     depth ``k`` (0 = root only); ``steps[k-1]`` carries the verdict for the
-    transition into depth ``k``.
+    transition into depth ``k``.  ``state`` is the running state after the
+    last step.
     """
 
     pipeline: Pipeline
     omegas: tuple[JointMatrix, ...]
     reports: tuple[MetricReport, ...]
     steps: tuple[StepCheck, ...]
+    state: PrefixState
+
+    def extend(self, pipeline: Pipeline, gamma_k: NormalizedConfusionMatrix) -> "DepthProfile":
+        """Profile of ``pipeline``, this profile's pipeline plus one step
+        whose classifier has profile ``gamma_k``."""
+        f_k = pipeline.require_fs()[-1]
+        omegas, reports, steps = list(self.omegas), list(self.reports), list(self.steps)
+        state = _step(omegas, reports, steps, self.state, f_k, gamma_k)
+        return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state)
 
 
-def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthProfile:
-    """Metrics and precision verdicts for every prefix of ``pipeline``.
+def _step(
+    omegas: list[JointMatrix],
+    reports: list[MetricReport],
+    steps: list[StepCheck],
+    state: PrefixState,
+    f_k: float,
+    gamma_k: NormalizedConfusionMatrix,
+) -> PrefixState:
+    """Append the next prefix's joint mass, metrics and precision verdict to
+    the lists of its parent prefix, whose state is ``state``; return the
+    advanced state.
 
     Sanity-checks the recall chain on the way: the tp-rate product can
     never grow, and it shrinks strictly wherever a classifier's tp-rate is
     below 1 (while recall is still positive).
     """
+    k = len(omegas)
+    advanced = state.advance(f_k, gamma_k)
+    try:
+        check = _constraint_check(state, advanced, f_k, gamma_k)
+        steps.append(StepCheck(k=k, verdict=check.verdict, bound=check.bound))
+    except DegenerateBoundError:
+        steps.append(StepCheck(k=k, verdict=None, bound=None, degenerate=True))
+
+    omega = omega_step(omegas[-1], f_k, gamma_k)
+    omegas.append(omega)
+    reports.append(pipeline_metrics(omega))
+
+    if advanced.psi11 > state.psi11:
+        raise AssertionError("recall chain increased along a pipeline")
+    if gamma_k.tp < 1.0 - _TIE_EPS and state.psi11 > 1e-300:
+        if not advanced.psi11 < state.psi11:
+            raise AssertionError("recall chain failed to decrease at a lossy step")
+    return advanced
+
+
+def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthProfile:
+    """Metrics and precision verdicts for every prefix of ``pipeline``."""
     fs = pipeline.require_fs()
     gammas = profiles.gamma_chain(pipeline)
 
@@ -172,32 +213,6 @@ def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthPr
     reports = [pipeline_metrics(OMEGA_BASE)]
     steps: list[StepCheck] = []
     state = PrefixState.initial()
-    recall_chain = 1.0
-    for k in range(1, len(pipeline.nodes)):
-        f_k, gamma_k = fs[k], gammas[k - 1]
-        advanced = state.advance(f_k, gamma_k)
-        try:
-            check = _constraint_check(state, advanced, f_k, gamma_k)
-            steps.append(StepCheck(k=k, verdict=check.verdict, bound=check.bound))
-        except DegenerateBoundError:
-            steps.append(StepCheck(k=k, verdict=None, bound=None, degenerate=True))
-        state = advanced
-
-        omega = omega_step(omegas[-1], f_k, gamma_k)
-        omegas.append(omega)
-        reports.append(pipeline_metrics(omega))
-
-        prev_recall = recall_chain
-        recall_chain *= gamma_k.tp
-        if recall_chain > prev_recall:
-            raise AssertionError("recall chain increased along a pipeline")
-        if gamma_k.tp < 1.0 - _TIE_EPS and prev_recall > 1e-300:
-            if not recall_chain < prev_recall:
-                raise AssertionError("recall chain failed to decrease at a lossy step")
-
-    return DepthProfile(
-        pipeline=pipeline,
-        omegas=tuple(omegas),
-        reports=tuple(reports),
-        steps=tuple(steps),
-    )
+    for f_k, gamma_k in zip(fs[1:], gammas):
+        state = _step(omegas, reports, steps, state, f_k, gamma_k)
+    return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state)

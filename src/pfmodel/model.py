@@ -399,6 +399,12 @@ class PrefixState:
             psi11=self.psi11 * gamma_k.tp,
         )
 
+    def intrinsic(self) -> IntrinsicMatrix:
+        """The prefix's intrinsic profile, as ``psi(..., "closed")`` computes it."""
+        return IntrinsicMatrix(
+            tn=1.0 - self.psi01, fp=self.psi01, fn=1.0 - self.psi11, tp=self.psi11
+        )
+
 
 def factorize(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Factorization:
     """Split a pipeline's joint mass into input priors and deterioration."""
@@ -407,20 +413,27 @@ def factorize(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Factorizati
     state = PrefixState.initial()
     for f_k, gamma_k in zip(fs[1:], gammas):
         state = state.advance(f_k, gamma_k)
-    psi01, psi11 = state.psi01, state.psi11
+    return _factorization(state, fs, gammas)
+
+
+def _factorization(
+    state: PrefixState, fs: Sequence[float], gammas: Sequence[NormalizedConfusionMatrix]
+) -> Factorization:
+    """:func:`factorize` of the pipeline with chains ``fs``/``gammas``, whose
+    final :class:`PrefixState` is ``state``."""
     prior_pos = state.prior_pos
     prior_neg = 1.0 - prior_pos
 
     if prior_neg == 0.0:
-        phi = NormalizedConfusionMatrix(tn=1.0 - psi01, fp=psi01, fn=1.0 - psi11, tp=psi11)
         return Factorization(
             prior_neg=0.0,
             prior_pos=prior_pos,
-            phi=phi,
+            phi=state.intrinsic(),
             eta=None,
             zero_negative_mass=True,
         )
 
+    psi01, psi11 = state.psi01, state.psi11
     phi01 = _closed_form(fs, gammas)[1] / prior_neg
     phi = NormalizedConfusionMatrix(tn=1.0 - phi01, fp=phi01, fn=1.0 - psi11, tp=psi11)
     eta = phi01 / psi01 if psi01 > 0.0 else state.leak / prior_neg

@@ -386,7 +386,7 @@ def imbalance_sweep(
     profiles: ClassifierProfileSet,
     target_positive_rate: float,
     n_distributions: int,
-    cfg: SimConfig,
+    seed: int,
 ) -> SweepResult:
     """Metrics of one pipeline under many input distributions of equal imbalance.
 
@@ -394,8 +394,13 @@ def imbalance_sweep(
     positive rate, by splitting its logarithm with Dirichlet weights:
     f_j = target^(w_j), so every chain lands the same share of positives on
     the last category while distributing the attrition differently.  Recall
-    is identical across rows; precision and F1 spread out.
+    is identical across rows; precision and F1 spread out.  ``seed`` keys
+    the random stream.
     """
+    if isinstance(seed, SimConfig):
+        # the earlier signature took a SimConfig for its seed alone, and
+        # bench/layers.py still passes one
+        seed = seed.seed
     depth = pipeline.depth
     if not 0.0 < target_positive_rate < 1.0:
         raise InfeasibleTargetError(
@@ -406,7 +411,7 @@ def imbalance_sweep(
     if n_distributions < 1:
         raise InfeasibleTargetError("need at least one distribution")
 
-    rng = Generator(Philox(key=stream_key(cfg.seed, "sweep", pipeline.path)))
+    rng = Generator(Philox(key=stream_key(seed, "sweep", pipeline.path)))
     rows = []
     for _ in range(n_distributions):
         weights = rng.dirichlet(np.ones(depth))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,47 @@ def test_analyze_missing_file_exit_code(l2_files, capsys):
     assert code == EXIT_INVALID
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, edit, location", [
+    ("taxonomy", lambda d: d.update(edges=5), "taxonomy.edges"),
+    ("taxonomy", lambda d: d["edges"][0].update(child=["B"]), "taxonomy.edges[0]"),
+    ("profiles", lambda d: d.update(overrides=5), "profiles.overrides"),
+    ("profiles", lambda d: d["overrides"][1].update(pipeline=5), "profiles.overrides[1]"),
+], ids=["edges-int", "edge-child-list", "overrides-int", "override-pipeline-int"])
+def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys):
+    files = {}
+    for key in ("taxonomy", "profiles"):
+        data = json.loads((GOLDEN / f"{key}.json").read_text())
+        if key == name:
+            edit(data)
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(data))
+    code, out, err = run(["analyze", "--taxonomy", str(files["taxonomy"]),
+                          "--profiles", str(files["profiles"])], capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"pfmodel: error: {location}: ")
+    assert "Traceback" not in err
+
+
+def test_analyze_edge_without_f_is_invalid_input(tmp_path, capsys):
+    taxonomy = tmp_path / "taxonomy.json"
+    taxonomy.write_text(json.dumps({
+        "root": "A", "categories": ["A", "B", "C"],
+        "edges": [{"child": "B", "parent": "A", "f": 0.5}, {"child": "C", "parent": "B"}],
+    }))
+    profiles = tmp_path / "profiles.json"
+    gamma = {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8}
+    profiles.write_text(json.dumps({"classifiers": {"B": gamma, "C": gamma}}))
+    code, out, err = run(["analyze", "--taxonomy", str(taxonomy),
+                          "--profiles", str(profiles)], capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "pfmodel: error: pipeline A/B/C: edge into 'C' has no f\n"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing required flags
@@ -166,8 +208,19 @@ def test_verify_max_len_zero_without_samples(l2_files, capsys):
      "--z-threshold must be finite and at least 0, got -1.0"),
     (["simulate", "--m", "100", "--z-threshold", "inf"],
      "--z-threshold must be finite and at least 0, got inf"),
+    (["verify", "--seed", "-1"],
+     "--seed must be at least 0 and at most 18446744073709551615, got -1"),
+    (["verify", "--seed", "18446744073709551616"],
+     "--seed must be at least 0 and at most 18446744073709551615, got 18446744073709551616"),
+    (["simulate", "--m", "10", "--seed", "-1"],
+     "--seed must be at least 0 and at most 18446744073709551615, got -1"),
+    (["simulate", "--m", "10", "--seed", "18446744073709551615", "--replications", "2"],
+     "--seed must be at least 0 and at most 18446744073709551614, got 18446744073709551615"),
+    (["sweep", "--pipeline", "A/B/C", "--target", "0.1", "--seed", "-1"],
+     "--seed must be at least 0 and at most 18446744073709551615, got -1"),
 ], ids=["tol-nan", "tol-neg", "tol-inf", "samples-neg", "max-len-0",
-        "z-nan", "z-neg", "z-inf"])
+        "z-nan", "z-neg", "z-inf", "verify-seed-neg", "verify-seed-2**64",
+        "simulate-seed-neg", "simulate-seed-last-replication", "sweep-seed-neg"])
 def test_bad_numeric_flags_are_invalid_input(l2_files, argv, message, fmt, capsys):
     taxonomy, profiles = l2_files
     code, out, err = run(

@@ -22,6 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "analyze.json": ["analyze"],
     "analyze.tsv": ["analyze", "--format", "tsv"],
+    "analyze-leaf-only.tsv": ["analyze", "--leaf-only", "--format", "tsv"],
+    "analyze-pipeline.json": ["analyze", "--pipeline", "A/C/D/E"],
     "verify.json": ["verify", "--samples", "5"],
     "simulate.json": ["simulate", "--m", "20000"],
     "simulate-pipeline.tsv": ["simulate", "--pipeline", "A/B/D/E", "--m", "20000",

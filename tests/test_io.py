@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from conftest import (
     DAG_TAXONOMY_JSON,
     L2_PROFILES_JSON,
     L2_TAXONOMY_JSON,
+    random_gamma,
+    random_tree,
 )
 
 MINIMAL_TAXONOMY = json.dumps(
@@ -245,6 +248,71 @@ def test_report_pipeline_filter_and_leaf_only():
     assert [b.pipeline.path for b in leaves.blocks] == ["A/B/C", "A/B/D", "A/C"]
     with pytest.raises(pf.UnknownCategoryError):
         build_report(bundle, pipeline_path="A/Z")
+
+
+probabilities = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+
+
+@st.composite
+def bundles_with_overrides(draw):
+    """A small random DAG (up to two parents per node), profiles, and
+    overrides on random steps of random pipelines: last steps, earlier
+    steps, and paths that other pipelines extend."""
+    n = draw(st.integers(1, 7))
+    names = [f"c{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parents = draw(st.sets(st.integers(0, i - 1), min_size=1, max_size=min(i, 2)))
+        edges += [pf.Edge(names[i], names[j], draw(probabilities)) for j in sorted(parents)]
+    taxonomy = pf.validate_taxonomy(names, edges)
+
+    def gamma():
+        fp, tp = draw(probabilities), draw(probabilities)
+        return pf.NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
+
+    base = {c: gamma() for c in names[1:]}
+    stepped = [p for p in pf.enumerate_pipelines(taxonomy) if p.depth >= 1]
+    overrides = {}
+    if stepped:
+        for _ in range(draw(st.integers(0, 4))):
+            p = draw(st.sampled_from(stepped))
+            overrides[(p.path, p.nodes[draw(st.integers(1, p.depth))])] = gamma()
+    profiles = pf.ClassifierProfileSet(base=base, overrides=overrides, root=names[0])
+    return pf.io.InputBundle(taxonomy=taxonomy, profiles=profiles)
+
+
+@given(bundles_with_overrides())
+@settings(max_examples=150, deadline=None)
+def test_report_blocks_equal_the_per_pipeline_evaluations(bundle):
+    paths = [p.path for p in pf.enumerate_pipelines(bundle.taxonomy)]
+    reports = [build_report(bundle), build_report(bundle, leaf_only=True)]
+    reports += [build_report(bundle, pipeline_path=path) for path in paths]
+    for report in reports:
+        for block in report.blocks:
+            p = block.pipeline
+            assert block.profile == pf.depth_profile(p, bundle.profiles)
+            assert block.factorization == pf.factorize(p, bundle.profiles)
+            assert block.profile.state.intrinsic() == pf.psi(p, bundle.profiles)
+
+
+def test_report_takes_one_step_per_pipeline(monkeypatch):
+    rng = np.random.default_rng(0)
+    taxonomy = random_tree(rng, 40)
+    base = {c: random_gamma(rng) for c in taxonomy.categories if c != taxonomy.root}
+    profiles = pf.ClassifierProfileSet(base=base, root=taxonomy.root)
+    pipelines = pf.enumerate_pipelines(taxonomy)
+    assert sum(p.depth for p in pipelines) > 2 * len(pipelines)
+
+    calls = []
+    step = pf.metrics.omega_step
+
+    def counting_step(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(pf.metrics, "omega_step", counting_step)
+    build_report(pf.io.InputBundle(taxonomy=taxonomy, profiles=profiles))
+    assert len(calls) == len(pipelines) - 1
 
 
 def test_number_formatting_helpers():

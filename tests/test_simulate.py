@@ -370,7 +370,7 @@ def test_same_imbalance_different_precision(l2_pipeline):
 
 def test_sweep_rows_share_target_and_recall(l2_pipeline):
     p, profiles = l2_pipeline
-    result = pf.imbalance_sweep(p, profiles, 0.1, 50, SimConfig(m=1, seed=42))
+    result = pf.imbalance_sweep(p, profiles, 0.1, 50, seed=42)
     assert len(result.rows) == 50
     recalls = {round(r.report.recall, 15) for r in result.rows}
     assert len(recalls) == 1  # distribution-independent
@@ -383,7 +383,7 @@ def test_sweep_rows_share_target_and_recall(l2_pipeline):
 
 def test_sweep_single_trivial_row(l2_pipeline):
     p, profiles = l2_pipeline
-    result = pf.imbalance_sweep(p, profiles, 0.25, 1, SimConfig(m=1, seed=0))
+    result = pf.imbalance_sweep(p, profiles, 0.25, 1, seed=0)
     assert len(result.rows) == 1
     spread = {s.metric: s for s in result.spreads}
     assert spread["precision"].minimum == spread["precision"].maximum
@@ -391,18 +391,20 @@ def test_sweep_single_trivial_row(l2_pipeline):
 
 def test_sweep_is_deterministic(l2_pipeline):
     p, profiles = l2_pipeline
-    a = pf.imbalance_sweep(p, profiles, 0.1, 10, SimConfig(m=1, seed=9))
-    b = pf.imbalance_sweep(p, profiles, 0.1, 10, SimConfig(m=1, seed=9))
+    a = pf.imbalance_sweep(p, profiles, 0.1, 10, seed=9)
+    b = pf.imbalance_sweep(p, profiles, 0.1, 10, seed=9)
     assert a == b
+    # a SimConfig in place of the seed still contributes its seed
+    assert pf.imbalance_sweep(p, profiles, 0.1, 10, SimConfig(m=1, seed=9)) == a
 
 
 def test_sweep_infeasible_inputs(l2_pipeline):
     p, profiles = l2_pipeline
     with pytest.raises(pf.InfeasibleTargetError):
-        pf.imbalance_sweep(p, profiles, 1.5, 10, SimConfig(m=1, seed=0))
+        pf.imbalance_sweep(p, profiles, 1.5, 10, seed=0)
     with pytest.raises(pf.InfeasibleTargetError):
-        pf.imbalance_sweep(p, profiles, 0.1, 0, SimConfig(m=1, seed=0))
+        pf.imbalance_sweep(p, profiles, 0.1, 0, seed=0)
     short = Pipeline(("A", "B"), (1.0, 0.5))
     short_profiles = ClassifierProfileSet(base={"B": GAMMA_B}, root="A")
     with pytest.raises(pf.InfeasibleTargetError):
-        pf.imbalance_sweep(short, short_profiles, 0.1, 10, SimConfig(m=1, seed=0))
+        pf.imbalance_sweep(short, short_profiles, 0.1, 10, seed=0)

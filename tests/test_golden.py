@@ -25,7 +25,11 @@ CASES = {
     "analyze-leaf-only.tsv": ["analyze", "--leaf-only", "--format", "tsv"],
     "analyze-pipeline.json": ["analyze", "--pipeline", "A/C/D/E"],
     "verify.json": ["verify", "--samples", "5"],
+    "verify.tsv": ["verify", "--samples", "5", "--format", "tsv"],
     "simulate.json": ["simulate", "--m", "20000"],
+    "simulate.tsv": ["simulate", "--m", "20000", "--format", "tsv"],
+    "simulate-pipeline.json": ["simulate", "--pipeline", "A/B/D/E", "--m", "20000",
+                               "--replications", "2"],
     "simulate-pipeline.tsv": ["simulate", "--pipeline", "A/B/D/E", "--m", "20000",
                               "--replications", "2", "--format", "tsv"],
     "sweep.json": ["sweep", "--pipeline", "A/B/D/E", "--target", "0.05", "--n", "20"],

@@ -246,13 +246,13 @@ def _cmd_simulate(args) -> int:
     _require_seed(args.seed, streams=args.replications)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline) if args.pipeline else None
+    predicted = omega_closed(pipeline, bundle.profiles) if pipeline is not None else None
     rows = []
     for r in range(args.replications):
         cfg = SimConfig(m=args.m, seed=args.seed + r)
         if pipeline is not None:
             outcome = simulate_pipeline(pipeline, bundle.profiles, cfg)
-            model = omega_closed(pipeline, bundle.profiles)
-            reports = {pipeline.path: (model, outcome)}
+            reports = {pipeline.path: (predicted, outcome)}
         else:
             result = simulate_taxonomy(bundle.taxonomy, bundle.profiles, cfg)
             reports = {path: (result.models[path], result.per_pipeline[path])
@@ -340,7 +340,7 @@ def _cmd_sweep(args) -> int:
             name = {"precision": "tP", "f1": "tF1"}[s.metric]
             lines.append("\t".join(
                 [f"{name}_spread"] + ["-"] * depth
-                + [pfio.fmt12(s.minimum), pfio.fmt12(s.maximum), pfio.fmt12(s.mean), "-"]
+                + [pfio.cell12(s.minimum), pfio.cell12(s.maximum), pfio.cell12(s.mean), "-"]
             ))
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)

@@ -228,11 +228,15 @@ def fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def round12(x: float) -> float:
-    """A real number rounded to 12 significant digits (stable JSON payloads)."""
-    if not math.isfinite(x):
-        return x
-    return float(fmt12(x))
+def cell12(x: float | None) -> str:
+    """A TSV cell: :func:`fmt12`, or ``-`` where the value is undefined."""
+    return "-" if x is None else fmt12(x)
+
+
+def round12(x: float | None) -> float | None:
+    """A real number rounded to 12 significant digits (stable JSON payloads);
+    ``None``, an undefined value, stays ``None`` (JSON ``null``)."""
+    return None if x is None else float(fmt12(x))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -376,13 +380,14 @@ def build_report(
     analyzed: dict[tuple[str, ...], DepthProfile] = {}
     blocks = []
     for p in pipelines:
+        gammas = profiles.gamma_chain(p)
         parent = analyzed.get(p.nodes[:-1])
         if parent is None or p.path in overridden or parent.pipeline.path in overridden:
             profile = depth_profile(p, profiles)
         else:
-            profile = parent.extend(p, profiles.resolve(p, p.depth))
+            profile = parent.extend(p, gammas[-1])
         analyzed[p.nodes] = profile
-        factorization = _factorization(profile.state, p.require_fs(), profiles.gamma_chain(p))
+        factorization = _factorization(profile.state, p.require_fs(), gammas)
         blocks.append(PipelineBlock(pipeline=p, profile=profile, factorization=factorization))
     return Report(
         root=bundle.taxonomy.root,
@@ -401,12 +406,7 @@ def omega_payload(omega: Cells2x2) -> dict:
 
 def metric_cells(r: MetricReport) -> list[str]:
     """tP, tR, tF1 and tA as TSV cells, ``-`` where undefined."""
-    return [
-        "-" if r.precision is None else fmt12(r.precision),
-        "-" if r.recall is None else fmt12(r.recall),
-        "-" if r.f1 is None else fmt12(r.f1),
-        fmt12(r.accuracy),
-    ]
+    return [cell12(r.precision), cell12(r.recall), cell12(r.f1), fmt12(r.accuracy)]
 
 
 def metrics_payload(r: MetricReport) -> dict:
@@ -418,9 +418,9 @@ def metrics_payload(r: MetricReport) -> dict:
     if r.f1_degenerate:
         flags.append("f1_degenerate")
     return {
-        "tP": None if r.precision is None else round12(r.precision),
-        "tR": None if r.recall is None else round12(r.recall),
-        "tF1": None if r.f1 is None else round12(r.f1),
+        "tP": round12(r.precision),
+        "tR": round12(r.recall),
+        "tF1": round12(r.f1),
         "tA": round12(r.accuracy),
         "flags": flags,
     }
@@ -460,8 +460,7 @@ def _block_payload(b: PipelineBlock) -> dict:
             "omega": omega_payload(om),
             "metrics": metrics_payload(rep),
             "precision_verdict": verdict,
-            "precision_bound": None if step is None or step.bound is None
-            else round12(step.bound),
+            "precision_bound": None if step is None else round12(step.bound),
         }
         for k, f_k, om, rep, verdict, step in _depth_rows(b)
     ]

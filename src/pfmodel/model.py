@@ -236,8 +236,8 @@ def omega_recursive(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Joint
     """Joint outcome mass of a pipeline, by folding the step recurrence."""
     fs = pipeline.require_fs()
     omega = OMEGA_BASE
-    for k in range(1, len(pipeline.nodes)):
-        omega = omega_step(omega, fs[k], profiles.resolve(pipeline, k))
+    for f_k, gamma_k in zip(fs[1:], profiles.gamma_chain(pipeline)):
+        omega = omega_step(omega, f_k, gamma_k)
     return omega
 
 

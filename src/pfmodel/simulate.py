@@ -29,13 +29,7 @@ from .errors import (
     OutOfRangeProbabilityError,
 )
 from .metrics import DEFAULT_Z_THRESHOLD, MetricReport, pipeline_metrics
-from .model import (
-    Cells2x2,
-    ClassifierProfileSet,
-    JointMatrix,
-    _closed_form,
-    omega_closed,
-)
+from .model import ClassifierProfileSet, JointMatrix, _closed_form
 from .rng import stream_key, uniforms
 from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
 
@@ -69,18 +63,23 @@ def enumerate_exact(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Joint
     last = len(gammas)
     cells = [[0.0, 0.0], [0.0, 0.0]]
 
-    def walk(k: int, x_prev: int, c_prev: int, prob: float) -> None:
+    # Depth-first with an explicit stack, so any depth is walkable.  Branches
+    # are pushed in reverse and pop in (x, c) order, so each cell sums its
+    # leaves in one fixed, lexicographic order.
+    stack = [(1, 1, 1, 1.0)]
+    while stack:
+        k, x_prev, c_prev, prob = stack.pop()
         if prob == 0.0:
-            return
+            continue
         if k > last:
             cells[x_prev][c_prev] += prob
-            return
+            continue
         f, g = fs[k], gammas[k - 1]
-        for x in (0, 1):
+        for x in (1, 0):
             if x_prev == 0 and x == 1:
                 continue  # truth can only narrow
             p_x = 1.0 if x_prev == 0 else (f if x == 1 else 1.0 - f)
-            for c in (0, 1):
+            for c in (1, 0):
                 if c_prev == 0 and c == 1:
                     continue  # once rejected, rejected forever
                 if c_prev == 0:
@@ -88,9 +87,8 @@ def enumerate_exact(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Joint
                 else:
                     row = (g.fn, g.tp) if x == 1 else (g.tn, g.fp)
                     p_c = row[c]
-                walk(k + 1, x, c, prob * p_x * p_c)
+                stack.append((k + 1, x, c, prob * p_x * p_c))
 
-    walk(1, 1, 1, 1.0)
     return JointMatrix(tn=cells[0][0], fp=cells[0][1], fn=cells[1][0], tp=cells[1][1])
 
 
@@ -114,12 +112,6 @@ class SimOutcome:
     def __post_init__(self):
         if sum(self.counts) != self.m:
             raise ValueError("counts must sum to m")
-
-    @property
-    def empirical(self) -> Cells2x2:
-        """Empirical joint mass: counts / m."""
-        tn, fp, fn, tp = self.counts
-        return Cells2x2(tn=tn / self.m, fp=fp / self.m, fn=fn / self.m, tp=tp / self.m)
 
 
 def simulate_pipeline(
@@ -364,12 +356,13 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSpread:
-    """Min/max/mean of a metric across the sweep (ignoring undefined rows)."""
+    """Min/max/mean of a metric across the sweep (ignoring undefined rows);
+    ``None`` when the metric is undefined in every row."""
 
     metric: str
-    minimum: float
-    maximum: float
-    mean: float
+    minimum: float | None
+    maximum: float | None
+    mean: float | None
     undefined: int
 
 
@@ -412,34 +405,27 @@ def imbalance_sweep(
         raise InfeasibleTargetError("need at least one distribution")
 
     rng = Generator(Philox(key=stream_key(seed, "sweep", pipeline.path)))
+    gammas = profiles.gamma_chain(pipeline)
     rows = []
     for _ in range(n_distributions):
         weights = rng.dirichlet(np.ones(depth))
         fs = (1.0,) + tuple(float(target_positive_rate**w) for w in weights)
-        variant = Pipeline(pipeline.nodes, fs)
-        omega = omega_closed(variant, profiles)
+        omega = JointMatrix(*_closed_form(fs, gammas))
         rows.append(SweepRow(fs=fs, omega=omega, report=pipeline_metrics(omega)))
 
     spreads = []
     for metric in ("precision", "recall", "f1", "accuracy"):
         values = [getattr(r.report, metric) for r in rows]
         defined = [v for v in values if v is not None]
-        undefined = len(values) - len(defined)
-        if defined:
-            spreads.append(
-                SweepSpread(
-                    metric=metric,
-                    minimum=min(defined),
-                    maximum=max(defined),
-                    mean=sum(defined) / len(defined),
-                    undefined=undefined,
-                )
+        spreads.append(
+            SweepSpread(
+                metric=metric,
+                minimum=min(defined, default=None),
+                maximum=max(defined, default=None),
+                mean=sum(defined) / len(defined) if defined else None,
+                undefined=len(values) - len(defined),
             )
-        else:
-            spreads.append(
-                SweepSpread(metric=metric, minimum=math.nan, maximum=math.nan,
-                            mean=math.nan, undefined=undefined)
-            )
+        )
 
     return SweepResult(
         pipeline=pipeline.path,

@@ -76,7 +76,7 @@ class Pipeline:
         """Number of non-root steps (L)."""
         return len(self.nodes) - 1
 
-    @property
+    @cached_property
     def path(self) -> str:
         """Slash-joined category names, the canonical serialized form."""
         return "/".join(self.nodes)
@@ -411,7 +411,6 @@ def relevance(
     t._require(a)
     if instance not in labeling.instances:
         raise UnknownInstanceError(f"unknown instance {instance!r}")
-    ancestors_of_b, _, _ = relative_sets(t, b)
-    if b != a and a not in ancestors_of_b:
+    if b != a and a not in t.ancestors_of(b):
         return False
     return instance in category_domain(t, labeling, a)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pfmodel import cli
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INVALID, EXIT_OK, main
 
 from conftest import DEEP_CHAIN_SIZE, chain_json
@@ -263,6 +264,25 @@ def test_simulate_single_pipeline_and_replications(l2_files, capsys):
     assert seeds == [42, 43, 44]
 
 
+def test_simulate_pipeline_predicts_once(l2_files, monkeypatch, capsys):
+    taxonomy, profiles = l2_files
+    omega_closed = cli.omega_closed
+    calls = []
+
+    def counting_omega_closed(pipeline, profile_set):
+        calls.append(pipeline.path)
+        return omega_closed(pipeline, profile_set)
+
+    monkeypatch.setattr(cli, "omega_closed", counting_omega_closed)
+    code, _, _ = run(
+        ["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
+         "--pipeline", "A/B/C", "--m", "2000", "--replications", "3"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert calls == ["A/B/C"]
+
+
 def test_simulate_deterministic_bytes(dag_files, tmp_path, capsys):
     taxonomy, profiles = dag_files
     out1 = tmp_path / "s1.json"
@@ -378,6 +398,31 @@ def test_sweep_json_deterministic(l2_files, capsys):
     assert {s["metric"] for s in payload["spread"]} == {
         "precision", "recall", "f1", "accuracy"
     }
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_sweep_metric_undefined_in_every_row(tmp_path, fmt, capsys):
+    # B accepts nothing, so precision and F1 are undefined in every row
+    golden = Path(__file__).parent / "golden"
+    payload = json.loads((golden / "profiles.json").read_text())
+    payload["classifiers"]["B"] = {"tn": 1, "fp": 0, "fn": 1, "tp": 0}
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps(payload))
+    code, out, err = run(
+        ["sweep", "--taxonomy", str(golden / "taxonomy.json"), "--profiles", str(profiles),
+         "--pipeline", "A/B/D/E", "--target", "0.05", "--n", "3", "--format", fmt],
+        capsys,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    if fmt == "json":
+        spread = {s["metric"]: s for s in json.loads(out)["spread"]}
+        for metric in ("precision", "f1"):
+            assert spread[metric] == {
+                "metric": metric, "min": None, "max": None, "mean": None, "undefined": 3
+            }
+    else:
+        rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
+        assert rows["tP_spread"] == rows["tF1_spread"] == ["-"] * 7
 
 
 def test_sweep_infeasible_target(l2_files, capsys):

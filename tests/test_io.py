@@ -320,6 +320,11 @@ def test_number_formatting_helpers():
     assert fmt12(1 / 3) == "0.333333333333"
     assert round12(1 / 3) == 0.333333333333
     assert fmt12(float("inf")) == "inf"
+    assert round12(-math.inf) == -math.inf
+    assert math.isnan(round12(math.nan))
+    assert round12(None) is None
+    assert pf.io.cell12(None) == "-"
+    assert pf.io.cell12(0.1) == "0.1"
 
 
 # --- the JSON writer --------------------------------------------------------------

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfmodel as pf
 from pfmodel import (
@@ -45,6 +47,39 @@ def brute_force_joint(fs, gammas):
     return (cells[0][0], cells[0][1], cells[1][0], cells[1][1])
 
 
+def recursive_exact(fs, gammas):
+    """Reference: the event-tree walk as a recursion, leaves summed in
+    depth-first order; limited to depths below the recursion limit."""
+    cells = [[0.0, 0.0], [0.0, 0.0]]
+
+    def walk(k, x_prev, c_prev, prob):
+        if prob == 0.0:
+            return
+        if k > len(gammas):
+            cells[x_prev][c_prev] += prob
+            return
+        f, g = fs[k], gammas[k - 1]
+        for x in (0, 1):
+            if x_prev == 0 and x == 1:
+                continue
+            p_x = 1.0 if x_prev == 0 else (f if x == 1 else 1.0 - f)
+            for c in (0, 1):
+                if c_prev == 0 and c == 1:
+                    continue
+                if c_prev == 0:
+                    p_c = 1.0
+                else:
+                    row = (g.fn, g.tp) if x == 1 else (g.tn, g.fp)
+                    p_c = row[c]
+                walk(k + 1, x, c, prob * p_x * p_c)
+
+    walk(1, 1, 1, 1.0)
+    return (cells[0][0], cells[0][1], cells[1][0], cells[1][1])
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
 # --- exact enumeration ---------------------------------------------------------
 
 
@@ -78,6 +113,28 @@ def test_exact_agrees_with_both_model_forms():
         exact = pf.enumerate_exact(p, profiles)
         assert exact.max_abs_diff(pf.omega_recursive(p, profiles)) <= 1e-12
         assert exact.max_abs_diff(pf.omega_closed(p, profiles)) <= 1e-12
+
+
+@given(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_exact_walk_sums_like_the_recursion(steps):
+    nodes = tuple(f"n{i}" for i in range(len(steps) + 1))
+    fs = (1.0,) + tuple(f for f, _, _ in steps)
+    gammas = [NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
+              for _, fp, tp in steps]
+    profiles = ClassifierProfileSet(base=dict(zip(nodes[1:], gammas)), root=nodes[0])
+    got = pf.enumerate_exact(Pipeline(nodes, fs), profiles)
+    assert got.as_tuple() == recursive_exact(fs, gammas)  # bit for bit
+
+
+def test_exact_walks_a_1500_step_pipeline():
+    # f = 1 and tp = 1 prune every branch but one at each step, so the walk
+    # is linear here; its general cost is cubic in depth
+    nodes = tuple(f"c{i}" for i in range(1501))
+    sure = NormalizedConfusionMatrix(tn=0.7, fp=0.3, fn=0.0, tp=1.0)
+    profiles = ClassifierProfileSet(base={c: sure for c in nodes[1:]}, root=nodes[0])
+    p = Pipeline(nodes, (1.0,) * len(nodes))
+    assert pf.enumerate_exact(p, profiles) == pf.OMEGA_BASE
 
 
 # --- counter-based streams ------------------------------------------------------
@@ -379,6 +436,20 @@ def test_sweep_rows_share_target_and_recall(l2_pipeline):
         assert all(0.0 < f <= 1.0 for f in row.fs[1:])
     precisions = [r.report.precision for r in result.rows]
     assert max(precisions) - min(precisions) > 1e-3
+
+
+def test_sweep_resolves_the_classifier_chain_once(l2_pipeline, monkeypatch):
+    p, profiles = l2_pipeline
+    resolve = ClassifierProfileSet.resolve
+    calls = []
+
+    def counting_resolve(self, pipeline, k):
+        calls.append(k)
+        return resolve(self, pipeline, k)
+
+    monkeypatch.setattr(ClassifierProfileSet, "resolve", counting_resolve)
+    pf.imbalance_sweep(p, profiles, 0.1, 50, seed=42)
+    assert len(calls) == p.depth
 
 
 def test_sweep_single_trivial_row(l2_pipeline):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -283,6 +284,16 @@ def test_pipeline_type_invariants():
     p = pf.Pipeline(("A", "B"), (1.0, None))
     with pytest.raises(pf.MissingEdgeProbabilityError):
         p.require_fs()
+
+
+def test_pipeline_path_is_cached_not_a_field():
+    p = pf.Pipeline(("A", "B"), (1.0, 0.5))
+    q = pf.Pipeline(("A", "B"), (1.0, 0.5))
+    assert p.path is p.path
+    assert p.path == "A/B"
+    assert [f.name for f in fields(pf.Pipeline)] == ["nodes", "fs"]
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
 
 
 # --- label consistency -----------------------------------------------------------

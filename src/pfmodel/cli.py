@@ -257,7 +257,7 @@ def _cmd_simulate(args) -> int:
             result = simulate_taxonomy(bundle.taxonomy, bundle.profiles, cfg)
             reports = {path: (result.models[path], result.per_pipeline[path])
                        for path in sorted(result.per_pipeline)}
-        for path, (model, outcome) in sorted(reports.items()):
+        for path, (model, outcome) in reports.items():
             deviation = compare(model, outcome, z_threshold=args.z_threshold)
             rows.append({
                 "replication": r,

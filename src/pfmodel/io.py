@@ -38,7 +38,7 @@ from .errors import (
     RootProfileForbiddenError,
     UnknownCategoryError,
 )
-from .metrics import DepthProfile, MetricReport, StepCheck, depth_profile
+from .metrics import DepthProfile, MetricReport, StepCheck, _fold
 from .model import (
     Cells2x2,
     ClassifierProfileSet,
@@ -382,10 +382,9 @@ def build_report(
     for p in pipelines:
         gammas = profiles.gamma_chain(p)
         parent = analyzed.get(p.nodes[:-1])
-        if parent is None or p.path in overridden or parent.pipeline.path in overridden:
-            profile = depth_profile(p, profiles)
-        else:
-            profile = parent.extend(p, gammas[-1])
+        if parent is not None and (p.path in overridden or parent.pipeline.path in overridden):
+            parent = None
+        profile = _fold(p, gammas, parent)
         analyzed[p.nodes] = profile
         factorization = _factorization(profile.state, p.require_fs(), gammas)
         blocks.append(PipelineBlock(pipeline=p, profile=profile, factorization=factorization))

@@ -159,60 +159,48 @@ class DepthProfile:
     steps: tuple[StepCheck, ...]
     state: PrefixState
 
-    def extend(self, pipeline: Pipeline, gamma_k: NormalizedConfusionMatrix) -> "DepthProfile":
-        """Profile of ``pipeline``, this profile's pipeline plus one step
-        whose classifier has profile ``gamma_k``."""
-        f_k = pipeline.require_fs()[-1]
-        omegas, reports, steps = list(self.omegas), list(self.reports), list(self.steps)
-        state = _step(omegas, reports, steps, self.state, f_k, gamma_k)
-        return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state)
 
-
-def _step(
-    omegas: list[JointMatrix],
-    reports: list[MetricReport],
-    steps: list[StepCheck],
-    state: PrefixState,
-    f_k: float,
-    gamma_k: NormalizedConfusionMatrix,
-) -> PrefixState:
-    """Append the next prefix's joint mass, metrics and precision verdict to
-    the lists of its parent prefix, whose state is ``state``; return the
-    advanced state.
+def _fold(
+    pipeline: Pipeline,
+    gammas: tuple[NormalizedConfusionMatrix, ...],
+    start: DepthProfile | None = None,
+) -> DepthProfile:
+    """Profile of ``pipeline``, whose steps have profiles ``gammas``, folded
+    from the root or on from ``start``, the profile of one of its prefixes.
 
     Sanity-checks the recall chain on the way: the tp-rate product can
     never grow, and it shrinks strictly wherever a classifier's tp-rate is
     below 1 (while recall is still positive).
     """
-    k = len(omegas)
-    advanced = state.advance(f_k, gamma_k)
-    try:
-        check = _constraint_check(state, advanced, f_k, gamma_k)
-        steps.append(StepCheck(k=k, verdict=check.verdict, bound=check.bound))
-    except DegenerateBoundError:
-        steps.append(StepCheck(k=k, verdict=None, bound=None, degenerate=True))
+    fs = pipeline.require_fs()
+    if start is None:
+        omegas, reports, steps = [OMEGA_BASE], [pipeline_metrics(OMEGA_BASE)], []
+        state = PrefixState.initial()
+    else:
+        omegas, reports, steps = list(start.omegas), list(start.reports), list(start.steps)
+        state = start.state
+    for k in range(len(omegas), len(fs)):
+        f_k, gamma_k = fs[k], gammas[k - 1]
+        advanced = state.advance(f_k, gamma_k)
+        try:
+            check = _constraint_check(state, advanced, f_k, gamma_k)
+            steps.append(StepCheck(k=k, verdict=check.verdict, bound=check.bound))
+        except DegenerateBoundError:
+            steps.append(StepCheck(k=k, verdict=None, bound=None, degenerate=True))
 
-    omega = omega_step(omegas[-1], f_k, gamma_k)
-    omegas.append(omega)
-    reports.append(pipeline_metrics(omega))
+        omega = omega_step(omegas[-1], f_k, gamma_k)
+        omegas.append(omega)
+        reports.append(pipeline_metrics(omega))
 
-    if advanced.psi11 > state.psi11:
-        raise AssertionError("recall chain increased along a pipeline")
-    if gamma_k.tp < 1.0 - _TIE_EPS and state.psi11 > 1e-300:
-        if not advanced.psi11 < state.psi11:
-            raise AssertionError("recall chain failed to decrease at a lossy step")
-    return advanced
+        if advanced.psi11 > state.psi11:
+            raise AssertionError("recall chain increased along a pipeline")
+        if gamma_k.tp < 1.0 - _TIE_EPS and state.psi11 > 1e-300:
+            if not advanced.psi11 < state.psi11:
+                raise AssertionError("recall chain failed to decrease at a lossy step")
+        state = advanced
+    return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state)
 
 
 def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthProfile:
     """Metrics and precision verdicts for every prefix of ``pipeline``."""
-    fs = pipeline.require_fs()
-    gammas = profiles.gamma_chain(pipeline)
-
-    omegas = [OMEGA_BASE]
-    reports = [pipeline_metrics(OMEGA_BASE)]
-    steps: list[StepCheck] = []
-    state = PrefixState.initial()
-    for f_k, gamma_k in zip(fs[1:], gammas):
-        state = _step(omegas, reports, steps, state, f_k, gamma_k)
-    return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state)
+    return _fold(pipeline, profiles.gamma_chain(pipeline))

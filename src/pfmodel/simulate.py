@@ -65,13 +65,14 @@ def enumerate_exact(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Joint
 
     # Depth-first with an explicit stack, so any depth is walkable.  Branches
     # are pushed in reverse and pop in (x, c) order, so each cell sums its
-    # leaves in one fixed, lexicographic order.
+    # leaves in one fixed, lexicographic order.  A history outside and rejected
+    # stays so with probability 1, so it ends at once (quadratic in depth).
     stack = [(1, 1, 1, 1.0)]
     while stack:
         k, x_prev, c_prev, prob = stack.pop()
         if prob == 0.0:
             continue
-        if k > last:
+        if k > last or (x_prev == 0 and c_prev == 0):
             cells[x_prev][c_prev] += prob
             continue
         f, g = fs[k], gammas[k - 1]
@@ -252,22 +253,24 @@ def simulate_taxonomy(
 
     # decisions: one stream per rooted prefix, shared by extending pipelines.
     # Pipelines come prefix-first, so each one extends its parent prefix's
-    # decisions, tallies and resolved classifiers by one step.
-    prefixes: dict[tuple[CategoryId, ...], tuple] = {}
+    # decisions, tallies and resolved classifiers by one step.  ``path[k]``
+    # holds them for the live prefix at depth k, so finished subtrees free theirs.
+    path: list[tuple] = []
     per_pipeline: dict[str, SimOutcome] = {}
     models: dict[str, JointMatrix] = {}
     for p in enumerate_pipelines(t):
         x = memberships[p.nodes[-1]]
+        del path[p.depth:]
         if p.depth == 0:
             d, chain, by_depth = np.ones(m, dtype=bool), (), ()
         else:
-            d, chain, by_depth = prefixes[p.nodes[:-1]]
+            d, chain, by_depth = path[-1]
             g = profiles.resolve(p, p.depth)
             u = uniforms(cfg.seed, ("taxonomy-decision", p.path), m)
             d = d & (u < np.where(x, g.tp, g.fp))
             chain += (g,)
         by_depth += (_tally(x, d),)
-        prefixes[p.nodes] = d, chain, by_depth
+        path.append((d, chain, by_depth))
         per_pipeline[p.path] = SimOutcome(
             pipeline=p.path, m=m, counts=by_depth[-1], counts_by_depth=by_depth
         )

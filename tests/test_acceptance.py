@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Tolerances are fixed here, not configurable: 1e-12 for algebraic identities
-at desk scale, 1e-9 for depth-64 closed-vs-recursive agreement, and 4
-binomial standard errors per cell for Monte-Carlo validation.
+at desk scale, 1e-9 for depth-64 closed-vs-recursive and depth-1,000
+exact-vs-closed agreement, and 4 binomial standard errors per cell for
+Monte-Carlo validation.
 """
 
 from __future__ import annotations
@@ -93,6 +94,15 @@ def test_criterion_3_long_pipeline_stability():
             closed = pf.omega_closed(p, profiles)
             recursive = pf.omega_recursive(p, profiles)
             assert closed.max_abs_diff(recursive) <= TOL_DEEP
+
+
+def test_exact_matches_closed_at_depth_1000():
+    rng = np.random.default_rng(103)
+    p, profiles = random_pipeline(rng, 1000)
+    start = time.perf_counter()
+    exact = pf.enumerate_exact(p, profiles)
+    assert time.perf_counter() - start < 1.0
+    assert exact.max_abs_diff(pf.omega_closed(p, profiles)) <= TOL_DEEP
 
 
 def test_criterion_4_factorization():

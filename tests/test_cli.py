@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from pfmodel import cli
+from pfmodel import cli, depth_profile, find_pipeline, parse_inputs
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INVALID, EXIT_OK, main
+from pfmodel.io import fmt12
 
 from conftest import DEEP_CHAIN_SIZE, chain_json
 
@@ -46,6 +47,20 @@ def test_pipelines_of_deep_chain(deep_chain_files, capsys):
 
 
 # --- analyze ---------------------------------------------------------------------
+
+
+def test_analyze_deep_chain_pipeline_tsv(deep_chain_files, capsys):
+    taxonomy, profiles = deep_chain_files
+    deepest = "/".join(f"c{i}" for i in range(DEEP_CHAIN_SIZE))
+    code, out, _ = run(["analyze", "--taxonomy", taxonomy, "--profiles", profiles,
+                        "--pipeline", deepest, "--format", "tsv"], capsys)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 1 + DEEP_CHAIN_SIZE  # header, then prefixes k = 0..depth
+    bundle = parse_inputs(Path(taxonomy).read_text(), Path(profiles).read_text())
+    pipeline = find_pipeline(bundle.taxonomy, deepest)
+    omega = depth_profile(pipeline, bundle.profiles).omegas[-1]
+    assert lines[-1].split("\t")[3:7] == [fmt12(w) for w in omega.as_tuple()]
 
 
 def test_analyze_tsv_recall_column(l2_files, capsys):

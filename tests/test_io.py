@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +314,27 @@ def test_report_takes_one_step_per_pipeline(monkeypatch):
     monkeypatch.setattr(pf.metrics, "omega_step", counting_step)
     build_report(pf.io.InputBundle(taxonomy=taxonomy, profiles=profiles))
     assert len(calls) == len(pipelines) - 1
+
+
+@pytest.mark.parametrize(
+    "options, resolved",
+    [({}, 8), ({"leaf_only": True}, 3), ({"pipeline_path": "A/B/D/E"}, 1)],
+)
+def test_report_resolves_each_chain_once(options, resolved, monkeypatch):
+    golden = Path(__file__).parent / "golden"
+    bundle = pf.parse_inputs((golden / "taxonomy.json").read_text(),
+                             (golden / "profiles.json").read_text())
+    calls = []
+    gamma_chain = pf.ClassifierProfileSet.gamma_chain
+
+    def counting_chain(self, pipeline):
+        calls.append(pipeline.path)
+        return gamma_chain(self, pipeline)
+
+    monkeypatch.setattr(pf.ClassifierProfileSet, "gamma_chain", counting_chain)
+    report = build_report(bundle, **options)
+    assert calls == [b.pipeline.path for b in report.blocks]
+    assert len(calls) == resolved
 
 
 def test_number_formatting_helpers():

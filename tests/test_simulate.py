@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,9 +128,35 @@ def test_exact_walk_sums_like_the_recursion(steps):
     assert got.as_tuple() == recursive_exact(fs, gammas)  # bit for bit
 
 
+def test_exact_walk_is_quadratic_in_depth(monkeypatch):
+    # every history the walk expands reads its step's profile once and
+    # pushes one to four entries, so the reads count the pushes up to a
+    # factor of 4; they must quadruple, not grow eightfold, per doubling
+    reads = []
+
+    class CountingChain(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    gamma_chain = ClassifierProfileSet.gamma_chain
+    monkeypatch.setattr(ClassifierProfileSet, "gamma_chain",
+                        lambda self, p: CountingChain(gamma_chain(self, p)))
+    half = NormalizedConfusionMatrix(tn=0.5, fp=0.5, fn=0.5, tp=0.5)
+    counts = []
+    for depth in (50, 100, 200):
+        nodes = tuple(f"c{i}" for i in range(depth + 1))
+        profiles = ClassifierProfileSet(base={c: half for c in nodes[1:]}, root=nodes[0])
+        reads.clear()
+        pf.enumerate_exact(Pipeline(nodes, (1.0,) + (0.5,) * depth), profiles)
+        counts.append(len(reads))
+    assert counts[1] <= 4.5 * counts[0]
+    assert counts[2] <= 4.5 * counts[1]
+
+
 def test_exact_walks_a_1500_step_pipeline():
     # f = 1 and tp = 1 prune every branch but one at each step, so the walk
-    # is linear here; its general cost is cubic in depth
+    # is linear here; its general cost is quadratic in depth
     nodes = tuple(f"c{i}" for i in range(1501))
     sure = NormalizedConfusionMatrix(tn=0.7, fp=0.3, fn=0.0, tp=1.0)
     profiles = ClassifierProfileSet(base={c: sure for c in nodes[1:]}, root=nodes[0])
@@ -329,6 +356,24 @@ def test_deep_chain_taxonomy_tallies_each_prefix():
     for k, p in enumerate(pipelines):
         assert res.per_pipeline[p.path].counts == deepest[k]
         assert res.per_pipeline[p.path].counts_by_depth == deepest[: k + 1]
+
+
+def test_taxonomy_holds_only_the_live_path():
+    # a finished subtree's decision arrays are freed, so the peak is the
+    # memberships (N*m bytes) plus about depth+1 decision arrays, not 2*N*m
+    n, m = 341, 50_000  # a full 4-ary tree of depth 4
+    names = [f"c{i}" for i in range(n)]
+    t = pf.validate_taxonomy(names, [Edge(names[i], names[(i - 1) // 4], 0.7)
+                                     for i in range(1, n)])
+    profiles = ClassifierProfileSet(base={c: GAMMA_B for c in names[1:]}, root=names[0])
+    pf.simulate_taxonomy(t, profiles, SimConfig(m=16, seed=0))  # warm-up
+    tracemalloc.start()
+    try:
+        pf.simulate_taxonomy(t, profiles, SimConfig(m=m, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * n * m
 
 
 def test_taxonomy_requires_edge_probabilities():

@@ -226,13 +226,11 @@ def _cmd_verify(args) -> int:
         })
     else:
         cols = ["source", "pipeline", "depth", "check", "discrepancy", "passed"]
-        lines = ["\t".join(cols)]
-        for c in checks:
-            lines.append("\t".join([
-                c["source"], c["pipeline"], str(c["depth"]), c["check"],
-                pfio.fmt12(c["discrepancy"]), str(c["passed"]).lower(),
-            ]))
-        text = "\n".join(lines) + "\n"
+        text = pfio.tsv(cols, (
+            [c["source"], c["pipeline"], str(c["depth"]), c["check"],
+             pfio.fmt12(c["discrepancy"]), str(c["passed"]).lower()]
+            for c in checks
+        ))
     _emit(text, args.out)
     return EXIT_OK if passed else EXIT_FALSIFIED
 
@@ -283,15 +281,12 @@ def _cmd_simulate(args) -> int:
     else:
         cols = ["replication", "seed", "pipeline", "m",
                 "tn", "fp", "fn", "tp", "max_z", "passed"]
-        lines = ["\t".join(cols)]
-        for row in rows:
-            c = row["counts"]
-            lines.append("\t".join([
-                str(row["replication"]), str(row["seed"]), row["pipeline"], str(row["m"]),
-                str(c["tn"]), str(c["fp"]), str(c["fn"]), str(c["tp"]),
-                pfio.fmt12(row["max_z"]), str(row["passed"]).lower(),
-            ]))
-        text = "\n".join(lines) + "\n"
+        text = pfio.tsv(cols, (
+            [str(row["replication"]), str(row["seed"]), row["pipeline"], str(row["m"]),
+             *(str(n) for n in row["counts"].values()),
+             pfio.fmt12(row["max_z"]), str(row["passed"]).lower()]
+            for row in rows
+        ))
     _emit(text, args.out)
     return EXIT_OK if passed else EXIT_FALSIFIED
 
@@ -329,20 +324,14 @@ def _cmd_sweep(args) -> int:
         depth = pipeline.depth
         cols = (["index"] + [f"f_{k}" for k in range(1, depth + 1)]
                 + ["tP", "tR", "tF1", "tA"])
-        lines = ["\t".join(cols)]
-        for i, row in enumerate(result.rows):
-            lines.append("\t".join(
-                [str(i)] + [pfio.fmt12(f) for f in row.fs[1:]] + pfio.metric_cells(row.report)
-            ))
-        for s in result.spreads:
-            if s.metric not in ("precision", "f1"):
-                continue
-            name = {"precision": "tP", "f1": "tF1"}[s.metric]
-            lines.append("\t".join(
-                [f"{name}_spread"] + ["-"] * depth
-                + [pfio.cell12(s.minimum), pfio.cell12(s.maximum), pfio.cell12(s.mean), "-"]
-            ))
-        text = "\n".join(lines) + "\n"
+        spread_names = {"precision": "tP", "f1": "tF1"}
+        text = pfio.tsv(cols, [
+            *([str(i)] + [pfio.fmt12(f) for f in row.fs[1:]] + pfio.metric_cells(row.report)
+              for i, row in enumerate(result.rows)),
+            *([f"{spread_names[s.metric]}_spread"] + ["-"] * depth
+              + [pfio.cell12(s.minimum), pfio.cell12(s.maximum), pfio.cell12(s.mean), "-"]
+              for s in result.spreads if s.metric in spread_names),
+        ])
     _emit(text, args.out)
     return EXIT_OK
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from itertools import chain
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MissingGammaError,
@@ -42,14 +43,11 @@ from .metrics import DepthProfile, MetricReport, StepCheck, _fold
 from .model import (
     Cells2x2,
     ClassifierProfileSet,
-    Factorization,
     JointMatrix,
     NormalizedConfusionMatrix,
-    _factorization,
 )
 from .taxonomy import (
     Edge,
-    Pipeline,
     Taxonomy,
     enumerate_pipelines,
     find_pipeline,
@@ -233,6 +231,13 @@ def cell12(x: float | None) -> str:
     return "-" if x is None else fmt12(x)
 
 
+def tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A tab-separated table: the header line, then one line per row of
+    already formatted cells, each line ending in a newline."""
+    lines = chain(("\t".join(header),), ("\t".join(cells) for cells in rows))
+    return "\n".join(lines) + "\n"
+
+
 def round12(x: float | None) -> float | None:
     """A real number rounded to 12 significant digits (stable JSON payloads);
     ``None``, an undefined value, stays ``None`` (JSON ``null``)."""
@@ -340,15 +345,6 @@ def serialize_profiles(p: ClassifierProfileSet) -> str:
 
 
 @dataclass(frozen=True)
-class PipelineBlock:
-    """Everything the report says about one pipeline."""
-
-    pipeline: Pipeline
-    profile: DepthProfile
-    factorization: Factorization
-
-
-@dataclass(frozen=True)
 class Report:
     """Deterministic analysis of every requested pipeline of a taxonomy."""
 
@@ -356,7 +352,7 @@ class Report:
     categories: tuple[str, ...]
     edge_count: int
     renormalized: tuple[str, ...]
-    blocks: tuple[PipelineBlock, ...]
+    blocks: tuple[DepthProfile, ...]
 
 
 def build_report(
@@ -378,22 +374,17 @@ def build_report(
     profiles = bundle.profiles
     overridden = {path for path, _ in profiles.overrides}
     analyzed: dict[tuple[str, ...], DepthProfile] = {}
-    blocks = []
     for p in pipelines:
-        gammas = profiles.gamma_chain(p)
         parent = analyzed.get(p.nodes[:-1])
         if parent is not None and (p.path in overridden or parent.pipeline.path in overridden):
             parent = None
-        profile = _fold(p, gammas, parent)
-        analyzed[p.nodes] = profile
-        factorization = _factorization(profile.state, p.require_fs(), gammas)
-        blocks.append(PipelineBlock(pipeline=p, profile=profile, factorization=factorization))
+        analyzed[p.nodes] = _fold(p, profiles.gamma_chain(p), parent)
     return Report(
         root=bundle.taxonomy.root,
         categories=tuple(sorted(bundle.taxonomy.categories)),
         edge_count=len(bundle.taxonomy.edges),
         renormalized=bundle.renormalized,
-        blocks=tuple(blocks),
+        blocks=tuple(analyzed.values()),
     )
 
 
@@ -428,23 +419,22 @@ def metrics_payload(r: MetricReport) -> dict:
 def _verdict_text(step: StepCheck | None) -> str:
     if step is None:
         return "-"
-    if step.degenerate or step.verdict is None:
+    if step.verdict is None:
         return "degenerate"
     return step.verdict.value
 
 
 def _depth_rows(
-    b: PipelineBlock,
+    b: DepthProfile,
 ) -> Iterator[tuple[int, float, JointMatrix, MetricReport, str, StepCheck | None]]:
     """Per-depth rows of a block, shared by both report formats:
     ``(k, f_k, omega, report, verdict text, step)``, with no step at k=0."""
-    prof = b.profile
-    rows = zip(b.pipeline.fs, prof.omegas, prof.reports, (None, *prof.steps))
+    rows = zip(b.pipeline.fs, b.omegas, b.reports, (None, *b.steps))
     for k, (f_k, om, rep, step) in enumerate(rows):
         yield k, f_k, om, rep, _verdict_text(step), step
 
 
-def _block_payload(b: PipelineBlock) -> dict:
+def _block_payload(b: DepthProfile) -> dict:
     fact = b.factorization
     flags = []
     if fact.zero_negative_mass:
@@ -467,13 +457,13 @@ def _block_payload(b: PipelineBlock) -> dict:
         "pipeline": b.pipeline.path,
         "depth": b.pipeline.depth,
         "fs": [round12(f) for f in b.pipeline.fs],
-        "omega": omega_payload(b.profile.omegas[-1]),
+        "omega": omega_payload(b.omegas[-1]),
         "prior": {"neg": round12(fact.prior_neg), "pos": round12(fact.prior_pos)},
         "phi": _matrix_payload(fact.phi),
-        "psi": _matrix_payload(b.profile.state.intrinsic()),
+        "psi": _matrix_payload(b.state.intrinsic()),
         "eta": None if eta is None or not math.isfinite(eta) else round12(eta),
         "flags": flags,
-        "metrics": metrics_payload(b.profile.reports[-1]),
+        "metrics": metrics_payload(b.reports[-1]),
         "depth_profile": depth_rows,
     }
 
@@ -495,16 +485,16 @@ def write_report(report: Report, format: str = "json") -> str:
     if format == "tsv":
         cols = ["pipeline", "k", "f_k", "w00", "w01", "w10", "w11",
                 "tP", "tR", "tF1", "tA", "precision_verdict"]
-        lines = ["\t".join(cols)]
-        for b in report.blocks:
-            for k, f_k, om, rep, verdict, _ in _depth_rows(b):
-                lines.append("\t".join([
-                    b.pipeline.path,
-                    str(k),
-                    fmt12(f_k),
-                    fmt12(om.tn), fmt12(om.fp), fmt12(om.fn), fmt12(om.tp),
-                    *metric_cells(rep),
-                    verdict,
-                ]))
-        return "\n".join(lines) + "\n"
+        return tsv(cols, (
+            [
+                b.pipeline.path,
+                str(k),
+                fmt12(f_k),
+                fmt12(om.tn), fmt12(om.fp), fmt12(om.fn), fmt12(om.tp),
+                *metric_cells(rep),
+                verdict,
+            ]
+            for b in report.blocks
+            for k, f_k, om, rep, verdict, _ in _depth_rows(b)
+        ))
     raise ValueError(f"unknown format {format!r}")

@@ -23,9 +23,11 @@ from .errors import DegenerateBoundError
 from .model import (
     OMEGA_BASE,
     ClassifierProfileSet,
+    Factorization,
     JointMatrix,
     NormalizedConfusionMatrix,
     PrefixState,
+    _factorization,
     omega_step,
 )
 from .taxonomy import Pipeline
@@ -150,7 +152,8 @@ class DepthProfile:
     Index ``k`` of ``omegas``/``reports`` refers to the prefix ending at
     depth ``k`` (0 = root only); ``steps[k-1]`` carries the verdict for the
     transition into depth ``k``.  ``state`` is the running state after the
-    last step.
+    last step, and ``factorization`` the whole pipeline's prior/deterioration
+    split.
     """
 
     pipeline: Pipeline
@@ -158,6 +161,7 @@ class DepthProfile:
     reports: tuple[MetricReport, ...]
     steps: tuple[StepCheck, ...]
     state: PrefixState
+    factorization: Factorization
 
 
 def _fold(
@@ -198,9 +202,11 @@ def _fold(
             if not advanced.psi11 < state.psi11:
                 raise AssertionError("recall chain failed to decrease at a lossy step")
         state = advanced
-    return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state)
+    return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state,
+                        _factorization(state, fs, gammas))
 
 
 def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthProfile:
-    """Metrics and precision verdicts for every prefix of ``pipeline``."""
+    """Metrics and precision verdicts for every prefix of ``pipeline``, and
+    the factorization of the whole."""
     return _fold(pipeline, profiles.gamma_chain(pipeline))

@@ -291,9 +291,9 @@ def test_report_blocks_equal_the_per_pipeline_evaluations(bundle):
     for report in reports:
         for block in report.blocks:
             p = block.pipeline
-            assert block.profile == pf.depth_profile(p, bundle.profiles)
+            assert block == pf.depth_profile(p, bundle.profiles)
             assert block.factorization == pf.factorize(p, bundle.profiles)
-            assert block.profile.state.intrinsic() == pf.psi(p, bundle.profiles)
+            assert block.state.intrinsic() == pf.psi(p, bundle.profiles)
 
 
 def test_report_takes_one_step_per_pipeline(monkeypatch):

@@ -14,8 +14,9 @@ Subcommands map onto the library one to one:
                    with the same final positive rate.
 
 Exit codes: 0 success; 1 bad input (parse/validation/usage); 2 model
-falsified (oracle disagreement or simulation deviation beyond threshold).
-Identical invocations produce byte-identical output.
+falsified (oracle disagreement or simulation deviation beyond threshold);
+3 internal error (a fault of pfmodel, reported in one line).  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import io as pfio
-from .errors import PFModelError
+from .errors import ParseError, PFModelError
 from .metrics import DEFAULT_Z_THRESHOLD
 from .model import (
     ClassifierProfileSet,
@@ -45,6 +46,7 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_FALSIFIED = 2
+EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,8 +131,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
+                         location=path) from None
 
 
 def _cmd_pipelines(args) -> int:
@@ -238,6 +245,8 @@ def _cmd_verify(args) -> int:
 def _cmd_simulate(args) -> int:
     from .simulate import SimConfig, compare, simulate_pipeline, simulate_taxonomy
 
+    if args.m < 1:
+        raise PFModelError(f"--m must be at least 1, got {args.m}")
     if args.replications < 1:
         raise PFModelError(f"--replications must be at least 1, got {args.replications}")
     _require_finite_nonnegative("--z-threshold", args.z_threshold)
@@ -294,6 +303,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     from .simulate import imbalance_sweep
 
+    if not 0.0 < args.target < 1.0:
+        raise PFModelError(f"--target must be strictly between 0 and 1, got {args.target}")
+    if args.n < 1:
+        raise PFModelError(f"--n must be at least 1, got {args.n}")
     _require_seed(args.seed)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline)
@@ -348,9 +361,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PFModelError, OSError, ValueError) as e:
+    except (PFModelError, OSError) as e:
         print(f"pfmodel: error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as e:  # a fault of pfmodel, not of its input
+        print(f"pfmodel: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -67,6 +67,10 @@ def _load_json(text: str, what: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(str(e), location=f"{what}: line {e.lineno}, column {e.colno}") from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply", location=what) from None
+    except ValueError as e:  # an integer literal beyond the digit limit, say
+        raise ParseError(str(e), location=what) from None
 
 
 def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
@@ -80,8 +84,16 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: st
         raise ParseError(f"missing keys {sorted(missing)}", location=where)
 
 
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _probability(raw: Mapping, key: str, where: str) -> float:
+    """``raw[key]``, a JSON number in [0, 1], as a float.  The range test
+    comes before the conversion, so an integer too large for a float is
+    rejected, not overflowed."""
+    v = raw[key]
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ParseError(f"{key} must be a number, got {v!r}", location=where)
+    if not 0 <= v <= 1:
+        raise OutOfRangeProbabilityError(f"{where}: {key}={v!r} outside [0, 1]")
+    return float(v)
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -100,11 +112,8 @@ def parse_taxonomy(text: str) -> Taxonomy:
         _require_keys(raw, {"child", "parent", "f"}, {"child", "parent"}, where)
         if not isinstance(raw["child"], str) or not isinstance(raw["parent"], str):
             raise ParseError("child and parent must be strings", location=where)
-        f = raw.get("f")
-        if f is not None and not _is_number(f):
-            raise ParseError(f"f must be a number, got {f!r}", location=where)
-        edges.append(Edge(child=raw["child"], parent=raw["parent"],
-                          f=None if f is None else float(f)))
+        f = None if raw.get("f") is None else _probability(raw, "f", where)
+        edges.append(Edge(child=raw["child"], parent=raw["parent"], f=f))
     if not isinstance(data["root"], str):
         raise ParseError("root must be a string", location="taxonomy.root")
     return validate_taxonomy(cats, edges, root=data["root"])
@@ -115,14 +124,7 @@ def _parse_row_matrix(
 ) -> tuple[NormalizedConfusionMatrix, bool]:
     """Read a tn/fp/fn/tp object; returns the matrix and whether rows moved."""
     _require_keys(raw, {"tn", "fp", "fn", "tp"}, {"tn", "fp", "fn", "tp"}, where)
-    vals = {}
-    for key in ("tn", "fp", "fn", "tp"):
-        v = raw[key]
-        if not _is_number(v) or not math.isfinite(v):
-            raise ParseError(f"{key} must be a finite number, got {v!r}", location=where)
-        if not 0.0 <= v <= 1.0:
-            raise OutOfRangeProbabilityError(f"{where}.{key}={v} outside [0, 1]")
-        vals[key] = float(v)
+    vals = {key: _probability(raw, key, where) for key in ("tn", "fp", "fn", "tp")}
     renormalized = False
     for row, (a, b) in (("negative", ("tn", "fp")), ("positive", ("fn", "tp"))):
         s = vals[a] + vals[b]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from pfmodel import cli, depth_profile, find_pipeline, parse_inputs
-from pfmodel.cli import EXIT_FALSIFIED, EXIT_INVALID, EXIT_OK, main
+from pfmodel.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
 from pfmodel.io import fmt12
 
 from conftest import DEEP_CHAIN_SIZE, chain_json
@@ -121,7 +121,10 @@ GOLDEN = Path(__file__).parent / "golden"
     ("taxonomy", lambda d: d["edges"][0].update(child=["B"]), "taxonomy.edges[0]"),
     ("profiles", lambda d: d.update(overrides=5), "profiles.overrides"),
     ("profiles", lambda d: d["overrides"][1].update(pipeline=5), "profiles.overrides[1]"),
-], ids=["edges-int", "edge-child-list", "overrides-int", "override-pipeline-int"])
+    ("taxonomy", lambda d: d["edges"][0].update(f=10**400), "taxonomy.edges[0]"),
+    ("profiles", lambda d: d["classifiers"]["B"].update(tp=10**400), "profiles.classifiers.B"),
+], ids=["edges-int", "edge-child-list", "overrides-int", "override-pipeline-int",
+        "edge-f-huge-int", "cell-huge-int"])
 def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys):
     files = {}
     for key in ("taxonomy", "profiles"):
@@ -136,6 +139,36 @@ def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys
     assert out == ""
     assert err.startswith(f"pfmodel: error: {location}: ")
     assert "Traceback" not in err
+
+
+def test_deeply_nested_input_is_invalid_input(tmp_path, capsys):
+    nested = tmp_path / "taxonomy.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["pipelines", "--taxonomy", str(nested)], capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "pfmodel: error: taxonomy: arrays or objects nested too deeply\n"
+
+
+def test_undecodable_input_is_invalid_input(tmp_path, capsys):
+    latin1 = tmp_path / "taxonomy.json"
+    latin1.write_bytes('{"root": "\xe9"}'.encode("latin-1"))
+    code, out, err = run(["pipelines", "--taxonomy", str(latin1)], capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"pfmodel: error: {latin1}: not UTF-8 text: invalid continuation byte at byte 10\n"
+
+
+def test_unexpected_exception_is_an_internal_error(dag_files, monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("a fault of pfmodel")
+
+    monkeypatch.setattr(cli, "_cmd_pipelines", broken)
+    taxonomy, _ = dag_files
+    code, out, err = run(["pipelines", "--taxonomy", taxonomy], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "pfmodel: internal error: ValueError: a fault of pfmodel\n"
 
 
 def test_analyze_edge_without_f_is_invalid_input(tmp_path, capsys):
@@ -234,9 +267,17 @@ def test_verify_max_len_zero_without_samples(l2_files, capsys):
      "--seed must be at least 0 and at most 18446744073709551614, got 18446744073709551615"),
     (["sweep", "--pipeline", "A/B/C", "--target", "0.1", "--seed", "-1"],
      "--seed must be at least 0 and at most 18446744073709551615, got -1"),
+    (["simulate", "--m", "0"], "--m must be at least 1, got 0"),
+    (["sweep", "--pipeline", "A/B/C", "--target", "0.1", "--n", "0"],
+     "--n must be at least 1, got 0"),
+    (["sweep", "--pipeline", "A/B/C", "--target", "1.5"],
+     "--target must be strictly between 0 and 1, got 1.5"),
+    (["sweep", "--pipeline", "A/B/C", "--target", "nan"],
+     "--target must be strictly between 0 and 1, got nan"),
 ], ids=["tol-nan", "tol-neg", "tol-inf", "samples-neg", "max-len-0",
         "z-nan", "z-neg", "z-inf", "verify-seed-neg", "verify-seed-2**64",
-        "simulate-seed-neg", "simulate-seed-last-replication", "sweep-seed-neg"])
+        "simulate-seed-neg", "simulate-seed-last-replication", "sweep-seed-neg",
+        "m-0", "n-0", "target-1.5", "target-nan"])
 def test_bad_numeric_flags_are_invalid_input(l2_files, argv, message, fmt, capsys):
     taxonomy, profiles = l2_files
     code, out, err = run(
@@ -247,6 +288,20 @@ def test_bad_numeric_flags_are_invalid_input(l2_files, argv, message, fmt, capsy
     assert code == EXIT_INVALID
     assert out == ""
     assert err == f"pfmodel: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--m", "0"],
+    ["sweep", "--pipeline", "A/B", "--target", "0.1", "--n", "0"],
+    ["sweep", "--pipeline", "A/B", "--target", "1.5"],
+], ids=["m-0", "n-0", "target-1.5"])
+def test_numeric_flags_are_checked_before_any_input_is_read(argv, capsys):
+    missing = "/nonexistent.json"
+    code, out, err = run([argv[0], "--taxonomy", missing, "--profiles", missing, *argv[1:]],
+                         capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"pfmodel: error: {argv[-2]} must be ")
 
 
 # --- simulate ---------------------------------------------------------------------

@@ -20,6 +20,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 #: expected output file -> subcommand and its options
 CASES = {
+    "pipelines.txt": ["pipelines"],
+    "pipelines-leaf-only.txt": ["pipelines", "--leaf-only"],
     "analyze.json": ["analyze"],
     "analyze.tsv": ["analyze", "--format", "tsv"],
     "analyze-leaf-only.tsv": ["analyze", "--leaf-only", "--format", "tsv"],
@@ -40,8 +42,10 @@ CASES = {
 
 def golden_argv(name: str) -> list[str]:
     command, *options = CASES[name]
-    return [command, "--taxonomy", str(GOLDEN / "taxonomy.json"),
-            "--profiles", str(GOLDEN / "profiles.json"), *options]
+    inputs = ["--taxonomy", str(GOLDEN / "taxonomy.json")]
+    if command != "pipelines":  # the one subcommand that reads no profiles
+        inputs += ["--profiles", str(GOLDEN / "profiles.json")]
+    return [command, *inputs, *options]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

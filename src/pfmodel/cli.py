@@ -337,14 +337,13 @@ def _cmd_sweep(args) -> int:
         depth = pipeline.depth
         cols = (["index"] + [f"f_{k}" for k in range(1, depth + 1)]
                 + ["tP", "tR", "tF1", "tA"])
+        rows = [[str(i)] + [pfio.fmt12(f) for f in row.fs[1:]] + pfio.metric_cells(row.report)
+                for i, row in enumerate(result.rows)]
         spread_names = {"precision": "tP", "f1": "tF1"}
-        text = pfio.tsv(cols, [
-            *([str(i)] + [pfio.fmt12(f) for f in row.fs[1:]] + pfio.metric_cells(row.report)
-              for i, row in enumerate(result.rows)),
-            *([f"{spread_names[s.metric]}_spread"] + ["-"] * depth
-              + [pfio.cell12(s.minimum), pfio.cell12(s.maximum), pfio.cell12(s.mean), "-"]
-              for s in result.spreads if s.metric in spread_names),
-        ])
+        rows += [[f"{spread_names[s.metric]}_spread"] + ["-"] * depth
+                 + [pfio.cell12(s.minimum), pfio.cell12(s.maximum), pfio.cell12(s.mean), "-"]
+                 for s in result.spreads if s.metric in spread_names]
+        text = pfio.tsv(cols, rows)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -156,7 +156,8 @@ def test_undecodable_input_is_invalid_input(tmp_path, capsys):
     code, out, err = run(["pipelines", "--taxonomy", str(latin1)], capsys)
     assert code == EXIT_INVALID
     assert out == ""
-    assert err == f"pfmodel: error: {latin1}: not UTF-8 text: invalid continuation byte at byte 10\n"
+    assert err == (f"pfmodel: error: {latin1}: "
+                   "not UTF-8 text: invalid continuation byte at byte 10\n")
 
 
 def test_unexpected_exception_is_an_internal_error(dag_files, monkeypatch, capsys):

@@ -195,7 +195,7 @@ def _verify_checks(bundle: pfio.InputBundle, tol: float, max_len: int,
                 "pipeline": pipeline.path,
                 "depth": pipeline.depth,
                 "check": check,
-                "discrepancy": pfio.round12(diff),
+                "discrepancy": diff,
                 "passed": diff <= tol,
             })
 
@@ -215,6 +215,11 @@ def _cmd_verify(args) -> int:
     if args.samples > 0 and args.max_len < 1:
         raise PFModelError(
             f"--max-len must be at least 1 when --samples is above 0, got {args.max_len}"
+        )
+    if args.samples > 0 and args.max_len > 2**63 - 1:  # numpy draws depths as int64
+        raise PFModelError(
+            f"--max-len must be at most {2**63 - 1} when --samples is above 0,"
+            f" got {args.max_len}"
         )
     _require_seed(args.seed)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
@@ -247,6 +252,8 @@ def _cmd_simulate(args) -> int:
 
     if args.m < 1:
         raise PFModelError(f"--m must be at least 1, got {args.m}")
+    if args.m > sys.maxsize // 8:  # numpy addresses sys.maxsize bytes, m float64s per stream
+        raise PFModelError(f"--m must be at most {sys.maxsize // 8}, got {args.m}")
     if args.replications < 1:
         raise PFModelError(f"--replications must be at least 1, got {args.replications}")
     _require_finite_nonnegative("--z-threshold", args.z_threshold)
@@ -274,7 +281,7 @@ def _cmd_simulate(args) -> int:
                 "counts": {"tn": outcome.counts[0], "fp": outcome.counts[1],
                            "fn": outcome.counts[2], "tp": outcome.counts[3]},
                 "model": pfio.omega_payload(model),
-                "max_z": pfio.round12(deviation.max_z),
+                "max_z": deviation.max_z,
                 "passed": deviation.passed,
             })
     passed = all(row["passed"] for row in rows)
@@ -315,20 +322,19 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         text = pfio.dump_json({
             "pipeline": result.pipeline,
-            "target": pfio.round12(result.target),
+            "target": result.target,
             "n": len(result.rows),
             "seed": args.seed,
             "rows": [
                 {
-                    "fs": [pfio.round12(f) for f in row.fs],
+                    "fs": row.fs,
                     "omega": pfio.omega_payload(row.omega),
                     "metrics": pfio.metrics_payload(row.report),
                 }
                 for row in result.rows
             ],
             "spread": [
-                {"metric": s.metric, "min": pfio.round12(s.minimum),
-                 "max": pfio.round12(s.maximum), "mean": pfio.round12(s.mean),
+                {"metric": s.metric, "min": s.minimum, "max": s.maximum, "mean": s.mean,
                  "undefined": s.undefined}
                 for s in result.spreads
             ],

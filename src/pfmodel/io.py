@@ -84,15 +84,22 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: st
         raise ParseError(f"missing keys {sorted(missing)}", location=where)
 
 
+def _echo(v: Any) -> str:
+    """``repr(v)`` for an error line; one over 32 characters (an integer of
+    up to 4,300 digits, say) is cut to its first 16 and its length."""
+    text = repr(v)
+    return text if len(text) <= 32 else f"{text[:16]}... ({len(text)} characters)"
+
+
 def _probability(raw: Mapping, key: str, where: str) -> float:
     """``raw[key]``, a JSON number in [0, 1], as a float.  The range test
     comes before the conversion, so an integer too large for a float is
     rejected, not overflowed."""
     v = raw[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ParseError(f"{key} must be a number, got {v!r}", location=where)
+        raise ParseError(f"{key} must be a number, got {_echo(v)}", location=where)
     if not 0 <= v <= 1:
-        raise OutOfRangeProbabilityError(f"{where}: {key}={v!r} outside [0, 1]")
+        raise OutOfRangeProbabilityError(f"{where}: {key}={_echo(v)} outside [0, 1]")
     return float(v)
 
 
@@ -240,12 +247,6 @@ def tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def round12(x: float | None) -> float | None:
-    """A real number rounded to 12 significant digits (stable JSON payloads);
-    ``None``, an undefined value, stays ``None`` (JSON ``null``)."""
-    return None if x is None else float(fmt12(x))
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 _INFINITIES = (math.inf, -math.inf)
 
@@ -273,7 +274,7 @@ def _write_json(o: Any, out: list[str], newline: str) -> None:
     elif isinstance(o, float):
         if o != o or o in _INFINITIES:
             raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
-        out.append(float.__repr__(o))
+        out.append(float.__repr__(float(fmt12(o))))
     elif isinstance(o, str):
         out.append(_encode_str(o))
     elif o is None:
@@ -300,10 +301,10 @@ def dump_json(payload: Any) -> str:
     """Canonical JSON text: fixed key order as constructed, trailing newline.
 
     The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``
-    plus a newline: two-space indent, ASCII-escaped strings, floats as
-    ``repr`` writes them, and ``ValueError`` on NaN or infinity.  Dict keys
-    must be strings.  An iterator (a generator, say) is written as an array,
-    so a caller can stream a large array without building it as a list.
+    plus a newline, each float first rounded by :func:`fmt12`: two-space
+    indent, ASCII-escaped strings, and ``ValueError`` on NaN or infinity.
+    Dict keys must be strings.  An iterator (a generator, say) is written as
+    an array, so a caller can stream a large array without building it.
     """
     out: list[str] = []
     _write_json(payload, out, "\n")
@@ -319,7 +320,7 @@ def serialize_taxonomy(t: Taxonomy) -> str:
         "edges": [
             {"child": e.child, "parent": e.parent}
             if e.f is None
-            else {"child": e.child, "parent": e.parent, "f": round12(e.f)}
+            else {"child": e.child, "parent": e.parent, "f": e.f}
             for e in sorted(t.edges, key=lambda e: (e.child, e.parent))
         ],
     }
@@ -327,7 +328,7 @@ def serialize_taxonomy(t: Taxonomy) -> str:
 
 
 def _matrix_payload(m: NormalizedConfusionMatrix) -> dict:
-    return {"tn": round12(m.tn), "fp": round12(m.fp), "fn": round12(m.fn), "tp": round12(m.tp)}
+    return {"tn": m.tn, "fp": m.fp, "fn": m.fn, "tp": m.tp}
 
 
 def serialize_profiles(p: ClassifierProfileSet) -> str:
@@ -392,8 +393,7 @@ def build_report(
 
 def omega_payload(omega: Cells2x2) -> dict:
     """A joint matrix as its ``w00``..``w11`` JSON object."""
-    return {"w00": round12(omega.tn), "w01": round12(omega.fp),
-            "w10": round12(omega.fn), "w11": round12(omega.tp)}
+    return {"w00": omega.tn, "w01": omega.fp, "w10": omega.fn, "w11": omega.tp}
 
 
 def metric_cells(r: MetricReport) -> list[str]:
@@ -410,10 +410,10 @@ def metrics_payload(r: MetricReport) -> dict:
     if r.f1_degenerate:
         flags.append("f1_degenerate")
     return {
-        "tP": round12(r.precision),
-        "tR": round12(r.recall),
-        "tF1": round12(r.f1),
-        "tA": round12(r.accuracy),
+        "tP": r.precision,
+        "tR": r.recall,
+        "tF1": r.f1,
+        "tA": r.accuracy,
         "flags": flags,
     }
 
@@ -447,23 +447,23 @@ def _block_payload(b: DepthProfile) -> dict:
     depth_rows = [
         {
             "k": k,
-            "f": round12(f_k),
+            "f": f_k,
             "omega": omega_payload(om),
             "metrics": metrics_payload(rep),
             "precision_verdict": verdict,
-            "precision_bound": None if step is None else round12(step.bound),
+            "precision_bound": None if step is None else step.bound,
         }
         for k, f_k, om, rep, verdict, step in _depth_rows(b)
     ]
     return {
         "pipeline": b.pipeline.path,
         "depth": b.pipeline.depth,
-        "fs": [round12(f) for f in b.pipeline.fs],
+        "fs": b.pipeline.fs,
         "omega": omega_payload(b.omegas[-1]),
-        "prior": {"neg": round12(fact.prior_neg), "pos": round12(fact.prior_pos)},
+        "prior": {"neg": fact.prior_neg, "pos": fact.prior_pos},
         "phi": _matrix_payload(fact.phi),
         "psi": _matrix_payload(b.state.intrinsic()),
-        "eta": None if eta is None or not math.isfinite(eta) else round12(eta),
+        "eta": None if eta is None or not math.isfinite(eta) else eta,
         "flags": flags,
         "metrics": metrics_payload(b.reports[-1]),
         "depth_profile": depth_rows,

@@ -66,11 +66,14 @@ class Cells2x2:
 
 
 def _check_unit_range(cells: Cells2x2) -> None:
+    """Reject a cell outside [0, 1]; store an int cell as the float it equals."""
     for name, v in zip(("tn", "fp", "fn", "tp"), cells.as_tuple()):
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise OutOfRangeProbabilityError(f"{name}={v!r} is not a finite number")
         if v < -_EPS or v > 1.0 + _EPS:
             raise OutOfRangeProbabilityError(f"{name}={v} outside [0, 1]")
+        if type(v) is not float:
+            object.__setattr__(cells, name, float(v))
 
 
 @dataclass(frozen=True)

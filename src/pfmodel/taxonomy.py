@@ -16,7 +16,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -215,7 +215,7 @@ def validate_taxonomy(
         norm_edges.append(e)
 
     seen: set[tuple[CategoryId, CategoryId]] = set()
-    for e in norm_edges:
+    for i, e in enumerate(norm_edges):
         for c in (e.child, e.parent):
             if c not in cats:
                 raise UnknownCategoryError(f"edge {e.child!r}<{e.parent!r}: unknown category {c!r}")
@@ -228,6 +228,8 @@ def validate_taxonomy(
             raise OutOfRangeProbabilityError(
                 f"edge {e.child!r}<{e.parent!r}: f={e.f} outside [0, 1]"
             )
+        if e.f is not None and type(e.f) is not float:  # an int f is stored as a real
+            norm_edges[i] = replace(e, f=float(e.f))
 
     indeg = {c: 0 for c in cats}
     for e in norm_edges:

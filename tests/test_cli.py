@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,18 @@ def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_a_huge_out_of_range_number_is_echoed_shortened(tmp_path, capsys):
+    data = json.loads((GOLDEN / "taxonomy.json").read_text())
+    data["edges"][0]["f"] = 10**400
+    taxonomy = tmp_path / "taxonomy.json"
+    taxonomy.write_text(json.dumps(data))
+    code, out, err = run(["pipelines", "--taxonomy", str(taxonomy)], capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("pfmodel: error: taxonomy.edges[0]: f=")
+    assert err.count("\n") == 1 and len(err) < 120
+
+
 def test_deeply_nested_input_is_invalid_input(tmp_path, capsys):
     nested = tmp_path / "taxonomy.json"
     nested.write_text("[" * 100_000 + "]" * 100_000)
@@ -275,10 +288,14 @@ def test_verify_max_len_zero_without_samples(l2_files, capsys):
      "--target must be strictly between 0 and 1, got 1.5"),
     (["sweep", "--pipeline", "A/B/C", "--target", "nan"],
      "--target must be strictly between 0 and 1, got nan"),
+    (["simulate", "--m", str(10**20)],
+     f"--m must be at most {sys.maxsize // 8}, got {10**20}"),
+    (["verify", "--samples", "1", "--max-len", str(2**63)],
+     f"--max-len must be at most {2**63 - 1} when --samples is above 0, got {2**63}"),
 ], ids=["tol-nan", "tol-neg", "tol-inf", "samples-neg", "max-len-0",
         "z-nan", "z-neg", "z-inf", "verify-seed-neg", "verify-seed-2**64",
         "simulate-seed-neg", "simulate-seed-last-replication", "sweep-seed-neg",
-        "m-0", "n-0", "target-1.5", "target-nan"])
+        "m-0", "n-0", "target-1.5", "target-nan", "m-1e20", "max-len-2**63"])
 def test_bad_numeric_flags_are_invalid_input(l2_files, argv, message, fmt, capsys):
     taxonomy, profiles = l2_files
     code, out, err = run(
@@ -295,7 +312,9 @@ def test_bad_numeric_flags_are_invalid_input(l2_files, argv, message, fmt, capsy
     ["simulate", "--m", "0"],
     ["sweep", "--pipeline", "A/B", "--target", "0.1", "--n", "0"],
     ["sweep", "--pipeline", "A/B", "--target", "1.5"],
-], ids=["m-0", "n-0", "target-1.5"])
+    ["simulate", "--m", str(10**20)],
+    ["verify", "--samples", "1", "--max-len", str(2**63)],
+], ids=["m-0", "n-0", "target-1.5", "m-1e20", "max-len-2**63"])
 def test_numeric_flags_are_checked_before_any_input_is_read(argv, capsys):
     missing = "/nonexistent.json"
     code, out, err = run([argv[0], "--taxonomy", missing, "--profiles", missing, *argv[1:]],

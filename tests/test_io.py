@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
-from pfmodel.io import build_report, dump_json, fmt12, round12, write_report
+from pfmodel.io import build_report, dump_json, fmt12, write_report
 
 from conftest import (
     DAG_PROFILES_JSON,
@@ -296,6 +296,36 @@ def test_report_blocks_equal_the_per_pipeline_evaluations(bundle):
             assert block.state.intrinsic() == pf.psi(p, bundle.profiles)
 
 
+@given(bundles_with_overrides())
+@settings(max_examples=100, deadline=None)
+def test_report_json_is_pretty_printed_with_12_digit_reals(bundle):
+    text = write_report(build_report(bundle), "json")
+    floats = []
+
+    def keep(literal):
+        floats.append(float(literal))
+        return floats[-1]
+
+    assert text == json.dumps(json.loads(text, parse_float=keep), indent=2) + "\n"
+    assert all(float(fmt12(x)) == x for x in floats)
+
+
+def test_library_int_reals_are_written_as_floats():
+    def bundle(one, zero):
+        edges = [pf.Edge("B", "A", one), pf.Edge("C", "B", zero)]
+        taxonomy = pf.validate_taxonomy(["A", "B", "C"], edges)
+        base = {"B": pf.NormalizedConfusionMatrix(tn=one, fp=zero, fn=zero, tp=one),
+                "C": pf.NormalizedConfusionMatrix(tn=zero, fp=one, fn=one, tp=zero)}
+        profiles = pf.ClassifierProfileSet(base=base, root="A")
+        return pf.io.InputBundle(taxonomy=taxonomy, profiles=profiles)
+
+    ints, floats = bundle(1, 0), bundle(1.0, 0.0)
+    assert write_report(build_report(ints)) == write_report(build_report(floats))
+    assert pf.io.serialize_taxonomy(ints.taxonomy) == pf.io.serialize_taxonomy(floats.taxonomy)
+    assert pf.io.serialize_profiles(ints.profiles) == pf.io.serialize_profiles(floats.profiles)
+    assert '"f": 1.0' in pf.io.serialize_taxonomy(ints.taxonomy)
+
+
 def test_report_takes_one_step_per_pipeline(monkeypatch):
     rng = np.random.default_rng(0)
     taxonomy = random_tree(rng, 40)
@@ -340,11 +370,7 @@ def test_report_resolves_each_chain_once(options, resolved, monkeypatch):
 def test_number_formatting_helpers():
     assert fmt12(0.1) == "0.1"
     assert fmt12(1 / 3) == "0.333333333333"
-    assert round12(1 / 3) == 0.333333333333
     assert fmt12(float("inf")) == "inf"
-    assert round12(-math.inf) == -math.inf
-    assert math.isnan(round12(math.nan))
-    assert round12(None) is None
     assert pf.io.cell12(None) == "-"
     assert pf.io.cell12(0.1) == "0.1"
 
@@ -372,7 +398,16 @@ json_values = st.recursive(
 @given(json_values)
 @settings(max_examples=150, deadline=None)
 def test_dump_json_matches_the_stdlib_pretty_printer(value):
-    assert dump_json(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+    def rounded(v):
+        if isinstance(v, float):
+            return float(fmt12(v))
+        if isinstance(v, (list, tuple)):
+            return [rounded(x) for x in v]
+        if isinstance(v, dict):
+            return {k: rounded(x) for k, x in v.items()}
+        return v
+
+    assert dump_json(value) == json.dumps(rounded(value), indent=2, allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

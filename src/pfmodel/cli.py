@@ -123,8 +123,14 @@ def _require_seed(seed: int, streams: int = 1) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` as UTF-8 to ``out``, or to stdout whatever the locale."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
+        else:
+            buffer.write(text.encode("utf-8"))
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -269,8 +275,8 @@ def _cmd_simulate(args) -> int:
             reports = {pipeline.path: (predicted, outcome)}
         else:
             result = simulate_taxonomy(bundle.taxonomy, bundle.profiles, cfg)
-            reports = {path: (result.models[path], result.per_pipeline[path])
-                       for path in sorted(result.per_pipeline)}
+            reports = {path: (result.models[path], outcome)
+                       for path, outcome in result.per_pipeline.items()}
         for path, (model, outcome) in reports.items():
             deviation = compare(model, outcome, z_threshold=args.z_threshold)
             rows.append({

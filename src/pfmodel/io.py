@@ -52,7 +52,6 @@ from .taxonomy import (
     enumerate_pipelines,
     find_pipeline,
     validate_taxonomy,
-    wfs_char,
 )
 
 #: tolerance for accepting hand-typed confusion rows before renormalizing
@@ -189,12 +188,11 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
         if not isinstance(raw["pipeline"], str) or not isinstance(raw["category"], str):
             raise ParseError("pipeline and category must be strings", location=where)
         path = raw["pipeline"]
-        nodes = tuple(path.split("/"))
-        for c in nodes:
-            if c not in taxonomy.categories:
-                raise UnknownCategoryError(f"{where}: unknown category {c!r} in pipeline")
-        if nodes[0] != taxonomy.root or wfs_char(taxonomy, nodes) != 1.0:
-            raise ParseError(f"{path!r} is not a pipeline of this taxonomy", location=where)
+        try:
+            nodes = find_pipeline(taxonomy, path).nodes
+        except UnknownCategoryError:
+            raise ParseError(f"{path!r} is not a pipeline of this taxonomy",
+                             location=where) from None
         cat = raw["category"]
         if cat not in nodes:
             raise ParseError(f"category {cat!r} does not occur in pipeline {path!r}",

@@ -149,34 +149,23 @@ def simulate_pipeline(
     )
 
 
-def _membership_gate_edge(t: Taxonomy, node: CategoryId):
-    """The in-edge carrying the node's firing conditional, plus all parents.
+def _coin_probability(t: Taxonomy, node: CategoryId, q_of: Mapping[CategoryId, float]) -> float:
+    """Per-node coin probability that realizes the node's edge conditional.
 
     A document can belong to a category only if it belongs to all its
-    parents.  The membership draw is calibrated against the edge from a
-    minimal parent (one with no other parent below it); conditions implied
-    by the remaining parents are divided out separately.
+    parents, so gated sampling makes membership of a node the conjunction
+    of one independent coin per member of its ancestor closure.  The coin
+    is calibrated against the edge from a minimal parent (one with no other
+    parent below it): its f = p(node | parent) equals the node's own coin
+    times the coins ``q_of`` of every ancestor outside the parent's closure;
+    divide those out to get the coin.  Exact for any DAG whose edge
+    probabilities are mutually consistent (trees trivially are).
     """
     parents = t.parents_of(node)
     minimal = [p for p in parents if not any(p in t.ancestors_of(q) for q in parents)]
-    chosen = sorted(minimal)[0]
-    edge = t.edge(node, chosen)
-    assert edge is not None
-    return edge, parents
-
-
-def _firing_probability(
-    t: Taxonomy, node: CategoryId, edge, q_of: Mapping[CategoryId, float]
-) -> float:
-    """Per-node coin probability that realizes the supplied edge conditional.
-
-    Gated sampling makes membership of a node the conjunction of one
-    independent coin per member of its ancestor closure.  The supplied
-    f = p(node | parent) therefore equals the node's own coin probability
-    times the coins of every ancestor outside the parent's closure; divide
-    those out to get the coin.  Exact for any DAG whose edge probabilities
-    are mutually consistent (trees trivially are).
-    """
+    edge = t.edge(node, min(minimal))
+    if edge.f is None:
+        raise MissingEdgeProbabilityError(f"edge {node!r}<{edge.parent!r} has no f")
     parent_closure = {edge.parent} | t.ancestors_of(edge.parent)
     divisor = 1.0
     for a in t.ancestors_of(node) - parent_closure:
@@ -235,18 +224,13 @@ def simulate_taxonomy(
     """
     m = cfg.m
 
-    # truth: one membership coin per category, gated by all parents
+    # truth: one membership coin per category in topological order, gated by all parents
     memberships: dict[CategoryId, np.ndarray] = {t.root: np.ones(m, dtype=bool)}
     q_of: dict[CategoryId, float] = {t.root: 1.0}
-    order = sorted(t.categories - {t.root}, key=lambda c: (len(t.ancestors_of(c)), c))
-    for node in order:
-        edge, parents = _membership_gate_edge(t, node)
-        if edge.f is None:
-            raise MissingEdgeProbabilityError(f"edge {node!r}<{edge.parent!r} has no f")
-        q = _firing_probability(t, node, edge, q_of)
-        q_of[node] = q
+    for node in t.topological_order[1:]:
+        q = q_of[node] = _coin_probability(t, node, q_of)
         gate = np.ones(m, dtype=bool)
-        for p in parents:
+        for p in t.parents_of(node):
             gate &= memberships[p]
         u = uniforms(cfg.seed, ("taxonomy-membership", node), m)
         memberships[node] = gate & (u < q)
@@ -317,7 +301,8 @@ def compare(
 
     Each cell's deviation |count/m - prediction| is expressed in binomial
     standard errors sqrt(p (1-p) / m); a zero-variance cell (p of 0 or 1)
-    scores 0 when it matches exactly and infinity otherwise.
+    scores 0 when it matches exactly and infinity otherwise.  A prediction
+    that rounding left just outside [0, 1] is scored clamped into it.
     """
     if isinstance(outcome, SimOutcome):
         counts = outcome.counts
@@ -328,6 +313,7 @@ def compare(
             raise ValueError("m is required when passing raw counts")
     cells = []
     for name, pred, count in zip(("tn", "fp", "fn", "tp"), model.as_tuple(), counts):
+        pred = min(max(pred, 0.0), 1.0)
         emp = count / m
         dev = abs(emp - pred)
         sigma = math.sqrt(pred * (1.0 - pred) / m)

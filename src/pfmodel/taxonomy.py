@@ -16,6 +16,7 @@ across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +33,10 @@ from .errors import (
 )
 
 CategoryId = str
+
+#: Unicode category Cc (tab, LF, CR, U+0085, ...) and the line and paragraph
+#: separators: characters that would split a TSV cell or an output line
+_CONTROL_OR_LINE_BREAK = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -128,8 +133,8 @@ class Taxonomy:
         return {(e.child, e.parent): e for e in self.edges}
 
     @cached_property
-    def _topological_order(self) -> tuple[CategoryId, ...]:
-        """Every category after all its parents (Kahn's walk); raises on a cycle."""
+    def topological_order(self) -> tuple[CategoryId, ...]:
+        """Every category after all its parents, root first (Kahn's walk); raises on a cycle."""
         pending = dict.fromkeys(self.categories, 0)
         for e in self.edges:
             pending[e.child] += 1
@@ -151,7 +156,7 @@ class Taxonomy:
     def _ancestors(self) -> dict[CategoryId, frozenset[CategoryId]]:
         """Ancestor closure of every category, each built from its parents'."""
         out: dict[CategoryId, frozenset[CategoryId]] = {}
-        for c in self._topological_order:
+        for c in self.topological_order:
             closure: set[CategoryId] = set()
             for e in self._parents[c]:
                 closure.add(e.parent)
@@ -176,10 +181,6 @@ class Taxonomy:
         self._require(c)
         return self._ancestors[c]
 
-    def is_leaf(self, c: CategoryId) -> bool:
-        self._require(c)
-        return not self._children[c]
-
     def edge(self, child: CategoryId, parent: CategoryId) -> Edge | None:
         self._require(child)
         self._require(parent)
@@ -193,19 +194,27 @@ def validate_taxonomy(
 ) -> Taxonomy:
     """Check the poset invariants and return an immutable :class:`Taxonomy`.
 
-    Verifies: category names are non-empty, edges reference known
+    Verifies: there are categories, their names are non-empty and hold no
+    '/', control character or line break, edges reference known
     categories, no duplicate or self-loop edges, the covering relation is
     acyclic, exactly one category has no parent (the root, matching
     ``root`` when given), every category is reachable from it, and every
     supplied f lies in [0, 1].
     """
-    cats = frozenset(categories)
-    for c in cats:
+    names = list(categories)  # checked in the given order, so errors name the first
+    cats = frozenset(names)
+    if not cats:
+        raise UnknownCategoryError("the category list is empty")
+    for c in names:
         if not isinstance(c, str) or not c.strip():
             raise UnknownCategoryError(f"invalid category name {c!r}")
         if "/" in c:
             raise UnknownCategoryError(
                 f"category name {c!r} may not contain '/' (reserved for pipeline paths)"
+            )
+        if _CONTROL_OR_LINE_BREAK.search(c):
+            raise UnknownCategoryError(
+                f"category name {c!r} may not contain control characters or line breaks"
             )
 
     norm_edges: list[Edge] = []
@@ -259,7 +268,7 @@ def validate_taxonomy(
     if missing:
         raise UnreachableCategoryError(f"not reachable from root: {missing}")
 
-    taxonomy._topological_order  # raises CycleDetectedError on any remaining cycle
+    taxonomy.topological_order  # raises CycleDetectedError on any remaining cycle
     return taxonomy
 
 

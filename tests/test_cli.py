@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +23,24 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GAMMA = {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8}
+
+
+def write_inputs(tmp_path, edges, classifiers=None):
+    """Taxonomy and profiles files for ``edges`` (child, parent, f) under root
+    A; every category gets ``GAMMA`` unless ``classifiers`` names it."""
+    categories = ["A"] + sorted({child for child, _, _ in edges})
+    taxonomy, profiles = tmp_path / "taxonomy.json", tmp_path / "profiles.json"
+    taxonomy.write_text(json.dumps({
+        "root": "A", "categories": categories,
+        "edges": [{"child": c, "parent": p, "f": f} for c, p, f in edges],
+    }))
+    profiles.write_text(json.dumps(
+        {"classifiers": {c: GAMMA for c in categories[1:]} | (classifiers or {})}
+    ))
+    return str(taxonomy), str(profiles)
 
 
 # --- pipelines -------------------------------------------------------------------
@@ -45,6 +67,71 @@ def test_pipelines_of_deep_chain(deep_chain_files, capsys):
     lines = out.splitlines()
     assert len(lines) == DEEP_CHAIN_SIZE
     assert lines[-1] == "/".join(f"c{i}" for i in range(DEEP_CHAIN_SIZE))
+
+
+def test_every_subcommand_lists_pipelines_in_one_order(tmp_path, capsys):
+    # '-' sorts below '/', so a sort on path strings would put A/B-x before A/B/C
+    taxonomy, profiles = write_inputs(
+        tmp_path, [("B", "A", 0.6), ("B-x", "A", 0.3), ("C", "B", 0.5)]
+    )
+    inputs = ["--taxonomy", taxonomy, "--profiles", profiles, "--format", "tsv"]
+    code, out, _ = run(["pipelines", "--taxonomy", taxonomy], capsys)
+    assert code == EXIT_OK
+    order = out.splitlines()
+    assert order == ["A", "A/B", "A/B/C", "A/B-x"]
+    # the TSV column that names the pipeline, after each subcommand's options
+    for argv, column in ((["analyze"], 0), (["verify", "--samples", "0"], 1),
+                         (["simulate", "--m", "2000"], 2)):
+        code, out, _ = run([argv[0], *inputs, *argv[1:]], capsys)
+        assert code == EXIT_OK
+        listed = [line.split("\t")[column] for line in out.splitlines()[1:]]
+        assert list(dict.fromkeys(listed)) == order, argv[0]
+
+
+@pytest.mark.parametrize("categories", [
+    ["A", "B\tx", "C\nD"],
+    [],
+], ids=["control-characters", "empty"])
+def test_unusable_category_lists_are_invalid_input(categories, tmp_path, capsys):
+    taxonomy = tmp_path / "taxonomy.json"
+    taxonomy.write_text(json.dumps({
+        "root": "A", "categories": categories,
+        "edges": [{"child": c, "parent": "A"} for c in categories[1:]],
+    }))
+    code, out, err = run(["pipelines", "--taxonomy", str(taxonomy)], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    if categories:  # the first offending name in the file, whatever the hash seed
+        assert err == ("pfmodel: error: category name 'B\\tx' may not contain control "
+                       "characters or line breaks\n")
+    else:
+        assert err == "pfmodel: error: the category list is empty\n"
+
+
+@pytest.mark.parametrize("argv", [["pipelines"], ["analyze", "--format", "tsv"]])
+def test_stdout_is_utf8_whatever_the_locale(argv, tmp_path):
+    taxonomy, profiles = write_inputs(tmp_path, [("B\u00e9", "A", 0.5)])
+    inputs = ["--taxonomy", taxonomy]
+    if argv[0] != "pipelines":
+        inputs += ["--profiles", profiles]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="ascii",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out_file = tmp_path / "out"
+    command = [sys.executable, "-m", "pfmodel.cli", argv[0], *inputs, *argv[1:]]
+    assert subprocess.run([*command, "--out", str(out_file)], env=env, timeout=120).returncode == 0
+    proc = subprocess.run(command, env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert "A/B\u00e9".encode("utf-8") in proc.stdout
+    assert proc.stdout == out_file.read_bytes()
+
+
+def test_text_only_stdout_gets_the_text(dag_files):
+    taxonomy, _ = dag_files
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["pipelines", "--taxonomy", taxonomy])
+    assert code == EXIT_OK
+    assert stdout.getvalue() == "A\nA/B\nA/B/C\nA/B/D\nA/C\n"
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -124,8 +211,16 @@ GOLDEN = Path(__file__).parent / "golden"
     ("profiles", lambda d: d["overrides"][1].update(pipeline=5), "profiles.overrides[1]"),
     ("taxonomy", lambda d: d["edges"][0].update(f=10**400), "taxonomy.edges[0]"),
     ("profiles", lambda d: d["classifiers"]["B"].update(tp=10**400), "profiles.classifiers.B"),
+    ("taxonomy", lambda d: d.update(edges=[5]), "taxonomy.edges[0]"),
+    ("taxonomy", lambda d: d.update(categories="A"), "taxonomy.categories"),
+    ("taxonomy", lambda d: d.update(root=5), "taxonomy.root"),
+    ("profiles", lambda d: d.update(classifiers=[]), "profiles.classifiers"),
+    ("profiles", lambda d: d["classifiers"]["B"].pop("tp"), "profiles.classifiers.B"),
+    ("profiles", lambda d: d["overrides"][0].update(category="A"), "profiles.overrides[0]"),
+    ("profiles", lambda d: d["overrides"][0].update(pipeline="A/Z"), "profiles.overrides[0]"),
 ], ids=["edges-int", "edge-child-list", "overrides-int", "override-pipeline-int",
-        "edge-f-huge-int", "cell-huge-int"])
+        "edge-f-huge-int", "cell-huge-int", "edge-int", "categories-str", "root-int",
+        "classifiers-list", "cell-missing", "override-root", "override-unknown-category"])
 def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys):
     files = {}
     for key in ("taxonomy", "profiles"):
@@ -425,6 +520,35 @@ def test_simulate_subnormal_predictions_do_not_falsify(tmp_path, fmt, capsys):
     else:
         rows = out.splitlines()[1:]
         assert len(rows) == DEEP_CHAIN_SIZE and all(r.endswith("\ttrue") for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("pipeline", [[], ["--pipeline", "A/B/C"]], ids=["taxonomy", "pipeline"])
+def test_simulate_closed_form_rounded_below_zero(pipeline, fmt, tmp_path, capsys):
+    # B and C accept everything, so w00 = (1 - F) - w01 rounds to -1.1e-16
+    accept_all = {"tn": 0, "fp": 1, "fn": 0, "tp": 1}
+    taxonomy, profiles = write_inputs(
+        tmp_path, [("B", "A", 0.1), ("C", "B", 0.5)], {"B": accept_all, "C": accept_all}
+    )
+    code, out, err = run(["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
+                          "--m", "1000", "--format", fmt, *pipeline], capsys)
+    assert (code, err) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("f_d_b, code, message", [
+    (0.0, EXIT_OK, ""),
+    (0.5, EXIT_INVALID, "pfmodel: error: edge 'D'<'B': f=0.5 conditions on an event of "
+                        "probability zero\n"),
+], ids=["f-zero", "f-positive"])
+def test_simulate_coin_behind_a_parent_of_probability_zero(f_d_b, code, message,
+                                                           tmp_path, capsys):
+    # D's coin is calibrated on the edge from B and divides out C's coin, which is 0
+    taxonomy, profiles = write_inputs(
+        tmp_path, [("B", "A", 0.5), ("C", "A", 0.0), ("D", "B", f_d_b), ("D", "C", 0.5)]
+    )
+    result = run(["simulate", "--taxonomy", taxonomy, "--profiles", profiles, "--m", "1000"],
+                 capsys)
+    assert (result[0], result[2]) == (code, message)
 
 
 @pytest.mark.parametrize("replications", ["0", "-1"])

@@ -73,6 +73,20 @@ def test_near_normalized_rows_are_renormalized_and_recorded():
     assert g.tn + g.fp == pytest.approx(1.0, abs=1e-15)
 
 
+def test_near_normalized_override_rows_are_renormalized_and_recorded():
+    profiles = json.dumps({
+        "classifiers": {"B": {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8}},
+        "overrides": [{"pipeline": "A/B", "category": "B",
+                       "tn": 0.7, "fp": 0.3, "fn": 0.4, "tp": 0.6000000001}],
+    })
+    bundle = pf.parse_inputs(MINIMAL_TAXONOMY, profiles)
+    assert bundle.renormalized == ("A/B:B",)
+    g = bundle.profiles.overrides[("A/B", "B")]
+    assert g.fn + g.tp == pytest.approx(1.0, abs=1e-15)
+    report = json.loads(write_report(build_report(bundle)))
+    assert report["taxonomy"]["renormalized_classifiers"] == ["A/B:B"]
+
+
 def test_out_of_range_entry_rejected():
     profiles = json.dumps(
         {"classifiers": {"B": {"tn": 1.2, "fp": -0.2, "fn": 0.2, "tp": 0.8}}}

@@ -448,6 +448,18 @@ def test_compare_subnormal_prediction_has_nonzero_sigma():
     assert math.isfinite(report.max_z) and not report.passed
 
 
+@pytest.mark.parametrize("cells, counts, outside", [
+    ((-1.1102230246251565e-16, 0.0, 0.5, 0.5 + 1.1102230246251565e-16), (0, 0, 50, 50), 0),
+    ((0.0, 0.0, -2.220446049250313e-16, 1.0 + 2.220446049250313e-16), (0, 0, 0, 100), 3),
+], ids=["below-0", "above-1"])
+def test_compare_scores_a_rounded_prediction_clamped(cells, counts, outside):
+    # the closed form can round a cell just outside [0, 1]; sqrt(p (1-p) / m)
+    # of such a cell is the square root of a negative number
+    report = pf.compare(pf.JointMatrix(*cells), counts, m=100)
+    assert report.cells[outside].z == 0.0
+    assert report.passed
+
+
 def test_compare_requires_m_for_raw_counts():
     model = pf.JointMatrix(tn=0.4, fp=0.1, fn=0.05, tp=0.45)
     with pytest.raises(ValueError):

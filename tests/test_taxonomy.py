@@ -80,6 +80,19 @@ def test_bad_category_names():
         pf.validate_taxonomy(["A", "A/B"], [Edge("A/B", "A")])
 
 
+@pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x85", "\u2028"],
+                         ids=["tab", "lf", "cr", "nel", "line-separator"])
+def test_category_names_with_control_characters_or_line_breaks(char):
+    # such a name would split a TSV cell or a line of ``pipelines`` output
+    with pytest.raises(pf.UnknownCategoryError, match="control characters or line breaks"):
+        pf.validate_taxonomy(["A", f"B{char}x"], [Edge(f"B{char}x", "A")])
+
+
+def test_empty_category_list():
+    with pytest.raises(pf.UnknownCategoryError, match="^the category list is empty$"):
+        pf.validate_taxonomy([], [])
+
+
 def test_dag_example_valid(dag_example):
     assert dag_example.root == "A"
     assert dag_example.parents_of("C") == ("A", "B")

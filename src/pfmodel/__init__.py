@@ -20,7 +20,6 @@ from .errors import (
     RootProfileForbiddenError,
     UnknownCategoryError,
     UnknownInstanceError,
-    UnreachableCategoryError,
 )
 from .io import (
     InputBundle,

@@ -33,10 +33,6 @@ class UnknownCategoryError(PFModelError, KeyError):
     """A category name does not exist in the taxonomy."""
 
 
-class UnreachableCategoryError(PFModelError):
-    """A category cannot be reached from the root via covering edges."""
-
-
 class UnknownInstanceError(PFModelError, KeyError):
     """An instance id does not exist in the labeling."""
 

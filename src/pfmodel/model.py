@@ -277,7 +277,7 @@ def _closed_form(
 
     w11 = big_f * psi11
     w10 = big_f - w11
-    w00 = (1.0 - big_f) - w01
+    w00 = max((1.0 - big_f) - w01, 0.0)  # it can round just below 0
     return w00, w01, w10, w11
 
 
@@ -437,7 +437,7 @@ def _factorization(
         )
 
     psi01, psi11 = state.psi01, state.psi11
-    phi01 = _closed_form(fs, gammas)[1] / prior_neg
+    phi01 = min(_closed_form(fs, gammas)[1] / prior_neg, 1.0)  # it can round just above 1
     phi = NormalizedConfusionMatrix(tn=1.0 - phi01, fp=phi01, fn=1.0 - psi11, tp=psi11)
     eta = phi01 / psi01 if psi01 > 0.0 else state.leak / prior_neg
     return Factorization(

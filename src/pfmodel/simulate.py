@@ -197,7 +197,6 @@ class TaxonomySimOutcome:
     """
 
     m: int
-    categories: tuple[CategoryId, ...]
     memberships: Mapping[CategoryId, np.ndarray]
     per_pipeline: Mapping[str, SimOutcome]
     models: Mapping[str, JointMatrix]
@@ -206,7 +205,7 @@ class TaxonomySimOutcome:
         """Yield per-document label sets (optionally only the first ``limit``)."""
         n = self.m if limit is None else min(limit, self.m)
         for i in range(n):
-            yield frozenset(c for c in self.categories if self.memberships[c][i])
+            yield frozenset(c for c, member in self.memberships.items() if member[i])
 
 
 def simulate_taxonomy(
@@ -262,7 +261,6 @@ def simulate_taxonomy(
 
     return TaxonomySimOutcome(
         m=m,
-        categories=tuple(sorted(t.categories)),
         memberships=memberships,
         per_pipeline=per_pipeline,
         models=models,

@@ -29,7 +29,6 @@ from .errors import (
     OutOfRangeProbabilityError,
     UnknownCategoryError,
     UnknownInstanceError,
-    UnreachableCategoryError,
 )
 
 CategoryId = str
@@ -189,17 +188,17 @@ class Taxonomy:
 
 def validate_taxonomy(
     categories: Iterable[CategoryId],
-    edges: Iterable[Edge | tuple],
+    edges: Iterable[Edge],
     root: CategoryId | None = None,
 ) -> Taxonomy:
     """Check the poset invariants and return an immutable :class:`Taxonomy`.
 
     Verifies: there are categories, their names are non-empty and hold no
     '/', control character or line break, edges reference known
-    categories, no duplicate or self-loop edges, the covering relation is
-    acyclic, exactly one category has no parent (the root, matching
-    ``root`` when given), every category is reachable from it, and every
-    supplied f lies in [0, 1].
+    categories, no duplicate or self-loop edges, every supplied f lies in
+    [0, 1], exactly one category has no parent (the root, matching
+    ``root`` when given), and Kahn's walk from it orders every category: a
+    category it cannot order lies on or below a cycle.
     """
     names = list(categories)  # checked in the given order, so errors name the first
     cats = frozenset(names)
@@ -217,11 +216,7 @@ def validate_taxonomy(
                 f"category name {c!r} may not contain control characters or line breaks"
             )
 
-    norm_edges: list[Edge] = []
-    for e in edges:
-        if not isinstance(e, Edge):
-            e = Edge(*e)
-        norm_edges.append(e)
+    norm_edges = list(edges)
 
     seen: set[tuple[CategoryId, CategoryId]] = set()
     for i, e in enumerate(norm_edges):
@@ -240,11 +235,7 @@ def validate_taxonomy(
         if e.f is not None and type(e.f) is not float:  # an int f is stored as a real
             norm_edges[i] = replace(e, f=float(e.f))
 
-    indeg = {c: 0 for c in cats}
-    for e in norm_edges:
-        indeg[e.child] += 1
-
-    roots = sorted(c for c, d in indeg.items() if d == 0)
+    roots = sorted(cats - {e.child for e in norm_edges})
     if not roots:
         raise CycleDetectedError("no parentless category; the covering relation is cyclic")
     if len(roots) > 1:
@@ -256,19 +247,7 @@ def validate_taxonomy(
         )
 
     taxonomy = Taxonomy(categories=cats, edges=tuple(norm_edges), root=found_root)
-    reachable = {found_root}
-    frontier = [found_root]
-    while frontier:
-        c = frontier.pop()
-        for e in taxonomy._children[c]:
-            if e.child not in reachable:
-                reachable.add(e.child)
-                frontier.append(e.child)
-    missing = sorted(cats - reachable)
-    if missing:
-        raise UnreachableCategoryError(f"not reachable from root: {missing}")
-
-    taxonomy.topological_order  # raises CycleDetectedError on any remaining cycle
+    taxonomy.topological_order  # raises CycleDetectedError on every category it cannot order
     return taxonomy
 
 

@@ -202,6 +202,9 @@ def test_analyze_missing_file_exit_code(l2_files, capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+#: stands for a 5,000-digit integer literal, which ``json.dumps`` cannot write
+#: and ``json.loads`` rejects beyond CPython's integer string-conversion limit
+DIGITS_5000 = "<5000 digits>"
 
 
 @pytest.mark.parametrize("name, edit, location", [
@@ -218,9 +221,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("profiles", lambda d: d["classifiers"]["B"].pop("tp"), "profiles.classifiers.B"),
     ("profiles", lambda d: d["overrides"][0].update(category="A"), "profiles.overrides[0]"),
     ("profiles", lambda d: d["overrides"][0].update(pipeline="A/Z"), "profiles.overrides[0]"),
+    ("taxonomy", lambda d: d["edges"][0].update(f=DIGITS_5000), "taxonomy"),
+    ("profiles", lambda d: d["classifiers"]["B"].update(tp=DIGITS_5000), "profiles"),
 ], ids=["edges-int", "edge-child-list", "overrides-int", "override-pipeline-int",
         "edge-f-huge-int", "cell-huge-int", "edge-int", "categories-str", "root-int",
-        "classifiers-list", "cell-missing", "override-root", "override-unknown-category"])
+        "classifiers-list", "cell-missing", "override-root", "override-unknown-category",
+        "edge-f-5000-digits", "cell-5000-digits"])
 def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys):
     files = {}
     for key in ("taxonomy", "profiles"):
@@ -228,7 +234,7 @@ def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys
         if key == name:
             edit(data)
         files[key] = tmp_path / f"{key}.json"
-        files[key].write_text(json.dumps(data))
+        files[key].write_text(json.dumps(data).replace(f'"{DIGITS_5000}"', "1" + "0" * 4999))
     code, out, err = run(["analyze", "--taxonomy", str(files["taxonomy"]),
                           "--profiles", str(files["profiles"])], capsys)
     assert code == EXIT_INVALID
@@ -525,14 +531,32 @@ def test_simulate_subnormal_predictions_do_not_falsify(tmp_path, fmt, capsys):
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 @pytest.mark.parametrize("pipeline", [[], ["--pipeline", "A/B/C"]], ids=["taxonomy", "pipeline"])
 def test_simulate_closed_form_rounded_below_zero(pipeline, fmt, tmp_path, capsys):
-    # B and C accept everything, so w00 = (1 - F) - w01 rounds to -1.1e-16
+    # B and C accept everything, so (1 - F) - w01 rounds to -1.1e-16; the
+    # closed form writes that cell, and phi's tn, as 0
     accept_all = {"tn": 0, "fp": 1, "fn": 0, "tp": 1}
     taxonomy, profiles = write_inputs(
         tmp_path, [("B", "A", 0.1), ("C", "B", 0.5)], {"B": accept_all, "C": accept_all}
     )
-    code, out, err = run(["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
-                          "--m", "1000", "--format", fmt, *pipeline], capsys)
-    assert (code, err) == (EXIT_OK, "")
+    commands = [["simulate", "--m", "1000"], ["analyze"]]
+    if pipeline:
+        commands.append(["sweep", "--target", "0.1", "--n", "5"])
+    for command in commands:
+        code, out, err = run([*command, "--taxonomy", taxonomy, "--profiles", profiles,
+                              "--format", fmt, *pipeline], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        if fmt == "json":
+            assert not [x for x in _numbers(json.loads(out)) if x < 0]
+
+
+def _numbers(payload):
+    """Every number in a decoded JSON payload."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        for item in payload:
+            yield from _numbers(item)
+    elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
+        yield payload
 
 
 @pytest.mark.parametrize("f_d_b, code, message", [

@@ -190,6 +190,20 @@ def test_parse_serialize_parse_idempotent():
         assert pf.serialize_profiles(again.profiles) == p_text
 
 
+def test_serialize_taxonomy_omits_a_missing_f():
+    t = pf.validate_taxonomy(["A", "B"], [pf.Edge("B", "A")])
+    text = pf.serialize_taxonomy(t)
+    assert json.loads(text)["edges"] == [{"child": "B", "parent": "A"}]
+    assert '"f"' not in text
+    assert pf.parse_taxonomy(text) == t
+
+
+def test_write_report_rejects_an_unknown_format():
+    report = build_report(pf.parse_inputs(MINIMAL_TAXONOMY, MINIMAL_PROFILES))
+    with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
+        write_report(report, "xml")
+
+
 def test_serialize_profiles_keeps_overrides():
     base = {"classifiers": {"B": {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8}},
             "overrides": [{"pipeline": "A/B", "category": "B",

@@ -37,6 +37,11 @@ def test_gamma_rejects_out_of_range():
         NormalizedConfusionMatrix(tn=-0.1, fp=1.1, fn=0.2, tp=0.8)
 
 
+def test_gamma_rejects_non_finite_cell():
+    with pytest.raises(pf.OutOfRangeProbabilityError, match=r"^tn=nan is not a finite number$"):
+        NormalizedConfusionMatrix(tn=math.nan, fp=0.0, fn=0.0, tp=1.0)
+
+
 def test_joint_requires_unit_mass():
     with pytest.raises(pf.OutOfRangeProbabilityError):
         pf.JointMatrix(tn=0.5, fp=0.5, fn=0.5, tp=0.5)
@@ -91,6 +96,11 @@ def test_context_switch_degenerate_f0():
     assert chi.fn == 0.0 and chi.tp == 0.0
     assert chi.tn == pytest.approx(0.45) and chi.fp == pytest.approx(0.55)
     assert chi.total == pytest.approx(1.0, abs=1e-15)
+
+
+def test_context_switch_rejects_f_outside_unit_range():
+    with pytest.raises(pf.OutOfRangeProbabilityError, match=r"^f=1.5 outside \[0, 1\]$"):
+        pf.context_switch(1.5, OMEGA_BASE)
 
 
 @given(unit, st.tuples(unit, unit, unit, unit))
@@ -394,6 +404,16 @@ def test_factorize_single_step_zero_fp_eta_is_one():
     fact = pf.factorize(p, profiles)
     assert fact.eta == pytest.approx(1.0, abs=1e-15)
     assert fact.phi.fp == 0.0
+
+
+def test_closed_form_cells_rounded_outside_unit_range_are_clamped():
+    # B and C accept everything: (1 - F) - w01 rounds to -1.1e-16, and the
+    # closed-form w01 over prior_neg rounds to just above 1
+    accept_all = NormalizedConfusionMatrix(tn=0.0, fp=1.0, fn=0.0, tp=1.0)
+    p = Pipeline(("A", "B", "C"), (1.0, 0.1, 0.5))
+    profiles = ClassifierProfileSet(base={"B": accept_all, "C": accept_all}, root="A")
+    assert pf.omega_closed(p, profiles).tn == 0.0
+    assert pf.factorize(p, profiles).phi.tn == 0.0
 
 
 # --- expected counts ----------------------------------------------------------------------

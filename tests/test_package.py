@@ -20,7 +20,7 @@ EXPORTED = (
     "NormalizedConfusionMatrix", "OMEGA_BASE", "OutOfRangeProbabilityError", "PFModelError",
     "ParseError", "Pipeline", "PrefixState", "Report", "RootProfileForbiddenError",
     "SimConfig", "SimOutcome", "StepCheck", "SweepResult", "Taxonomy", "TaxonomySimOutcome",
-    "UnknownCategoryError", "UnknownInstanceError", "UnreachableCategoryError", "Verdict",
+    "UnknownCategoryError", "UnknownInstanceError", "Verdict",
     "build_report", "category_domain", "check_label_consistency", "compare",
     "context_switch", "covering_char", "depth_profile", "enumerate_exact",
     "enumerate_pipelines", "errors", "expected_confusion", "factorize", "find_pipeline",
@@ -67,6 +67,12 @@ def _python(script: str, *argv: str) -> subprocess.CompletedProcess:
 def test_every_exported_name_resolves_in_a_fresh_interpreter():
     proc = _python(_EXPORTS_SCRIPT, *EXPORTED)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dir_lists_every_exported_name():
+    listed = dir(pfmodel)
+    assert listed == sorted(listed)
+    assert not set(EXPORTED) - set(listed)
 
 
 @pytest.mark.parametrize("argv", [

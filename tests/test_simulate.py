@@ -182,6 +182,21 @@ def test_streams_differ_by_tag_and_seed():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("count, start", [(-1, 0), (1, -1)])
+def test_uniforms_reject_a_negative_count_or_start(count, start):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        uniforms(42, ("x",), count, start=start)
+
+
+@pytest.mark.parametrize("m, seed, message", [
+    (0, 42, "m must be >= 1, got 0"),
+    (1, 2**64, "seed must fit in 64 bits"),
+])
+def test_sim_config_rejects_out_of_range_settings(m, seed, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(m=m, seed=seed)
+
+
 def test_document_split_workers_reproduce_serial_tally():
     # documents are independent, so simulating [0, split) and [split, m) on
     # the same streams and merging tallies must equal the serial run exactly

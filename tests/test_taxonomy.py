@@ -62,9 +62,16 @@ def test_unknown_category_in_edge():
 
 def test_unreachable_category():
     # B -> C forms an island; both have a parent but no path from the root A
-    with pytest.raises(pf.UnreachableCategoryError):
+    with pytest.raises(pf.CycleDetectedError, match=r"cycle through \['B', 'C'\]$"):
         pf.validate_taxonomy(
             ["A", "B", "C"], [Edge("C", "B"), Edge("B", "C")]
+        )
+    # B sits under the root and under the unreachable cycle C <-> D, so
+    # Kahn's walk from A cannot order B either
+    with pytest.raises(pf.CycleDetectedError, match=r"cycle through \['B', 'C', 'D'\]$"):
+        pf.validate_taxonomy(
+            ["A", "B", "C", "D"],
+            [Edge("B", "A"), Edge("B", "C"), Edge("C", "D"), Edge("D", "C")],
         )
 
 
@@ -297,6 +304,12 @@ def test_pipeline_type_invariants():
     p = pf.Pipeline(("A", "B"), (1.0, None))
     with pytest.raises(pf.MissingEdgeProbabilityError):
         p.require_fs()
+    with pytest.raises(ValueError, match="at least the root"):
+        pf.Pipeline((), ())
+    with pytest.raises(ValueError, match="fs must align with nodes"):
+        pf.Pipeline(("A", "B"), (1.0,))
+    with pytest.raises(IndexError, match=r"prefix depth 2 outside 0\.\.1"):
+        p.prefix(p.depth + 1)
 
 
 def test_pipeline_path_is_cached_not_a_field():

@@ -30,7 +30,11 @@ from .io import (
     parse_taxonomy,
     serialize_profiles,
     serialize_taxonomy,
+    write_pipelines,
     write_report,
+    write_simulation,
+    write_sweep,
+    write_verification,
 )
 from .metrics import (
     DEFAULT_Z_THRESHOLD,
@@ -86,15 +90,21 @@ __version__ = "0.1.0"
 # out of the commands that never simulate (``pipelines``, ``analyze``).
 _SIMULATE_NAMES = frozenset({
     "DeviationReport",
+    "OracleCheck",
     "SimConfig",
     "SimOutcome",
+    "SimRun",
+    "Simulation",
     "SweepResult",
     "TaxonomySimOutcome",
+    "Verification",
     "compare",
     "enumerate_exact",
     "imbalance_sweep",
+    "run_simulation",
     "simulate_pipeline",
     "simulate_taxonomy",
+    "verify_oracles",
 })
 #: the submodules that import numpy; loading ``simulate`` binds both
 _NUMPY_MODULES = frozenset({"rng", "simulate"})

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands map onto the library one to one:
+Each subcommand checks its flags, makes one library call and writes the
+record it returns with :mod:`.io`:
 
 * ``pipelines`` -- list the rooted paths of a taxonomy.
 * ``analyze``   -- predicted joint matrices, factorizations, and metrics
@@ -14,9 +15,9 @@ Subcommands map onto the library one to one:
                    with the same final positive rate.
 
 Exit codes: 0 success; 1 bad input (parse/validation/usage); 2 model
-falsified (oracle disagreement or simulation deviation beyond threshold);
-3 internal error (a fault of pfmodel, reported in one line).  Identical
-invocations produce byte-identical output.
+falsified (oracle disagreement or simulation deviation beyond threshold,
+named in one line on stderr); 3 internal error (a fault of pfmodel,
+reported in one line).  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,24 +25,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import io as pfio
 from .errors import ParseError, PFModelError
 from .metrics import DEFAULT_Z_THRESHOLD
-from .model import (
-    ClassifierProfileSet,
-    NormalizedConfusionMatrix,
-    omega_closed,
-    omega_recursive,
-)
-from .taxonomy import Pipeline, enumerate_pipelines, find_pipeline
+from .taxonomy import enumerate_pipelines, find_pipeline
 
 # numpy, and with it the simulator and the random streams, is imported by
 # the handlers that draw random numbers, so ``pipelines`` and ``analyze``
 # never load it.
-if TYPE_CHECKING:
-    from numpy.random import Generator
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -136,6 +129,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _falsified(line: str) -> int:
+    """Name what failed on stderr, so stdout stays the record alone."""
+    print(f"pfmodel: falsified: {line}", file=sys.stderr)
+    return EXIT_FALSIFIED
+
+
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -148,8 +147,8 @@ def _read(path: str) -> str:
 
 def _cmd_pipelines(args) -> int:
     taxonomy = pfio.parse_taxonomy(_read(args.taxonomy))
-    lines = [p.path for p in enumerate_pipelines(taxonomy, leaf_only=args.leaf_only)]
-    _emit("\n".join(lines) + "\n", args.out)
+    pipelines = enumerate_pipelines(taxonomy, leaf_only=args.leaf_only)
+    _emit(pfio.write_pipelines(pipelines), args.out)
     return EXIT_OK
 
 
@@ -161,60 +160,9 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _random_gamma(rng: Generator) -> NormalizedConfusionMatrix:
-    fp = float(rng.random())
-    tp = float(rng.random())
-    return NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
-
-
-def _random_pipeline(rng: Generator, max_len: int) -> tuple[Pipeline, ClassifierProfileSet]:
-    depth = int(rng.integers(1, max_len + 1))
-    nodes = tuple(f"n{i}" for i in range(depth + 1))
-    fs = (1.0,) + tuple(float(rng.random()) for _ in range(depth))
-    base = {nodes[k]: _random_gamma(rng) for k in range(1, depth + 1)}
-    return Pipeline(nodes, fs), ClassifierProfileSet(base=base, root=nodes[0])
-
-
-def _verify_checks(bundle: pfio.InputBundle, tol: float, max_len: int,
-                   samples: int, seed: int) -> list[dict]:
-    from numpy.random import Generator, Philox
-
-    from .rng import stream_key
-    from .simulate import enumerate_exact
-
-    checks = []
-
-    def run_one(label: str, pipeline: Pipeline, profiles: ClassifierProfileSet) -> None:
-        recursive = omega_recursive(pipeline, profiles)
-        closed = omega_closed(pipeline, profiles)
-        rows = [
-            ("closed_vs_recursive", closed.max_abs_diff(recursive)),
-            ("mass_sums_to_one", abs(recursive.total - 1.0)),
-        ]
-        if pipeline.depth <= max_len:
-            exact = enumerate_exact(pipeline, profiles)
-            rows.append(("exact_vs_recursive", exact.max_abs_diff(recursive)))
-            rows.append(("exact_vs_closed", exact.max_abs_diff(closed)))
-        for check, diff in rows:
-            checks.append({
-                "source": label,
-                "pipeline": pipeline.path,
-                "depth": pipeline.depth,
-                "check": check,
-                "discrepancy": diff,
-                "passed": diff <= tol,
-            })
-
-    for p in enumerate_pipelines(bundle.taxonomy):
-        run_one("taxonomy", p, bundle.profiles)
-    rng = Generator(Philox(key=stream_key(seed, "verify")))
-    for i in range(samples):
-        pipeline, profiles = _random_pipeline(rng, max_len)
-        run_one(f"random[{i}]", pipeline, profiles)
-    return checks
-
-
 def _cmd_verify(args) -> int:
+    from .simulate import verify_oracles
+
     _require_finite_nonnegative("--tol", args.tol)
     if args.samples < 0:
         raise PFModelError(f"--samples must be at least 0, got {args.samples}")
@@ -229,32 +177,14 @@ def _cmd_verify(args) -> int:
         )
     _require_seed(args.seed)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
-    checks = _verify_checks(bundle, args.tol, args.max_len, args.samples, args.seed)
-    passed = all(c["passed"] for c in checks)
-    worst = max(c["discrepancy"] for c in checks)
-    if args.format == "json":
-        text = pfio.dump_json({
-            "tolerance": args.tol,
-            "max_len": args.max_len,
-            "samples": args.samples,
-            "seed": args.seed,
-            "checks": checks,
-            "max_discrepancy": worst,
-            "passed": passed,
-        })
-    else:
-        cols = ["source", "pipeline", "depth", "check", "discrepancy", "passed"]
-        text = pfio.tsv(cols, (
-            [c["source"], c["pipeline"], str(c["depth"]), c["check"],
-             pfio.fmt12(c["discrepancy"]), str(c["passed"]).lower()]
-            for c in checks
-        ))
-    _emit(text, args.out)
-    return EXIT_OK if passed else EXIT_FALSIFIED
+    result = verify_oracles(bundle.taxonomy, bundle.profiles, args.tol, args.max_len,
+                            args.samples, args.seed)
+    _emit(pfio.write_verification(result, args.format), args.out)
+    return EXIT_OK if result.passed else _falsified(pfio.verification_failure(result))
 
 
 def _cmd_simulate(args) -> int:
-    from .simulate import SimConfig, compare, simulate_pipeline, simulate_taxonomy
+    from .simulate import run_simulation
 
     if args.m < 1:
         raise PFModelError(f"--m must be at least 1, got {args.m}")
@@ -266,51 +196,10 @@ def _cmd_simulate(args) -> int:
     _require_seed(args.seed, streams=args.replications)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline) if args.pipeline else None
-    predicted = omega_closed(pipeline, bundle.profiles) if pipeline is not None else None
-    rows = []
-    for r in range(args.replications):
-        cfg = SimConfig(m=args.m, seed=args.seed + r)
-        if pipeline is not None:
-            outcome = simulate_pipeline(pipeline, bundle.profiles, cfg)
-            reports = {pipeline.path: (predicted, outcome)}
-        else:
-            result = simulate_taxonomy(bundle.taxonomy, bundle.profiles, cfg)
-            reports = {path: (result.models[path], outcome)
-                       for path, outcome in result.per_pipeline.items()}
-        for path, (model, outcome) in reports.items():
-            deviation = compare(model, outcome, z_threshold=args.z_threshold)
-            rows.append({
-                "replication": r,
-                "seed": cfg.seed,
-                "pipeline": path,
-                "m": outcome.m,
-                "counts": {"tn": outcome.counts[0], "fp": outcome.counts[1],
-                           "fn": outcome.counts[2], "tp": outcome.counts[3]},
-                "model": pfio.omega_payload(model),
-                "max_z": deviation.max_z,
-                "passed": deviation.passed,
-            })
-    passed = all(row["passed"] for row in rows)
-    if args.format == "json":
-        text = pfio.dump_json({
-            "m": args.m,
-            "seed": args.seed,
-            "replications": args.replications,
-            "z_threshold": args.z_threshold,
-            "runs": rows,
-            "passed": passed,
-        })
-    else:
-        cols = ["replication", "seed", "pipeline", "m",
-                "tn", "fp", "fn", "tp", "max_z", "passed"]
-        text = pfio.tsv(cols, (
-            [str(row["replication"]), str(row["seed"]), row["pipeline"], str(row["m"]),
-             *(str(n) for n in row["counts"].values()),
-             pfio.fmt12(row["max_z"]), str(row["passed"]).lower()]
-            for row in rows
-        ))
-    _emit(text, args.out)
-    return EXIT_OK if passed else EXIT_FALSIFIED
+    result = run_simulation(bundle.taxonomy, bundle.profiles, args.m, args.seed,
+                            args.replications, args.z_threshold, pipeline)
+    _emit(pfio.write_simulation(result, args.format), args.out)
+    return EXIT_OK if result.passed else _falsified(pfio.simulation_failure(result))
 
 
 def _cmd_sweep(args) -> int:
@@ -324,39 +213,7 @@ def _cmd_sweep(args) -> int:
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline)
     result = imbalance_sweep(pipeline, bundle.profiles, args.target, args.n, args.seed)
-
-    if args.format == "json":
-        text = pfio.dump_json({
-            "pipeline": result.pipeline,
-            "target": result.target,
-            "n": len(result.rows),
-            "seed": args.seed,
-            "rows": [
-                {
-                    "fs": row.fs,
-                    "omega": pfio.omega_payload(row.omega),
-                    "metrics": pfio.metrics_payload(row.report),
-                }
-                for row in result.rows
-            ],
-            "spread": [
-                {"metric": s.metric, "min": s.minimum, "max": s.maximum, "mean": s.mean,
-                 "undefined": s.undefined}
-                for s in result.spreads
-            ],
-        })
-    else:
-        depth = pipeline.depth
-        cols = (["index"] + [f"f_{k}" for k in range(1, depth + 1)]
-                + ["tP", "tR", "tF1", "tA"])
-        rows = [[str(i)] + [pfio.fmt12(f) for f in row.fs[1:]] + pfio.metric_cells(row.report)
-                for i, row in enumerate(result.rows)]
-        spread_names = {"precision": "tP", "f1": "tF1"}
-        rows += [[f"{spread_names[s.metric]}_spread"] + ["-"] * depth
-                 + [pfio.cell12(s.minimum), pfio.cell12(s.maximum), pfio.cell12(s.mean), "-"]
-                 for s in result.spreads if s.metric in spread_names]
-        text = pfio.tsv(cols, rows)
-    _emit(text, args.out)
+    _emit(pfio.write_sweep(result, args.format), args.out)
     return EXIT_OK
 
 

@@ -19,9 +19,10 @@ errors carry a location; probabilities outside their contract are rejected,
 never coerced.  Confusion rows are accepted when they sum to 1 within 1e-9,
 renormalized exactly, and the adjustment is recorded in the report.
 
-Reports (JSON or TSV) are byte-identical for identical inputs: pipelines
-are sorted, keys have a fixed order, and every real number is written with
-12 significant digits.
+Every output layout lives here: one ``write_*`` function per library record,
+each writing JSON or TSV, byte-identical for identical inputs.  Pipelines
+come in enumeration order (lexicographic on the category sequence, prefix
+first), keys in a fixed order, and reals with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MissingGammaError,
@@ -48,11 +49,15 @@ from .model import (
 )
 from .taxonomy import (
     Edge,
+    Pipeline,
     Taxonomy,
     enumerate_pipelines,
     find_pipeline,
     validate_taxonomy,
 )
+
+if TYPE_CHECKING:  # importing the simulator loads numpy; writing needs neither
+    from .simulate import SimRun, Simulation, SweepResult, Verification
 
 #: tolerance for accepting hand-typed confusion rows before renormalizing
 ROW_SUM_TOLERANCE = 1e-9
@@ -233,7 +238,7 @@ def fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def cell12(x: float | None) -> str:
+def _cell12(x: float | None) -> str:
     """A TSV cell: :func:`fmt12`, or ``-`` where the value is undefined."""
     return "-" if x is None else fmt12(x)
 
@@ -342,6 +347,11 @@ def serialize_profiles(p: ClassifierProfileSet) -> str:
     return dump_json(payload)
 
 
+def write_pipelines(pipelines: Iterable[Pipeline]) -> str:
+    """One slash-joined path per line, in the order given."""
+    return "\n".join(p.path for p in pipelines) + "\n"
+
+
 # --- analysis report ---------------------------------------------------------
 
 
@@ -359,7 +369,7 @@ class Report:
 def build_report(
     bundle: InputBundle, leaf_only: bool = False, pipeline_path: str | None = None
 ) -> Report:
-    """Analyze the bundle's pipelines (sorted) into a :class:`Report`.
+    """Analyze the bundle's pipelines, in enumeration order, into a :class:`Report`.
 
     Pipelines arrive prefix-first, so each one whose parent prefix was
     analyzed extends that profile by its last step.  Overrides are keyed by
@@ -389,17 +399,17 @@ def build_report(
     )
 
 
-def omega_payload(omega: Cells2x2) -> dict:
+def _omega_payload(omega: Cells2x2) -> dict:
     """A joint matrix as its ``w00``..``w11`` JSON object."""
     return {"w00": omega.tn, "w01": omega.fp, "w10": omega.fn, "w11": omega.tp}
 
 
-def metric_cells(r: MetricReport) -> list[str]:
+def _metric_cells(r: MetricReport) -> list[str]:
     """tP, tR, tF1 and tA as TSV cells, ``-`` where undefined."""
-    return [cell12(r.precision), cell12(r.recall), cell12(r.f1), fmt12(r.accuracy)]
+    return [_cell12(r.precision), _cell12(r.recall), _cell12(r.f1), fmt12(r.accuracy)]
 
 
-def metrics_payload(r: MetricReport) -> dict:
+def _metrics_payload(r: MetricReport) -> dict:
     flags = []
     if r.precision_undefined:
         flags.append("precision_undefined")
@@ -446,8 +456,8 @@ def _block_payload(b: DepthProfile) -> dict:
         {
             "k": k,
             "f": f_k,
-            "omega": omega_payload(om),
-            "metrics": metrics_payload(rep),
+            "omega": _omega_payload(om),
+            "metrics": _metrics_payload(rep),
             "precision_verdict": verdict,
             "precision_bound": None if step is None else step.bound,
         }
@@ -457,13 +467,13 @@ def _block_payload(b: DepthProfile) -> dict:
         "pipeline": b.pipeline.path,
         "depth": b.pipeline.depth,
         "fs": b.pipeline.fs,
-        "omega": omega_payload(b.omegas[-1]),
+        "omega": _omega_payload(b.omegas[-1]),
         "prior": {"neg": fact.prior_neg, "pos": fact.prior_pos},
         "phi": _matrix_payload(fact.phi),
         "psi": _matrix_payload(b.state.intrinsic()),
         "eta": None if eta is None or not math.isfinite(eta) else eta,
         "flags": flags,
-        "metrics": metrics_payload(b.reports[-1]),
+        "metrics": _metrics_payload(b.reports[-1]),
         "depth_profile": depth_rows,
     }
 
@@ -491,10 +501,118 @@ def write_report(report: Report, format: str = "json") -> str:
                 str(k),
                 fmt12(f_k),
                 fmt12(om.tn), fmt12(om.fp), fmt12(om.fn), fmt12(om.tp),
-                *metric_cells(rep),
+                *_metric_cells(rep),
                 verdict,
             ]
             for b in report.blocks
             for k, f_k, om, rep, verdict, _ in _depth_rows(b)
         ))
+    raise ValueError(f"unknown format {format!r}")
+
+
+def write_verification(v: Verification, format: str = "json") -> str:
+    """Render a ``verify`` run as canonical JSON or as one TSV row per check."""
+    if format == "json":
+        return dump_json({
+            "tolerance": v.tolerance, "max_len": v.max_len, "samples": v.samples, "seed": v.seed,
+            "checks": ({"source": c.source, "pipeline": c.pipeline.path,
+                        "depth": c.pipeline.depth, "check": c.check,
+                        "discrepancy": c.discrepancy, "passed": c.passed} for c in v.checks),
+            "max_discrepancy": max(c.discrepancy for c in v.checks),
+            "passed": v.passed,
+        })
+    if format == "tsv":
+        cols = ["source", "pipeline", "depth", "check", "discrepancy", "passed"]
+        return tsv(cols, (
+            [c.source, c.pipeline.path, str(c.pipeline.depth), c.check,
+             fmt12(c.discrepancy), str(c.passed).lower()]
+            for c in v.checks
+        ))
+    raise ValueError(f"unknown format {format!r}")
+
+
+def verification_failure(v: Verification) -> str:
+    """One line naming how many checks of a failed ``verify`` run exceeded
+    its tolerance, and the worst one."""
+    failed = [c for c in v.checks if not c.passed]
+    worst = max(failed, key=lambda c: c.discrepancy)
+    return (f"{len(failed)} of {len(v.checks)} checks above --tol {fmt12(v.tolerance)};"
+            f" worst: {worst.source} {worst.pipeline.path} {worst.check},"
+            f" discrepancy {fmt12(worst.discrepancy)}")
+
+
+def _run_payload(run: SimRun) -> dict:
+    return {
+        "replication": run.replication, "seed": run.seed,
+        "pipeline": run.outcome.pipeline, "m": run.outcome.m,
+        "counts": dict(zip(("tn", "fp", "fn", "tp"), run.outcome.counts)),
+        "model": _omega_payload(run.model),
+        "max_z": run.deviation.max_z, "passed": run.deviation.passed,
+    }
+
+
+def write_simulation(s: Simulation, format: str = "json") -> str:
+    """Render a ``simulate`` run as canonical JSON or as one TSV row per run."""
+    if format == "json":
+        return dump_json({
+            "m": s.m, "seed": s.seed, "replications": s.replications,
+            "z_threshold": s.z_threshold,
+            "runs": (_run_payload(run) for run in s.runs),
+            "passed": s.passed,
+        })
+    if format == "tsv":
+        cols = ["replication", "seed", "pipeline", "m",
+                "tn", "fp", "fn", "tp", "max_z", "passed"]
+        return tsv(cols, (
+            [str(run.replication), str(run.seed), run.outcome.pipeline, str(run.outcome.m),
+             *map(str, run.outcome.counts),
+             fmt12(run.deviation.max_z), str(run.deviation.passed).lower()]
+            for run in s.runs
+        ))
+    raise ValueError(f"unknown format {format!r}")
+
+
+def simulation_failure(s: Simulation) -> str:
+    """One line naming how many runs of a failed ``simulate`` invocation
+    exceeded its threshold, and the worst run's worst cell."""
+    failed = [run for run in s.runs if not run.deviation.passed]
+    worst = max(failed, key=lambda run: run.deviation.max_z)
+    cells = worst.deviation.cells
+    i = max(range(len(cells)), key=lambda i: cells[i].z)
+    m = worst.outcome.m
+    return (f"{len(failed)} of {len(s.runs)} runs above --z-threshold {fmt12(s.z_threshold)};"
+            f" worst: replication {worst.replication} {worst.outcome.pipeline}"
+            f" cell {cells[i].cell}, observed {worst.outcome.counts[i]},"
+            f" expected {fmt12(m * cells[i].model)}, z {fmt12(cells[i].z)}")
+
+
+def write_sweep(result: SweepResult, format: str = "json") -> str:
+    """Render a ``sweep`` as canonical JSON or as TSV rows, then tP and tF1 spreads."""
+    if format == "json":
+        return dump_json({
+            "pipeline": result.pipeline,
+            "target": result.target,
+            "n": len(result.rows),
+            "seed": result.seed,
+            "rows": ({"fs": row.fs, "omega": _omega_payload(row.omega),
+                      "metrics": _metrics_payload(row.report)} for row in result.rows),
+            "spread": [
+                {"metric": s.metric, "min": s.minimum, "max": s.maximum, "mean": s.mean,
+                 "undefined": s.undefined}
+                for s in result.spreads
+            ],
+        })
+    if format == "tsv":
+        depth = len(result.rows[0].fs) - 1
+        cols = (["index"] + [f"f_{k}" for k in range(1, depth + 1)]
+                + ["tP", "tR", "tF1", "tA"])
+        spread_names = {"precision": "tP", "f1": "tF1"}
+        rows = chain(
+            ([str(i)] + [fmt12(f) for f in row.fs[1:]] + _metric_cells(row.report)
+             for i, row in enumerate(result.rows)),
+            ([f"{spread_names[s.metric]}_spread"] + ["-"] * depth
+             + [_cell12(s.minimum), _cell12(s.maximum), _cell12(s.mean), "-"]
+             for s in result.spreads if s.metric in spread_names),
+        )
+        return tsv(cols, rows)
     raise ValueError(f"unknown format {format!r}")

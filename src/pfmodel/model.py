@@ -45,7 +45,7 @@ from .taxonomy import CategoryId, Pipeline
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cells2x2:
     """Plain 2x2 cell holder in (tn, fp, fn, tp) order; no invariants."""
 
@@ -76,7 +76,7 @@ def _check_unit_range(cells: Cells2x2) -> None:
             object.__setattr__(cells, name, float(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizedConfusionMatrix(Cells2x2):
     """Row-normalized 2x2 conditional behavior of one binary classifier.
 
@@ -99,7 +99,7 @@ class NormalizedConfusionMatrix(Cells2x2):
 IntrinsicMatrix = NormalizedConfusionMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointMatrix(Cells2x2):
     """Joint outcome mass of a pipeline; all four cells sum to 1."""
 

@@ -12,6 +12,9 @@ that produced it:
 
 Simulation draws come from named counter-based streams (:mod:`.rng`), so
 outcomes are reproducible bit for bit from the seed alone.
+
+:func:`verify_oracles` and :func:`run_simulation` run the ``verify`` and
+``simulate`` checks and return frozen records, which :mod:`.io` writes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .errors import (
     OutOfRangeProbabilityError,
 )
 from .metrics import DEFAULT_Z_THRESHOLD, MetricReport, pipeline_metrics
-from .model import ClassifierProfileSet, JointMatrix, _closed_form
+from .model import (ClassifierProfileSet, JointMatrix, NormalizedConfusionMatrix,
+                    _closed_form, omega_closed, omega_recursive)
 from .rng import stream_key, uniforms
 from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
 
@@ -101,14 +105,13 @@ def _tally(x: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
     return x.size - positive - accepted + tp, accepted - tp, positive - tp, tp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimOutcome:
     """Tally of one simulated pipeline: counts in (tn, fp, fn, tp) order."""
 
     pipeline: str
     m: int
     counts: tuple[int, int, int, int]
-    counts_by_depth: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
         if sum(self.counts) != self.m:
@@ -131,7 +134,6 @@ def simulate_pipeline(
 
     x = np.ones(m, dtype=bool)
     c = np.ones(m, dtype=bool)
-    by_depth = [_tally(x, c)]
     for k in range(1, len(pipeline.nodes)):
         g = gammas[k - 1]
         u_mem = uniforms(cfg.seed, ("pipeline-membership", pipeline.path, k), m)
@@ -139,14 +141,8 @@ def simulate_pipeline(
         accept_p = np.where(x, g.tp, g.fp)
         u_dec = uniforms(cfg.seed, ("pipeline-decision", pipeline.path, k), m)
         c &= u_dec < accept_p
-        by_depth.append(_tally(x, c))
 
-    return SimOutcome(
-        pipeline=pipeline.path,
-        m=m,
-        counts=by_depth[-1],
-        counts_by_depth=tuple(by_depth),
-    )
+    return SimOutcome(pipeline=pipeline.path, m=m, counts=_tally(x, c))
 
 
 def _coin_probability(t: Taxonomy, node: CategoryId, q_of: Mapping[CategoryId, float]) -> float:
@@ -236,7 +232,7 @@ def simulate_taxonomy(
 
     # decisions: one stream per rooted prefix, shared by extending pipelines.
     # Pipelines come prefix-first, so each one extends its parent prefix's
-    # decisions, tallies and resolved classifiers by one step.  ``path[k]``
+    # decisions and resolved classifiers by one step.  ``path[k]``
     # holds them for the live prefix at depth k, so finished subtrees free theirs.
     path: list[tuple] = []
     per_pipeline: dict[str, SimOutcome] = {}
@@ -245,18 +241,15 @@ def simulate_taxonomy(
         x = memberships[p.nodes[-1]]
         del path[p.depth:]
         if p.depth == 0:
-            d, chain, by_depth = np.ones(m, dtype=bool), (), ()
+            d, chain = np.ones(m, dtype=bool), ()
         else:
-            d, chain, by_depth = path[-1]
+            d, chain = path[-1]
             g = profiles.resolve(p, p.depth)
             u = uniforms(cfg.seed, ("taxonomy-decision", p.path), m)
             d = d & (u < np.where(x, g.tp, g.fp))
             chain += (g,)
-        by_depth += (_tally(x, d),)
-        path.append((d, chain, by_depth))
-        per_pipeline[p.path] = SimOutcome(
-            pipeline=p.path, m=m, counts=by_depth[-1], counts_by_depth=by_depth
-        )
+        path.append((d, chain))
+        per_pipeline[p.path] = SimOutcome(pipeline=p.path, m=m, counts=_tally(x, d))
         models[p.path] = JointMatrix(*_closed_form(p.require_fs(), chain))
 
     return TaxonomySimOutcome(
@@ -267,7 +260,7 @@ def simulate_taxonomy(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellDeviation:
     """Model-vs-empirical deviation of one joint-matrix cell."""
 
@@ -279,7 +272,7 @@ class CellDeviation:
     z: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviationReport:
     """Cell-by-cell comparison of a predicted joint matrix to a tally."""
 
@@ -332,6 +325,118 @@ def compare(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class OracleCheck:
+    """One check of :func:`verify_oracles`: two evaluations' largest cell
+    difference, or the mass's distance from 1."""
+
+    source: str
+    pipeline: Pipeline
+    check: str
+    discrepancy: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class Verification:
+    """Every oracle check of a ``verify`` run, with the settings it ran under."""
+
+    tolerance: float
+    max_len: int
+    samples: int
+    seed: int
+    checks: tuple[OracleCheck, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def _random_pipeline(rng: Generator, max_len: int) -> tuple[Pipeline, ClassifierProfileSet]:
+    depth = int(rng.integers(1, max_len + 1))
+    nodes = tuple(f"n{i}" for i in range(depth + 1))
+    fs = (1.0, *rng.random(depth).tolist())
+    base = {node: NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
+            for node, (fp, tp) in zip(nodes[1:], rng.random((depth, 2)).tolist())}
+    return Pipeline(nodes, fs), ClassifierProfileSet(base=base, root=nodes[0])
+
+
+def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_len: int,
+                   samples: int, seed: int) -> Verification:
+    """Cross-check the closed form, the recurrence and, up to depth ``max_len``,
+    exact enumeration on every pipeline of ``t`` and on ``samples`` random ones
+    drawn from the stream keyed by ``seed``; a check passes within ``tol``."""
+    checks = []
+
+    def run_one(source: str, pipeline: Pipeline, profiles: ClassifierProfileSet) -> None:
+        recursive = omega_recursive(pipeline, profiles)
+        closed = omega_closed(pipeline, profiles)
+        rows = [("closed_vs_recursive", closed.max_abs_diff(recursive)),
+                ("mass_sums_to_one", abs(recursive.total - 1.0))]
+        if pipeline.depth <= max_len:
+            exact = enumerate_exact(pipeline, profiles)
+            rows.append(("exact_vs_recursive", exact.max_abs_diff(recursive)))
+            rows.append(("exact_vs_closed", exact.max_abs_diff(closed)))
+        checks.extend(OracleCheck(source, pipeline, check, diff, diff <= tol)
+                      for check, diff in rows)
+
+    for p in enumerate_pipelines(t):
+        run_one("taxonomy", p, profiles)
+    rng = Generator(Philox(key=stream_key(seed, "verify")))
+    for i in range(samples):
+        run_one(f"random[{i}]", *_random_pipeline(rng, max_len))
+    return Verification(tol, max_len, samples, seed, tuple(checks))
+
+
+# Slotted, like the records it holds: a run keeps one of each per pipeline.
+@dataclass(frozen=True, slots=True)
+class SimRun:
+    """One simulated pipeline of one replication, scored against its model."""
+
+    replication: int
+    seed: int
+    outcome: SimOutcome
+    model: JointMatrix
+    deviation: DeviationReport
+
+
+@dataclass(frozen=True)
+class Simulation:
+    """Every run of a ``simulate`` invocation, with the settings it ran under."""
+
+    m: int
+    seed: int
+    replications: int
+    z_threshold: float
+    runs: tuple[SimRun, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.deviation.passed for r in self.runs)
+
+
+def run_simulation(t: Taxonomy, profiles: ClassifierProfileSet, m: int, seed: int,
+                   replications: int, z_threshold: float,
+                   pipeline: Pipeline | None = None) -> Simulation:
+    """Simulate ``replications`` runs of ``m`` documents, replication r with
+    seed ``seed + r``, through the whole taxonomy or through ``pipeline``
+    alone, and compare each pipeline's tally to its model."""
+    predicted = omega_closed(pipeline, profiles) if pipeline is not None else None
+    runs = []
+    for r in range(replications):
+        cfg = SimConfig(m=m, seed=seed + r)
+        if pipeline is not None:
+            pairs = [(predicted, simulate_pipeline(pipeline, profiles, cfg))]
+        else:
+            result = simulate_taxonomy(t, profiles, cfg)
+            pairs = zip(result.models.values(), result.per_pipeline.values())
+            del result  # its memberships take m bytes per category
+        runs.extend(SimRun(r, cfg.seed, outcome, model,
+                           compare(model, outcome, z_threshold=z_threshold))
+                    for model, outcome in pairs)
+    return Simulation(m, seed, replications, z_threshold, tuple(runs))
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One sampled edge-probability chain and the metrics it induces."""
@@ -357,6 +462,7 @@ class SweepSpread:
 class SweepResult:
     pipeline: str
     target: float
+    seed: int
     rows: tuple[SweepRow, ...]
     spreads: tuple[SweepSpread, ...]
 
@@ -417,6 +523,7 @@ def imbalance_sweep(
     return SweepResult(
         pipeline=pipeline.path,
         target=target_positive_rate,
+        seed=seed,
         rows=tuple(rows),
         spreads=tuple(spreads),
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pfmodel import cli, depth_profile, find_pipeline, parse_inputs
+from pfmodel import cli, depth_profile, find_pipeline, parse_inputs, simulate
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
 from pfmodel.io import fmt12
 
@@ -326,14 +326,33 @@ def test_verify_passes_at_default_tolerance(l2_files, capsys):
     assert "taxonomy" in sources and any(s.startswith("random") for s in sources)
 
 
-def test_verify_gate_trips_at_zero_tolerance(dag_files, capsys):
+def falsified_line(argv, out, err, tmp_path, capsys):
+    """The one stderr line of a falsified run, after checking that stdout
+    holds the same bytes ``--out`` writes, and that ``--out`` leaves the
+    line on stderr."""
+    path = tmp_path / "out"
+    code, to_stdout, to_stderr = run([*argv, "--out", str(path)], capsys)
+    assert code == EXIT_FALSIFIED and to_stdout == ""
+    assert path.read_bytes() == out.encode("utf-8")
+    assert to_stderr == err and err.count("\n") == 1
+    assert err.startswith("pfmodel: falsified: ")
+    return err.rstrip("\n")
+
+
+def test_verify_gate_trips_at_zero_tolerance(dag_files, tmp_path, capsys):
     taxonomy, profiles = dag_files
-    code, out, _ = run(
-        ["verify", "--taxonomy", taxonomy, "--profiles", profiles, "--tol", "0"],
-        capsys,
-    )
+    argv = ["verify", "--taxonomy", taxonomy, "--profiles", profiles, "--tol", "0"]
+    code, out, err = run(argv, capsys)
     assert code == EXIT_FALSIFIED
-    assert json.loads(out)["passed"] is False
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    line = falsified_line(argv, out, err, tmp_path, capsys)
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    worst = max(failed, key=lambda c: c["discrepancy"])
+    assert line.startswith(
+        f"pfmodel: falsified: {len(failed)} of {len(payload['checks'])} checks above --tol 0;"
+    )
+    assert f" worst: {worst['source']} {worst['pipeline']} {worst['check']}," in line
 
 
 def test_verify_tsv(l2_files, capsys):
@@ -457,14 +476,14 @@ def test_simulate_single_pipeline_and_replications(l2_files, capsys):
 
 def test_simulate_pipeline_predicts_once(l2_files, monkeypatch, capsys):
     taxonomy, profiles = l2_files
-    omega_closed = cli.omega_closed
+    omega_closed = simulate.omega_closed
     calls = []
 
     def counting_omega_closed(pipeline, profile_set):
         calls.append(pipeline.path)
         return omega_closed(pipeline, profile_set)
 
-    monkeypatch.setattr(cli, "omega_closed", counting_omega_closed)
+    monkeypatch.setattr(simulate, "omega_closed", counting_omega_closed)
     code, _, _ = run(
         ["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
          "--pipeline", "A/B/C", "--m", "2000", "--replications", "3"],
@@ -488,14 +507,21 @@ def test_simulate_deterministic_bytes(dag_files, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_gate_trips_at_tiny_threshold(l2_files, capsys):
+def test_simulate_gate_trips_at_tiny_threshold(l2_files, tmp_path, capsys):
     taxonomy, profiles = l2_files
-    code, out, _ = run(
-        ["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
-         "--m", "20000", "--z-threshold", "0.0001"],
-        capsys,
-    )
+    argv = ["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
+            "--m", "20000", "--z-threshold", "0.0001"]
+    code, out, err = run(argv, capsys)
     assert code == EXIT_FALSIFIED
+    line = falsified_line(argv, out, err, tmp_path, capsys)
+    runs = json.loads(out)["runs"]
+    failed = [r for r in runs if not r["passed"]]
+    worst = max(failed, key=lambda r: r["max_z"])
+    head = (f"pfmodel: falsified: {len(failed)} of {len(runs)} runs above --z-threshold"
+            f" 0.0001; worst: replication {worst['replication']} {worst['pipeline']} cell ")
+    assert line.startswith(head)
+    cell, observed = line[len(head):].split(", ")[:2]
+    assert observed == f"observed {worst['counts'][cell]}"
 
 
 def test_simulate_unknown_pipeline(l2_files, capsys):

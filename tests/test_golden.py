@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output on a small DAG, pinned against committed files.
+"""Byte-for-byte output on a small DAG, pinned against committed files,
+through the CLI and through the library calls and writers behind it.
 
 The DAG in ``golden/`` has a category with two parents (D under B and C)
 and a classifier override on a step that is not the pipeline's last one
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import pfmodel as pf
 from pfmodel.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,3 +56,27 @@ def test_golden_output(name, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+#: golden file stem -> the library call behind that case, and its writer
+LIBRARY = {
+    "verify": (lambda b: pf.verify_oracles(b.taxonomy, b.profiles, 1e-12, 6, 5, 42),
+               pf.write_verification),
+    "simulate": (lambda b: pf.run_simulation(b.taxonomy, b.profiles, 20000, 42, 1, 4.0),
+                 pf.write_simulation),
+    "simulate-pipeline": (lambda b: pf.run_simulation(b.taxonomy, b.profiles, 20000, 42, 2, 4.0,
+                                                      pf.find_pipeline(b.taxonomy, "A/B/D/E")),
+                          pf.write_simulation),
+    "sweep": (lambda b: pf.imbalance_sweep(pf.find_pipeline(b.taxonomy, "A/B/D/E"),
+                                           b.profiles, 0.05, 20, 42),
+              pf.write_sweep),
+}
+
+
+@pytest.mark.parametrize("name", [f"{stem}.{fmt}" for stem in LIBRARY for fmt in ("json", "tsv")])
+def test_library_writes_golden_output(name):
+    stem, fmt = name.rsplit(".", 1)
+    call, write = LIBRARY[stem]
+    bundle = pf.parse_inputs((GOLDEN / "taxonomy.json").read_text(),
+                             (GOLDEN / "profiles.json").read_text())
+    assert write(call(bundle), fmt).encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -399,8 +399,8 @@ def test_number_formatting_helpers():
     assert fmt12(0.1) == "0.1"
     assert fmt12(1 / 3) == "0.333333333333"
     assert fmt12(float("inf")) == "inf"
-    assert pf.io.cell12(None) == "-"
-    assert pf.io.cell12(0.1) == "0.1"
+    assert pf.io._cell12(None) == "-"
+    assert pf.io._cell12(0.1) == "0.1"
 
 
 # --- the JSON writer --------------------------------------------------------------

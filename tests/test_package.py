@@ -17,19 +17,21 @@ EXPORTED = (
     "DuplicateEdgeError", "Edge", "Factorization", "InfeasibleTargetError", "InputBundle",
     "InstanceLabeling", "IntrinsicMatrix", "JointMatrix", "MU", "MetricReport",
     "MissingEdgeProbabilityError", "MissingGammaError", "MultipleRootsError",
-    "NormalizedConfusionMatrix", "OMEGA_BASE", "OutOfRangeProbabilityError", "PFModelError",
-    "ParseError", "Pipeline", "PrefixState", "Report", "RootProfileForbiddenError",
-    "SimConfig", "SimOutcome", "StepCheck", "SweepResult", "Taxonomy", "TaxonomySimOutcome",
-    "UnknownCategoryError", "UnknownInstanceError", "Verdict",
+    "NormalizedConfusionMatrix", "OMEGA_BASE", "OracleCheck", "OutOfRangeProbabilityError",
+    "PFModelError", "ParseError", "Pipeline", "PrefixState", "Report",
+    "RootProfileForbiddenError", "SimConfig", "SimOutcome", "SimRun", "Simulation",
+    "StepCheck", "SweepResult", "Taxonomy", "TaxonomySimOutcome", "UnknownCategoryError",
+    "UnknownInstanceError", "Verdict", "Verification",
     "build_report", "category_domain", "check_label_consistency", "compare",
     "context_switch", "covering_char", "depth_profile", "enumerate_exact",
     "enumerate_pipelines", "errors", "expected_confusion", "factorize", "find_pipeline",
     "homomorphism_map", "imbalance_sweep", "io", "metrics", "model", "omega_closed",
     "omega_recursive", "omega_step", "oplus", "parse_inputs", "parse_profiles",
     "parse_taxonomy", "pipeline_leq", "pipeline_metrics", "precision_constraint_check",
-    "psi", "relative_sets", "relevance", "rng", "serialize_profiles", "serialize_taxonomy",
-    "simulate", "simulate_pipeline", "simulate_taxonomy", "taxonomy", "validate_taxonomy",
-    "wfs_char", "write_report",
+    "psi", "relative_sets", "relevance", "rng", "run_simulation", "serialize_profiles",
+    "serialize_taxonomy", "simulate", "simulate_pipeline", "simulate_taxonomy", "taxonomy",
+    "validate_taxonomy", "verify_oracles", "wfs_char", "write_pipelines", "write_report",
+    "write_simulation", "write_sweep", "write_verification",
 )
 
 # Runs in a fresh interpreter: first listing, then resolving every name.

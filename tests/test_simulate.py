@@ -21,7 +21,7 @@ from pfmodel import (
 )
 from pfmodel.rng import uniforms
 
-from conftest import DEEP_CHAIN_SIZE, GAMMA_B, chain_json, random_pipeline
+from conftest import DEEP_CHAIN_SIZE, GAMMA_B, chain_json, random_gamma, random_pipeline
 
 
 def brute_force_joint(fs, gammas):
@@ -277,21 +277,31 @@ def test_all_f_one_generates_no_negatives(l1_fixture):
     assert out.counts[0] == 0 and out.counts[1] == 0  # X = 0 column empty
 
 
-def test_decision_and_truth_chains_are_absorbing(l1_fixture):
-    _, profiles0 = l1_fixture
-    rng = np.random.default_rng(79)
-    p, profiles = random_pipeline(rng, 5)
-    out = pf.simulate_pipeline(p, profiles, SimConfig(m=20_000, seed=11))
-    # per-depth counts: the accepted mass and the positive mass never grow
-    pos = [c[2] + c[3] for c in out.counts_by_depth]
-    acc = [c[1] + c[3] for c in out.counts_by_depth]
+def assert_never_grows(counts):
+    """Positive and accepted counts never grow along a chain's prefixes."""
+    pos = [c[2] + c[3] for c in counts]
+    acc = [c[1] + c[3] for c in counts]
     assert all(b <= a for a, b in zip(pos, pos[1:]))
     assert all(b <= a for a, b in zip(acc, acc[1:]))
 
 
+def test_decision_and_truth_chains_are_absorbing():
+    # on a chain, whole-taxonomy prefix pipelines share truth and decisions,
+    # so their counts are the per-depth tallies of the deepest one
+    rng = np.random.default_rng(79)
+    names = [f"n{i}" for i in range(6)]
+    taxonomy = pf.validate_taxonomy(
+        names, [pf.Edge(c, p, float(rng.random())) for p, c in zip(names, names[1:])]
+    )
+    profiles = pf.ClassifierProfileSet(base={c: random_gamma(rng) for c in names[1:]},
+                                       root=names[0])
+    res = pf.simulate_taxonomy(taxonomy, profiles, SimConfig(m=20_000, seed=11))
+    assert_never_grows([out.counts for out in res.per_pipeline.values()])
+
+
 def test_sim_outcome_counts_must_sum_to_m():
     with pytest.raises(ValueError):
-        pf.SimOutcome(pipeline="A", m=10, counts=(1, 2, 3, 5), counts_by_depth=())
+        pf.SimOutcome(pipeline="A", m=10, counts=(1, 2, 3, 5))
 
 
 # --- taxonomy simulation ----------------------------------------------------------
@@ -367,10 +377,7 @@ def test_deep_chain_taxonomy_tallies_each_prefix():
     pipelines = pf.enumerate_pipelines(bundle.taxonomy)
     assert list(res.per_pipeline) == [p.path for p in pipelines]
     assert list(res.models) == [p.path for p in pipelines]
-    deepest = res.per_pipeline[pipelines[-1].path].counts_by_depth
-    for k, p in enumerate(pipelines):
-        assert res.per_pipeline[p.path].counts == deepest[k]
-        assert res.per_pipeline[p.path].counts_by_depth == deepest[: k + 1]
+    assert_never_grows([res.per_pipeline[p.path].counts for p in pipelines])
 
 
 def test_taxonomy_holds_only_the_live_path():

@@ -22,7 +22,9 @@ renormalized exactly, and the adjustment is recorded in the report.
 Every output layout lives here: one ``write_*`` function per library record,
 each writing JSON or TSV, byte-identical for identical inputs.  Pipelines
 come in enumeration order (lexicographic on the category sequence, prefix
-first), keys in a fixed order, and reals with 12 significant digits.
+first), keys in a fixed order, and reals with 12 significant digits.  A
+report's depth rows are rendered once each per call, however many pipelines
+share them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     MissingGammaError,
@@ -254,12 +256,18 @@ _encode_str = json.encoder.encode_basestring_ascii
 _INFINITIES = (math.inf, -math.inf)
 
 
+class _Text(str):
+    """JSON text already written, which :func:`_write_json` copies as it is."""
+
+
 def _write_json(o: Any, out: list[str], newline: str) -> None:
     """Append the JSON text of ``o`` to ``out``, as ``json.dumps(indent=2)``
     writes it; ``newline`` is a line break plus the indent of o's own line.
 
-    Objects and floats, the bulk of a report, are tested first; the other
-    types are disjoint from them, so the order changes no output.
+    A :class:`_Text` fragment is appended as it is: it is JSON text already
+    written at this indent.  Objects and floats, the bulk of a report, are
+    tested first; the other types are disjoint from them, so the order
+    changes no output.
     """
     if isinstance(o, dict):
         if not o:
@@ -278,6 +286,8 @@ def _write_json(o: Any, out: list[str], newline: str) -> None:
         if o != o or o in _INFINITIES:
             raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
         out.append(float.__repr__(float(fmt12(o))))
+    elif isinstance(o, _Text):
+        out.append(o)
     elif isinstance(o, str):
         out.append(_encode_str(o))
     elif o is None:
@@ -435,16 +445,46 @@ def _verdict_text(step: StepCheck | None) -> str:
 
 
 def _depth_rows(
-    b: DepthProfile,
-) -> Iterator[tuple[int, float, JointMatrix, MetricReport, str, StepCheck | None]]:
-    """Per-depth rows of a block, shared by both report formats:
-    ``(k, f_k, omega, report, verdict text, step)``, with no step at k=0."""
+    b: DepthProfile, memo: dict[tuple, str], render: Callable[..., str]
+) -> Iterator[str]:
+    """Text of each depth row of a block, from ``render(k, f_k, omega,
+    report, verdict text, step)``, with no step at k=0.  A prefix's records
+    are shared by reference with every profile folded on from it, so
+    ``memo`` keys each text on the identities of its row's parts, and a
+    shared row is rendered once; the report keeps the parts alive, so no
+    id is reused while ``memo`` is."""
     rows = zip(b.pipeline.fs, b.omegas, b.reports, (None, *b.steps))
     for k, (f_k, om, rep, step) in enumerate(rows):
-        yield k, f_k, om, rep, _verdict_text(step), step
+        key = (k, id(f_k), id(om), id(rep), id(step))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = render(k, f_k, om, rep, _verdict_text(step), step)
+        yield text
 
 
-def _block_payload(b: DepthProfile) -> dict:
+def _row_json(k: int, f_k: float, om: JointMatrix, rep: MetricReport, verdict: str,
+              step: StepCheck | None) -> _Text:
+    """A depth row's JSON object, at its indent in a block's ``depth_profile``."""
+    out: list[str] = []
+    _write_json({
+        "k": k,
+        "f": f_k,
+        "omega": _omega_payload(om),
+        "metrics": _metrics_payload(rep),
+        "precision_verdict": verdict,
+        "precision_bound": None if step is None else step.bound,
+    }, out, "\n        ")
+    return _Text("".join(out))
+
+
+def _row_tsv(k: int, f_k: float, om: JointMatrix, rep: MetricReport, verdict: str,
+             step: StepCheck | None) -> str:
+    """A depth row's TSV cells after its pipeline, tab-joined."""
+    return "\t".join([str(k), fmt12(f_k), fmt12(om.tn), fmt12(om.fp), fmt12(om.fn),
+                      fmt12(om.tp), *_metric_cells(rep), verdict])
+
+
+def _block_payload(b: DepthProfile, memo: dict[tuple, str]) -> dict:
     fact = b.factorization
     flags = []
     if fact.zero_negative_mass:
@@ -452,17 +492,6 @@ def _block_payload(b: DepthProfile) -> dict:
     if fact.eta is not None and math.isinf(fact.eta):
         flags.append("eta_infinite")
     eta = fact.eta
-    depth_rows = [
-        {
-            "k": k,
-            "f": f_k,
-            "omega": _omega_payload(om),
-            "metrics": _metrics_payload(rep),
-            "precision_verdict": verdict,
-            "precision_bound": None if step is None else step.bound,
-        }
-        for k, f_k, om, rep, verdict, step in _depth_rows(b)
-    ]
     return {
         "pipeline": b.pipeline.path,
         "depth": b.pipeline.depth,
@@ -474,12 +503,15 @@ def _block_payload(b: DepthProfile) -> dict:
         "eta": None if eta is None or not math.isfinite(eta) else eta,
         "flags": flags,
         "metrics": _metrics_payload(b.reports[-1]),
-        "depth_profile": depth_rows,
+        "depth_profile": list(_depth_rows(b, memo, _row_json)),
     }
 
 
 def write_report(report: Report, format: str = "json") -> str:
-    """Render a report as canonical JSON or as per-(pipeline, depth) TSV."""
+    """Render a report as canonical JSON or as per-(pipeline, depth) TSV.
+    Each distinct depth row is rendered once and its text reused in every
+    pipeline that shares it."""
+    memo: dict[tuple, str] = {}
     if format == "json":
         payload = {
             "taxonomy": {
@@ -489,23 +521,15 @@ def write_report(report: Report, format: str = "json") -> str:
                 "pipeline_count": len(report.blocks),
                 "renormalized_classifiers": list(report.renormalized),
             },
-            "pipelines": (_block_payload(b) for b in report.blocks),
+            "pipelines": (_block_payload(b, memo) for b in report.blocks),
         }
         return dump_json(payload)
     if format == "tsv":
         cols = ["pipeline", "k", "f_k", "w00", "w01", "w10", "w11",
                 "tP", "tR", "tF1", "tA", "precision_verdict"]
         return tsv(cols, (
-            [
-                b.pipeline.path,
-                str(k),
-                fmt12(f_k),
-                fmt12(om.tn), fmt12(om.fp), fmt12(om.fn), fmt12(om.tp),
-                *_metric_cells(rep),
-                verdict,
-            ]
-            for b in report.blocks
-            for k, f_k, om, rep, verdict, _ in _depth_rows(b)
+            [b.pipeline.path, text]
+            for b in report.blocks for text in _depth_rows(b, memo, _row_tsv)
         ))
     raise ValueError(f"unknown format {format!r}")
 

@@ -217,6 +217,14 @@ def simulate_taxonomy(
     resolved per rooted prefix, which is also how the per-pipeline model
     matrices in ``models`` are built.
     """
+    return _simulate_taxonomy(t, profiles, cfg, {})
+
+
+def _simulate_taxonomy(
+    t: Taxonomy, profiles: ClassifierProfileSet, cfg: SimConfig, models: dict[str, JointMatrix]
+) -> TaxonomySimOutcome:
+    """:func:`simulate_taxonomy`, building only the models that ``models``
+    lacks into it, so replications that pass the same dict build each once."""
     m = cfg.m
 
     # truth: one membership coin per category in topological order, gated by all parents
@@ -236,7 +244,6 @@ def simulate_taxonomy(
     # holds them for the live prefix at depth k, so finished subtrees free theirs.
     path: list[tuple] = []
     per_pipeline: dict[str, SimOutcome] = {}
-    models: dict[str, JointMatrix] = {}
     for p in enumerate_pipelines(t):
         x = memberships[p.nodes[-1]]
         del path[p.depth:]
@@ -250,7 +257,8 @@ def simulate_taxonomy(
             chain += (g,)
         path.append((d, chain))
         per_pipeline[p.path] = SimOutcome(pipeline=p.path, m=m, counts=_tally(x, d))
-        models[p.path] = JointMatrix(*_closed_form(p.require_fs(), chain))
+        if p.path not in models:
+            models[p.path] = JointMatrix(*_closed_form(p.require_fs(), chain))
 
     return TaxonomySimOutcome(
         m=m,
@@ -422,13 +430,14 @@ def run_simulation(t: Taxonomy, profiles: ClassifierProfileSet, m: int, seed: in
     seed ``seed + r``, through the whole taxonomy or through ``pipeline``
     alone, and compare each pipeline's tally to its model."""
     predicted = omega_closed(pipeline, profiles) if pipeline is not None else None
+    models: dict[str, JointMatrix] = {}  # whole-taxonomy models, built in replication 0
     runs = []
     for r in range(replications):
         cfg = SimConfig(m=m, seed=seed + r)
         if pipeline is not None:
             pairs = [(predicted, simulate_pipeline(pipeline, profiles, cfg))]
         else:
-            result = simulate_taxonomy(t, profiles, cfg)
+            result = _simulate_taxonomy(t, profiles, cfg, models)
             pairs = zip(result.models.values(), result.per_pipeline.values())
             del result  # its memberships take m bytes per category
         runs.extend(SimRun(r, cfg.seed, outcome, model,

@@ -493,6 +493,27 @@ def test_simulate_pipeline_predicts_once(l2_files, monkeypatch, capsys):
     assert calls == ["A/B/C"]
 
 
+@pytest.mark.parametrize("replications", ["1", "3"])
+def test_simulate_taxonomy_builds_each_model_once(replications, monkeypatch, capsys):
+    closed_form = simulate._closed_form
+    calls = []
+
+    def counting_closed_form(fs, gammas):
+        calls.append(len(fs))
+        return closed_form(fs, gammas)
+
+    monkeypatch.setattr(simulate, "_closed_form", counting_closed_form)
+    code, out, _ = run(
+        ["simulate", "--taxonomy", str(GOLDEN / "taxonomy.json"),
+         "--profiles", str(GOLDEN / "profiles.json"), "--m", "2000",
+         "--replications", replications, "--format", "tsv"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 1 + 8 * int(replications)
+    assert len(calls) == 8  # one per pipeline of the golden DAG
+
+
 def test_simulate_deterministic_bytes(dag_files, tmp_path, capsys):
     taxonomy, profiles = dag_files
     out1 = tmp_path / "s1.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,7 @@ from conftest import (
     DAG_TAXONOMY_JSON,
     L2_PROFILES_JSON,
     L2_TAXONOMY_JSON,
+    chain_json,
     random_gamma,
     random_tree,
 )
@@ -393,6 +395,81 @@ def test_report_resolves_each_chain_once(options, resolved, monkeypatch):
     report = build_report(bundle, **options)
     assert calls == [b.pipeline.path for b in report.blocks]
     assert len(calls) == resolved
+
+
+def count_rendered_rows(report, monkeypatch):
+    """The depths of the JSON rows ``write_report`` renders for ``report``,
+    and the number of TSV rows it renders."""
+    json_ks, tsv_rows = [], []
+    row_json, metric_cells = pf.io._row_json, pf.io._metric_cells
+    monkeypatch.setattr(pf.io, "_row_json", lambda k, *a: json_ks.append(k) or row_json(k, *a))
+    monkeypatch.setattr(pf.io, "_metric_cells",
+                        lambda r: tsv_rows.append(r) or metric_cells(r))
+    write_report(report, "json")
+    write_report(report, "tsv")
+    return json_ks, len(tsv_rows)
+
+
+def test_report_writes_each_prefix_row_once(monkeypatch):
+    n = 122
+    report = build_report(pf.parse_inputs(*chain_json(n)))
+    assert sum(len(b.reports) for b in report.blocks) == n * (n + 1) // 2
+    json_ks, tsv_rows = count_rendered_rows(report, monkeypatch)
+    assert json_ks == list(range(n))
+    assert tsv_rows == n
+
+
+def test_report_writes_override_cut_rows_fresh(monkeypatch):
+    golden = Path(__file__).parent / "golden"
+    bundle = pf.parse_inputs((golden / "taxonomy.json").read_text(),
+                             (golden / "profiles.json").read_text())
+    json_ks, tsv_rows = count_rendered_rows(build_report(bundle), monkeypatch)
+    # A, A/B, A/B/D add one row each; A/B/D/E carries an override, so all
+    # four of its rows are new; A/B/F and A/C add one; A/C/D carries one and
+    # A/C/D/E extends it, so both are folded, and written, from the root
+    assert json_ks == [0, 1, 2, 0, 1, 2, 3, 2, 1, 0, 1, 2, 0, 1, 2, 3]
+    assert tsv_rows == len(json_ks)
+
+
+@given(bundles_with_overrides())
+@settings(max_examples=100, deadline=None)
+def test_report_with_shared_rows_writes_what_unshared_rows_write(bundle):
+    paths = [p.path for p in pf.enumerate_pipelines(bundle.taxonomy)]
+    reports = [build_report(bundle), build_report(bundle, leaf_only=True)]
+    reports += [build_report(bundle, pipeline_path=path) for path in paths]
+    for report in reports:
+        unshared = dataclasses.replace(report, blocks=tuple(
+            pf.depth_profile(b.pipeline, bundle.profiles) for b in report.blocks))
+        for fmt in ("json", "tsv"):
+            assert write_report(report, fmt) == write_report(unshared, fmt)
+        # each block alone, so that no row can be taken for another pipeline's
+        bodies = [write_report(dataclasses.replace(report, blocks=(b,)), "tsv").split("\n", 1)[1]
+                  for b in unshared.blocks]
+        assert write_report(report, "tsv").split("\n", 1)[1] == "".join(bodies)
+
+
+def test_report_row_records_reused_at_two_depths_print_each_depth():
+    """A hand-built profile whose depths 1 and 2 hold the very same f,
+    omega, metrics and step objects prints what equal copies print."""
+    bundle = pf.parse_inputs(L2_TAXONOMY_JSON, L2_PROFILES_JSON)
+    report = build_report(bundle, pipeline_path="A/B/C")
+    (b,) = report.blocks
+    f = b.pipeline.fs[1]
+    shared = dataclasses.replace(
+        b, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, f, f)),
+        omegas=b.omegas[:2] + b.omegas[1:2], reports=b.reports[:2] + b.reports[1:2],
+        steps=b.steps[:1] * 2)
+    copies = dataclasses.replace(
+        shared, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, f, float(repr(f)))),
+        omegas=shared.omegas[:2] + (dataclasses.replace(shared.omegas[1]),),
+        reports=shared.reports[:2] + (dataclasses.replace(shared.reports[1]),),
+        steps=(shared.steps[0], dataclasses.replace(shared.steps[0])))
+    for fmt in ("json", "tsv"):
+        text = write_report(dataclasses.replace(report, blocks=(shared,)), fmt)
+        assert text == write_report(dataclasses.replace(report, blocks=(copies,)), fmt)
+    rows = text.splitlines()[1:]
+    assert [r.split("\t")[1] for r in rows] == ["0", "1", "2"]
+    assert rows[1].split("\t")[2:] == rows[2].split("\t")[2:]
 
 
 def test_number_formatting_helpers():

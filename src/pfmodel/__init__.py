@@ -40,8 +40,8 @@ from .metrics import (
     DEFAULT_Z_THRESHOLD,
     ConstraintCheck,
     DepthProfile,
+    DepthRow,
     MetricReport,
-    StepCheck,
     Verdict,
     depth_profile,
     pipeline_metrics,

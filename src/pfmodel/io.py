@@ -42,13 +42,8 @@ from .errors import (
     RootProfileForbiddenError,
     UnknownCategoryError,
 )
-from .metrics import DepthProfile, MetricReport, StepCheck, _fold
-from .model import (
-    Cells2x2,
-    ClassifierProfileSet,
-    JointMatrix,
-    NormalizedConfusionMatrix,
-)
+from .metrics import DepthProfile, DepthRow, MetricReport, _fold
+from .model import Cells2x2, ClassifierProfileSet, NormalizedConfusionMatrix
 from .taxonomy import (
     Edge,
     Pipeline,
@@ -420,12 +415,14 @@ def _metric_cells(r: MetricReport) -> list[str]:
 
 
 def _metrics_payload(r: MetricReport) -> dict:
+    """A report's metrics, with flags naming each undefined metric and an
+    F1 that is 0 because precision or recall is."""
     flags = []
-    if r.precision_undefined:
+    if r.precision is None:
         flags.append("precision_undefined")
-    if r.recall_undefined:
+    if r.recall is None:
         flags.append("recall_undefined")
-    if r.f1_degenerate:
+    if r.f1 is not None and (r.precision == 0.0 or r.recall == 0.0):
         flags.append("f1_degenerate")
     return {
         "tP": r.precision,
@@ -436,55 +433,51 @@ def _metrics_payload(r: MetricReport) -> dict:
     }
 
 
-def _verdict_text(step: StepCheck | None) -> str:
-    if step is None:
+def _verdict_text(row: DepthRow) -> str:
+    if row.k == 0:
         return "-"
-    if step.verdict is None:
+    if row.check is None:
         return "degenerate"
-    return step.verdict.value
+    return row.check.verdict.value
 
 
 def _depth_rows(
-    b: DepthProfile, memo: dict[tuple, str], render: Callable[..., str]
+    b: DepthProfile, memo: dict[int, str], render: Callable[[DepthRow], str]
 ) -> Iterator[str]:
-    """Text of each depth row of a block, from ``render(k, f_k, omega,
-    report, verdict text, step)``, with no step at k=0.  A prefix's records
-    are shared by reference with every profile folded on from it, so
-    ``memo`` keys each text on the identities of its row's parts, and a
-    shared row is rendered once; the report keeps the parts alive, so no
-    id is reused while ``memo`` is."""
-    rows = zip(b.pipeline.fs, b.omegas, b.reports, (None, *b.steps))
-    for k, (f_k, om, rep, step) in enumerate(rows):
-        key = (k, id(f_k), id(om), id(rep), id(step))
-        text = memo.get(key)
+    """Text of each depth row of a block, from ``render(row)``.  A prefix's
+    rows are shared by reference with every profile folded on from it, so
+    ``memo`` keys each text on its row's identity, and a shared row is
+    rendered once; the report keeps the rows alive, so no id is reused
+    while ``memo`` is."""
+    for row in b.rows:
+        text = memo.get(id(row))
         if text is None:
-            text = memo[key] = render(k, f_k, om, rep, _verdict_text(step), step)
+            text = memo[id(row)] = render(row)
         yield text
 
 
-def _row_json(k: int, f_k: float, om: JointMatrix, rep: MetricReport, verdict: str,
-              step: StepCheck | None) -> _Text:
+def _row_json(row: DepthRow) -> _Text:
     """A depth row's JSON object, at its indent in a block's ``depth_profile``."""
     out: list[str] = []
     _write_json({
-        "k": k,
-        "f": f_k,
-        "omega": _omega_payload(om),
-        "metrics": _metrics_payload(rep),
-        "precision_verdict": verdict,
-        "precision_bound": None if step is None else step.bound,
+        "k": row.k,
+        "f": row.f,
+        "omega": _omega_payload(row.omega),
+        "metrics": _metrics_payload(row.metrics),
+        "precision_verdict": _verdict_text(row),
+        "precision_bound": None if row.check is None else row.check.bound,
     }, out, "\n        ")
     return _Text("".join(out))
 
 
-def _row_tsv(k: int, f_k: float, om: JointMatrix, rep: MetricReport, verdict: str,
-             step: StepCheck | None) -> str:
+def _row_tsv(row: DepthRow) -> str:
     """A depth row's TSV cells after its pipeline, tab-joined."""
-    return "\t".join([str(k), fmt12(f_k), fmt12(om.tn), fmt12(om.fp), fmt12(om.fn),
-                      fmt12(om.tp), *_metric_cells(rep), verdict])
+    om = row.omega
+    return "\t".join([str(row.k), fmt12(row.f), fmt12(om.tn), fmt12(om.fp), fmt12(om.fn),
+                      fmt12(om.tp), *_metric_cells(row.metrics), _verdict_text(row)])
 
 
-def _block_payload(b: DepthProfile, memo: dict[tuple, str]) -> dict:
+def _block_payload(b: DepthProfile, memo: dict[int, str]) -> dict:
     fact = b.factorization
     flags = []
     if fact.zero_negative_mass:
@@ -492,17 +485,18 @@ def _block_payload(b: DepthProfile, memo: dict[tuple, str]) -> dict:
     if fact.eta is not None and math.isinf(fact.eta):
         flags.append("eta_infinite")
     eta = fact.eta
+    last = b.rows[-1]
     return {
         "pipeline": b.pipeline.path,
         "depth": b.pipeline.depth,
         "fs": b.pipeline.fs,
-        "omega": _omega_payload(b.omegas[-1]),
+        "omega": _omega_payload(last.omega),
         "prior": {"neg": fact.prior_neg, "pos": fact.prior_pos},
         "phi": _matrix_payload(fact.phi),
         "psi": _matrix_payload(b.state.intrinsic()),
         "eta": None if eta is None or not math.isfinite(eta) else eta,
         "flags": flags,
-        "metrics": _metrics_payload(b.reports[-1]),
+        "metrics": _metrics_payload(last.metrics),
         "depth_profile": list(_depth_rows(b, memo, _row_json)),
     }
 
@@ -511,7 +505,7 @@ def write_report(report: Report, format: str = "json") -> str:
     """Render a report as canonical JSON or as per-(pipeline, depth) TSV.
     Each distinct depth row is rendered once and its text reused in every
     pipeline that shares it."""
-    memo: dict[tuple, str] = {}
+    memo: dict[int, str] = {}
     if format == "json":
         payload = {
             "taxonomy": {

@@ -8,9 +8,10 @@ not depend on how inputs are distributed; precision may move either way,
 and each step's direction is decided by a closed-form bound on the new
 classifier's fp-rate.
 
-Corner cases are flagged, not substituted: a pipeline that accepts nothing
-has undefined precision (and F1), a pipeline whose oracle prior is zero has
-undefined recall.
+Corner cases are left undefined, not substituted: a pipeline that accepts
+nothing has precision (and F1) ``None``, a pipeline whose oracle prior is
+zero has recall ``None``.  The report's JSON ``flags`` are derived from
+those values when it is written.
 """
 
 from __future__ import annotations
@@ -51,18 +52,14 @@ class Verdict(enum.Enum):
 class MetricReport:
     """Metric values of one pipeline (or pipeline prefix).
 
-    Undefined values are ``None`` with the matching flag set; ``f1`` is 0
-    when either constituent is 0 (flagged ``f1_degenerate``) because the
-    harmonic mean's limit there is 0.
+    An undefined value is ``None``; ``f1`` is 0 when either constituent is
+    0 because the harmonic mean's limit there is 0.
     """
 
     precision: float | None
     recall: float | None
     f1: float | None
     accuracy: float
-    precision_undefined: bool = False
-    recall_undefined: bool = False
-    f1_degenerate: bool = False
 
 
 def pipeline_metrics(omega: JointMatrix) -> MetricReport:
@@ -78,23 +75,13 @@ def pipeline_metrics(omega: JointMatrix) -> MetricReport:
     accuracy = omega.tn + omega.tp
 
     f1: float | None
-    f1_degenerate = False
     if precision is None or recall is None:
         f1 = None
     elif precision == 0.0 or recall == 0.0:
         f1 = 0.0
-        f1_degenerate = True
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    return MetricReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        accuracy=accuracy,
-        precision_undefined=precision is None,
-        recall_undefined=recall is None,
-        f1_degenerate=f1_degenerate,
-    )
+    return MetricReport(precision=precision, recall=recall, f1=f1, accuracy=accuracy)
 
 
 @dataclass(frozen=True)
@@ -118,48 +105,57 @@ def precision_constraint_check(
     :class:`DegenerateBoundError` when ``leak'`` is zero (no negative mass
     has ever been produced, so precision is pinned at 1) or non-finite.
     """
-    return _constraint_check(state, state.advance(f_k, gamma_k), f_k, gamma_k)
+    advanced = state.advance(f_k, gamma_k)
+    check = _constraint_check(state, advanced, f_k, gamma_k)
+    if check is None:
+        raise DegenerateBoundError(
+            f"precision bound undefined: accumulated leakage is {advanced.leak}"
+        )
+    return check
 
 
 def _constraint_check(
     state: PrefixState, advanced: PrefixState, f_k: float, gamma_k: NormalizedConfusionMatrix
-) -> ConstraintCheck:
-    """:func:`precision_constraint_check` with the advanced state given."""
+) -> ConstraintCheck | None:
+    """:func:`precision_constraint_check` with the advanced state given, or
+    ``None`` where the bound is undefined."""
     leak_next = advanced.leak
     if leak_next == 0.0 or not math.isfinite(leak_next):
-        raise DegenerateBoundError(
-            f"precision bound undefined: accumulated leakage is {leak_next}"
-        )
+        return None
     bound = (state.leak / leak_next) * f_k * gamma_k.tp
     verdict = Verdict.NON_DECREASING if gamma_k.fp <= bound else Verdict.DECREASING
     return ConstraintCheck(verdict=verdict, bound=bound)
 
 
-@dataclass(frozen=True)
-class StepCheck:
-    """Precision-constraint verdict for step ``k`` of a pipeline."""
+@dataclass(frozen=True, slots=True)
+class DepthRow:
+    """The prefix of a pipeline that ends at depth ``k`` (0 = root only).
+
+    ``f`` is the pipeline's edge probability into depth ``k`` as given,
+    ``omega`` the prefix's joint mass and ``metrics`` its metrics.
+    ``check`` is the precision verdict of the step into depth ``k``:
+    ``None`` at k = 0, where no step is taken, and where the bound is
+    undefined (a degenerate step).
+    """
 
     k: int
-    verdict: Verdict | None
-    bound: float | None
-    degenerate: bool = False
+    f: float
+    omega: JointMatrix
+    metrics: MetricReport
+    check: ConstraintCheck | None
 
 
 @dataclass(frozen=True)
 class DepthProfile:
-    """Per-prefix view of a pipeline: joint masses, metrics, and verdicts.
+    """Per-prefix view of a pipeline: one :class:`DepthRow` per depth.
 
-    Index ``k`` of ``omegas``/``reports`` refers to the prefix ending at
-    depth ``k`` (0 = root only); ``steps[k-1]`` carries the verdict for the
-    transition into depth ``k``.  ``state`` is the running state after the
-    last step, and ``factorization`` the whole pipeline's prior/deterioration
-    split.
+    ``rows[k]`` is the prefix ending at depth ``k``.  ``state`` is the
+    running state after the last step, and ``factorization`` the whole
+    pipeline's prior/deterioration split.
     """
 
     pipeline: Pipeline
-    omegas: tuple[JointMatrix, ...]
-    reports: tuple[MetricReport, ...]
-    steps: tuple[StepCheck, ...]
+    rows: tuple[DepthRow, ...]
     state: PrefixState
     factorization: Factorization
 
@@ -178,23 +174,17 @@ def _fold(
     """
     fs = pipeline.require_fs()
     if start is None:
-        omegas, reports, steps = [OMEGA_BASE], [pipeline_metrics(OMEGA_BASE)], []
+        rows = [DepthRow(0, pipeline.fs[0], OMEGA_BASE, pipeline_metrics(OMEGA_BASE), None)]
         state = PrefixState.initial()
     else:
-        omegas, reports, steps = list(start.omegas), list(start.reports), list(start.steps)
+        rows = list(start.rows)
         state = start.state
-    for k in range(len(omegas), len(fs)):
+    for k in range(len(rows), len(fs)):
         f_k, gamma_k = fs[k], gammas[k - 1]
         advanced = state.advance(f_k, gamma_k)
-        try:
-            check = _constraint_check(state, advanced, f_k, gamma_k)
-            steps.append(StepCheck(k=k, verdict=check.verdict, bound=check.bound))
-        except DegenerateBoundError:
-            steps.append(StepCheck(k=k, verdict=None, bound=None, degenerate=True))
-
-        omega = omega_step(omegas[-1], f_k, gamma_k)
-        omegas.append(omega)
-        reports.append(pipeline_metrics(omega))
+        omega = omega_step(rows[-1].omega, f_k, gamma_k)
+        rows.append(DepthRow(k, pipeline.fs[k], omega, pipeline_metrics(omega),
+                             _constraint_check(state, advanced, f_k, gamma_k)))
 
         if advanced.psi11 > state.psi11:
             raise AssertionError("recall chain increased along a pipeline")
@@ -202,8 +192,7 @@ def _fold(
             if not advanced.psi11 < state.psi11:
                 raise AssertionError("recall chain failed to decrease at a lossy step")
         state = advanced
-    return DepthProfile(pipeline, tuple(omegas), tuple(reports), tuple(steps), state,
-                        _factorization(state, fs, gammas))
+    return DepthProfile(pipeline, tuple(rows), state, _factorization(state, fs, gammas))
 
 
 def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthProfile:

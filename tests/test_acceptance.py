@@ -156,21 +156,21 @@ def test_criterion_6_metrics():
             product = 1.0
             for k, g in enumerate(profiles.gamma_chain(p), start=1):
                 product *= g.tp
-                assert dp.reports[k].recall == pytest.approx(product, abs=TOL)
-                assert dp.reports[k].recall <= dp.reports[k - 1].recall + TOL
-                omega = dp.omegas[k]
-                assert dp.reports[k].accuracy == pytest.approx(
-                    omega.tn + omega.tp, abs=TOL
+                row = dp.rows[k]
+                assert row.metrics.recall == pytest.approx(product, abs=TOL)
+                assert row.metrics.recall <= dp.rows[k - 1].metrics.recall + TOL
+                assert row.metrics.accuracy == pytest.approx(
+                    row.omega.tn + row.omega.tp, abs=TOL
                 )
-            for step in dp.steps:
-                prev = dp.reports[step.k - 1].precision
-                cur = dp.reports[step.k].precision
-                if step.degenerate or prev is None or cur is None:
+            for before, row in zip(dp.rows, dp.rows[1:]):
+                prev = before.metrics.precision
+                cur = row.metrics.precision
+                if row.check is None or prev is None or cur is None:
                     continue
                 expected = (
                     Verdict.NON_DECREASING if cur - prev >= -TOL else Verdict.DECREASING
                 )
-                assert step.verdict is expected
+                assert row.check.verdict is expected
                 verdicts_checked += 1
 
 

@@ -147,7 +147,7 @@ def test_analyze_deep_chain_pipeline_tsv(deep_chain_files, capsys):
     assert len(lines) == 1 + DEEP_CHAIN_SIZE  # header, then prefixes k = 0..depth
     bundle = parse_inputs(Path(taxonomy).read_text(), Path(profiles).read_text())
     pipeline = find_pipeline(bundle.taxonomy, deepest)
-    omega = depth_profile(pipeline, bundle.profiles).omegas[-1]
+    omega = depth_profile(pipeline, bundle.profiles).rows[-1].omega
     assert lines[-1].split("\t")[3:7] == [fmt12(w) for w in omega.as_tuple()]
 
 

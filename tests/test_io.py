@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
@@ -31,6 +31,20 @@ MINIMAL_TAXONOMY = json.dumps(
 )
 MINIMAL_PROFILES = json.dumps(
     {"classifiers": {"B": {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8}}}
+)
+#: a first step with f = 1 (a degenerate precision bound), then a classifier
+#: that accepts nothing (C), an edge with f = 0 (D), and a classifier with
+#: tp = 0 (E): between them every flag and verdict text a report can write
+CORNER_BUNDLE = pf.parse_inputs(
+    json.dumps({"root": "A", "categories": ["A", "B", "C", "D", "E"],
+                "edges": [{"child": "B", "parent": "A", "f": 1},
+                          {"child": "C", "parent": "B", "f": 0.5},
+                          {"child": "D", "parent": "B", "f": 0},
+                          {"child": "E", "parent": "B", "f": 0.5}]}),
+    json.dumps({"classifiers": {"B": {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8},
+                                "C": {"tn": 1, "fp": 0, "fn": 1, "tp": 0},
+                                "D": {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8},
+                                "E": {"tn": 0.5, "fp": 0.5, "fn": 1, "tp": 0}}}),
 )
 
 
@@ -200,10 +214,17 @@ def test_serialize_taxonomy_omits_a_missing_f():
     assert pf.parse_taxonomy(text) == t
 
 
-def test_write_report_rejects_an_unknown_format():
-    report = build_report(pf.parse_inputs(MINIMAL_TAXONOMY, MINIMAL_PROFILES))
+@pytest.mark.parametrize("write, record", [
+    (write_report, build_report),
+    (pf.write_verification, lambda b: pf.verify_oracles(b.taxonomy, b.profiles, 1e-9, 6, 1, 42)),
+    (pf.write_simulation, lambda b: pf.run_simulation(b.taxonomy, b.profiles, 10, 42, 1, 4.0)),
+    (pf.write_sweep,
+     lambda b: pf.imbalance_sweep(pf.find_pipeline(b.taxonomy, "A/B/C"), b.profiles, 0.3, 1, 42)),
+], ids=["report", "verification", "simulation", "sweep"])
+def test_writers_reject_an_unknown_format(write, record):
+    bundle = pf.parse_inputs(L2_TAXONOMY_JSON, L2_PROFILES_JSON)  # a sweep needs depth 2
     with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
-        write_report(report, "xml")
+        write(record(bundle), "xml")
 
 
 def test_serialize_profiles_keeps_overrides():
@@ -247,6 +268,27 @@ def test_l2_report_reproduces_model_values():
     assert recalls == [1.0, 0.8, 0.64]
     verdicts = [row["precision_verdict"] for row in deep["depth_profile"]]
     assert verdicts == ["-", "decreasing", "decreasing"]
+
+
+def test_report_writes_every_flag_and_verdict_text():
+    report = build_report(CORNER_BUNDLE)
+    blocks = {b["pipeline"]: b for b in json.loads(write_report(report, "json"))["pipelines"]}
+    assert {path: b["flags"] for path, b in blocks.items()} == {
+        "A": ["zero_negative_mass"], "A/B": ["zero_negative_mass"],
+        "A/B/C": [], "A/B/D": [], "A/B/E": []}
+    for path, flags in (("A/B/C", ["precision_undefined"]), ("A/B/D", ["recall_undefined"]),
+                        ("A/B/E", ["f1_degenerate"])):
+        rows = blocks[path]["depth_profile"]
+        assert [row["metrics"]["flags"] for row in rows] == [[], [], flags]
+        assert blocks[path]["metrics"]["flags"] == flags
+        assert [row["precision_bound"] is None for row in rows] == [True, True, False]
+    tsv_rows = [line.split("\t") for line in write_report(report, "tsv").splitlines()[1:]]
+    assert [(r[0], r[-1]) for r in tsv_rows] == [
+        ("A", "-"), ("A/B", "-"), ("A/B", "degenerate"),
+        ("A/B/C", "-"), ("A/B/C", "degenerate"), ("A/B/C", "non_decreasing"),
+        ("A/B/D", "-"), ("A/B/D", "degenerate"), ("A/B/D", "decreasing"),
+        ("A/B/E", "-"), ("A/B/E", "degenerate"), ("A/B/E", "decreasing"),
+    ]
 
 
 def test_report_is_byte_identical_across_runs():
@@ -402,7 +444,7 @@ def count_rendered_rows(report, monkeypatch):
     and the number of TSV rows it renders."""
     json_ks, tsv_rows = [], []
     row_json, metric_cells = pf.io._row_json, pf.io._metric_cells
-    monkeypatch.setattr(pf.io, "_row_json", lambda k, *a: json_ks.append(k) or row_json(k, *a))
+    monkeypatch.setattr(pf.io, "_row_json", lambda row: json_ks.append(row.k) or row_json(row))
     monkeypatch.setattr(pf.io, "_metric_cells",
                         lambda r: tsv_rows.append(r) or metric_cells(r))
     write_report(report, "json")
@@ -413,7 +455,7 @@ def count_rendered_rows(report, monkeypatch):
 def test_report_writes_each_prefix_row_once(monkeypatch):
     n = 122
     report = build_report(pf.parse_inputs(*chain_json(n)))
-    assert sum(len(b.reports) for b in report.blocks) == n * (n + 1) // 2
+    assert sum(len(b.rows) for b in report.blocks) == n * (n + 1) // 2
     json_ks, tsv_rows = count_rendered_rows(report, monkeypatch)
     assert json_ks == list(range(n))
     assert tsv_rows == n
@@ -432,6 +474,7 @@ def test_report_writes_override_cut_rows_fresh(monkeypatch):
 
 
 @given(bundles_with_overrides())
+@example(CORNER_BUNDLE)
 @settings(max_examples=100, deadline=None)
 def test_report_with_shared_rows_writes_what_unshared_rows_write(bundle):
     paths = [p.path for p in pf.enumerate_pipelines(bundle.taxonomy)]
@@ -449,21 +492,21 @@ def test_report_with_shared_rows_writes_what_unshared_rows_write(bundle):
 
 
 def test_report_row_records_reused_at_two_depths_print_each_depth():
-    """A hand-built profile whose depths 1 and 2 hold the very same f,
-    omega, metrics and step objects prints what equal copies print."""
+    """A hand-built profile whose rows at depths 1 and 2 hold the very same
+    f, omega, metrics and check objects prints what equal copies print."""
     bundle = pf.parse_inputs(L2_TAXONOMY_JSON, L2_PROFILES_JSON)
     report = build_report(bundle, pipeline_path="A/B/C")
     (b,) = report.blocks
-    f = b.pipeline.fs[1]
+    root, one = b.rows[:2]
+    assert one.check is not None
     shared = dataclasses.replace(
-        b, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, f, f)),
-        omegas=b.omegas[:2] + b.omegas[1:2], reports=b.reports[:2] + b.reports[1:2],
-        steps=b.steps[:1] * 2)
+        b, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, one.f, one.f)),
+        rows=(root, one, dataclasses.replace(one, k=2)))
+    twin = pf.DepthRow(2, float(repr(one.f)), dataclasses.replace(one.omega),
+                       dataclasses.replace(one.metrics), dataclasses.replace(one.check))
     copies = dataclasses.replace(
-        shared, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, f, float(repr(f)))),
-        omegas=shared.omegas[:2] + (dataclasses.replace(shared.omegas[1]),),
-        reports=shared.reports[:2] + (dataclasses.replace(shared.reports[1]),),
-        steps=(shared.steps[0], dataclasses.replace(shared.steps[0])))
+        shared, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, one.f, twin.f)),
+        rows=(root, one, twin))
     for fmt in ("json", "tsv"):
         text = write_report(dataclasses.replace(report, blocks=(shared,)), fmt)
         assert text == write_report(dataclasses.replace(report, blocks=(copies,)), fmt)

@@ -34,22 +34,25 @@ def test_recall_equals_intrinsic_tp_product(l2_pipeline):
 
 def test_precision_undefined_flagged():
     report = pf.pipeline_metrics(JointMatrix(tn=0.6, fp=0.0, fn=0.4, tp=0.0))
-    assert report.precision is None and report.precision_undefined
+    assert report.precision is None
     assert report.f1 is None
     assert report.recall == 0.0
+    assert pf.io._metrics_payload(report)["flags"] == ["precision_undefined"]
 
 
 def test_recall_undefined_flagged():
     # a zero edge probability empties the positive prior entirely
     report = pf.pipeline_metrics(JointMatrix(tn=0.9, fp=0.1, fn=0.0, tp=0.0))
-    assert report.recall is None and report.recall_undefined
+    assert report.recall is None
     assert report.f1 is None
+    assert pf.io._metrics_payload(report)["flags"] == ["recall_undefined"]
 
 
 def test_f1_degenerate_zero():
     report = pf.pipeline_metrics(JointMatrix(tn=0.5, fp=0.1, fn=0.4, tp=0.0))
     assert report.precision == 0.0 and report.recall == 0.0
-    assert report.f1 == 0.0 and report.f1_degenerate
+    assert report.f1 == 0.0
+    assert pf.io._metrics_payload(report)["flags"] == ["f1_degenerate"]
 
 
 def test_f1_between_precision_and_recall():
@@ -57,7 +60,7 @@ def test_f1_between_precision_and_recall():
     for _ in range(200):
         p, profiles = random_pipeline(rng, int(rng.integers(1, 8)))
         rep = pf.pipeline_metrics(pf.omega_recursive(p, profiles))
-        if rep.precision is None or rep.recall is None or rep.f1_degenerate:
+        if rep.precision is None or rep.recall is None or 0.0 in (rep.precision, rep.recall):
             continue
         lo, hi = sorted((rep.precision, rep.recall))
         assert lo - 1e-12 <= rep.f1 <= hi + 1e-12
@@ -89,9 +92,9 @@ def test_constraint_bound_l2_fixture(l2_pipeline):
     assert check.verdict is Verdict.DECREASING  # fp-rate 0.1 > bound
     # and the verdict matches the actual precision drop 0.9697 -> 0.8828
     dp = pf.depth_profile(p, profiles)
-    assert dp.reports[1].precision == pytest.approx(0.64 / 0.66, abs=1e-12)
-    assert dp.reports[2].precision == pytest.approx(0.256 / 0.290, abs=1e-12)
-    assert dp.reports[2].precision < dp.reports[1].precision
+    assert dp.rows[1].metrics.precision == pytest.approx(0.64 / 0.66, abs=1e-12)
+    assert dp.rows[2].metrics.precision == pytest.approx(0.256 / 0.290, abs=1e-12)
+    assert dp.rows[2].metrics.precision < dp.rows[1].metrics.precision
 
 
 def test_constraint_zero_fp_never_decreases():
@@ -129,14 +132,14 @@ def test_verdict_matches_precision_sign():
         depth = int(rng.integers(2, 8))
         p, profiles = random_pipeline(rng, depth)
         dp = pf.depth_profile(p, profiles)
-        for step in dp.steps:
-            prev = dp.reports[step.k - 1].precision
-            cur = dp.reports[step.k].precision
-            if step.degenerate or prev is None or cur is None:
+        for before, row in zip(dp.rows, dp.rows[1:]):
+            prev = before.metrics.precision
+            cur = row.metrics.precision
+            if row.check is None or prev is None or cur is None:
                 continue
             delta = cur - prev
             expected = Verdict.NON_DECREASING if delta >= -1e-12 else Verdict.DECREASING
-            assert step.verdict is expected
+            assert row.check.verdict is expected
             checked += 1
         if checked >= 1000:
             break
@@ -149,13 +152,13 @@ def test_verdict_matches_precision_sign():
 def test_depth_profile_recall_chain(l2_pipeline):
     p, profiles = l2_pipeline
     dp = pf.depth_profile(p, profiles)
-    recalls = [r.recall for r in dp.reports]
+    recalls = [row.metrics.recall for row in dp.rows]
     assert recalls == pytest.approx([1.0, 0.8, 0.64], abs=1e-12)
 
 
 def test_depth_profile_root_metrics_are_one(l2_pipeline):
     p, profiles = l2_pipeline
-    root_report = pf.depth_profile(p, profiles).reports[0]
+    root_report = pf.depth_profile(p, profiles).rows[0].metrics
     assert root_report.precision == root_report.recall == root_report.f1 == 1.0
     assert root_report.accuracy == 1.0
 
@@ -165,7 +168,7 @@ def test_depth_profile_constant_recall_with_perfect_tp():
     p = Pipeline(("A", "B", "C"), (1.0, 0.8, 0.5))
     profiles = ClassifierProfileSet(base={"B": keep_all, "C": keep_all}, root="A")
     dp = pf.depth_profile(p, profiles)
-    assert [r.recall for r in dp.reports] == [1.0, 1.0, 1.0]
+    assert [row.metrics.recall for row in dp.rows] == [1.0, 1.0, 1.0]
 
 
 def test_depth_profile_recall_monotone_random():
@@ -173,7 +176,7 @@ def test_depth_profile_recall_monotone_random():
     for _ in range(100):
         p, profiles = random_pipeline(rng, int(rng.integers(1, 12)))
         dp = pf.depth_profile(p, profiles)
-        recalls = [r.recall for r in dp.reports]
+        recalls = [row.metrics.recall for row in dp.rows]
         assert all(r is not None for r in recalls)
         for a, b in zip(recalls, recalls[1:]):
             assert b <= a + 1e-12
@@ -186,8 +189,8 @@ def test_depth_profile_marks_degenerate_steps():
     p = Pipeline(("A", "B", "C"), (1.0, 1.0, 0.5))
     profiles = ClassifierProfileSet(base={"B": GAMMA_A, "C": GAMMA_A}, root="A")
     dp = pf.depth_profile(p, profiles)
-    assert dp.steps[0].degenerate  # f_1 = 1: no leaked mass yet
-    assert not dp.steps[1].degenerate
+    assert dp.rows[1].check is None  # f_1 = 1: no leaked mass yet
+    assert dp.rows[2].check is not None
 
 
 def test_depth_profile_recall_equals_product_everywhere():
@@ -198,4 +201,4 @@ def test_depth_profile_recall_equals_product_everywhere():
         product = 1.0
         for k, g in enumerate(profiles.gamma_chain(p), start=1):
             product *= g.tp
-            assert dp.reports[k].recall == pytest.approx(product, abs=1e-12)
+            assert dp.rows[k].metrics.recall == pytest.approx(product, abs=1e-12)

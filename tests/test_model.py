@@ -244,10 +244,15 @@ def test_psi_single_equals_gamma():
 
 
 def test_psi_two_classifier_products():
-    profiles = ClassifierProfileSet(base={"B": GAMMA_A, "C": GAMMA_A})
+    profiles = ClassifierProfileSet(base={"B": GAMMA_A, "C": GAMMA_A}, root="A")
     out = pf.psi(["B", "C"], profiles)
     assert out.fp == pytest.approx(0.01, abs=1e-15)  # 0.1 * 0.1
     assert out.tp == pytest.approx(0.64, abs=1e-15)  # 0.8 * 0.8
+    # the root resolves to the neutral profile, so leading with it changes nothing
+    led, bare = ["A", "B", "C"], ["B", "C"]
+    for mode in ("closed", "recursive"):
+        assert pf.psi(led, profiles, mode=mode) == pf.psi(bare, profiles, mode=mode)
+    assert pf.homomorphism_map(led, profiles) == pf.homomorphism_map(bare, profiles)
 
 
 def test_psi_modes_agree():

@@ -13,14 +13,14 @@ import pfmodel
 #: every public name of ``pfmodel``, those it resolves on first use included
 EXPORTED = (
     "Cells2x2", "ClassifierProfileSet", "ConstraintCheck", "CycleDetectedError",
-    "DEFAULT_Z_THRESHOLD", "DegenerateBoundError", "DepthProfile", "DeviationReport",
-    "DuplicateEdgeError", "Edge", "Factorization", "InfeasibleTargetError", "InputBundle",
-    "InstanceLabeling", "IntrinsicMatrix", "JointMatrix", "MU", "MetricReport",
+    "DEFAULT_Z_THRESHOLD", "DegenerateBoundError", "DepthProfile", "DepthRow",
+    "DeviationReport", "DuplicateEdgeError", "Edge", "Factorization", "InfeasibleTargetError",
+    "InputBundle", "InstanceLabeling", "IntrinsicMatrix", "JointMatrix", "MU", "MetricReport",
     "MissingEdgeProbabilityError", "MissingGammaError", "MultipleRootsError",
     "NormalizedConfusionMatrix", "OMEGA_BASE", "OracleCheck", "OutOfRangeProbabilityError",
     "PFModelError", "ParseError", "Pipeline", "PrefixState", "Report",
     "RootProfileForbiddenError", "SimConfig", "SimOutcome", "SimRun", "Simulation",
-    "StepCheck", "SweepResult", "Taxonomy", "TaxonomySimOutcome", "UnknownCategoryError",
+    "SweepResult", "Taxonomy", "TaxonomySimOutcome", "UnknownCategoryError",
     "UnknownInstanceError", "Verdict", "Verification",
     "build_report", "category_domain", "check_label_consistency", "compare",
     "context_switch", "covering_char", "depth_profile", "enumerate_exact",

@@ -251,6 +251,22 @@ _encode_str = json.encoder.encode_basestring_ascii
 _INFINITIES = (math.inf, -math.inf)
 
 
+def _real(x: float) -> str:
+    """The JSON text of a float: the shortest text of its :func:`fmt12` rounding.
+
+    A 12-digit text without an exponent already is that shortest text, less
+    the ``.0`` that ``repr`` gives an integer value; an exponent form (values
+    below 1e-4 or from 1e12 up, subnormals included) is parsed back and
+    written by ``repr``.
+    """
+    if x != x or x in _INFINITIES:
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    s = fmt12(x)
+    if "e" in s:
+        return float.__repr__(float(s))
+    return s if "." in s else s + ".0"
+
+
 class _Text(str):
     """JSON text already written, which :func:`_write_json` copies as it is."""
 
@@ -262,7 +278,8 @@ def _write_json(o: Any, out: list[str], newline: str) -> None:
     A :class:`_Text` fragment is appended as it is: it is JSON text already
     written at this indent.  Objects and floats, the bulk of a report, are
     tested first; the other types are disjoint from them, so the order
-    changes no output.
+    changes no output.  Each float is written by :func:`_real`, and a
+    non-empty list or tuple of exact floats as one joined string.
     """
     if isinstance(o, dict):
         if not o:
@@ -278,9 +295,7 @@ def _write_json(o: Any, out: list[str], newline: str) -> None:
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(o, float):
-        if o != o or o in _INFINITIES:
-            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
-        out.append(float.__repr__(float(fmt12(o))))
+        out.append(_real(o))
     elif isinstance(o, _Text):
         out.append(o)
     elif isinstance(o, str):
@@ -295,6 +310,9 @@ def _write_json(o: Any, out: list[str], newline: str) -> None:
         out.append(int.__repr__(o))
     elif isinstance(o, (list, tuple, Iterator)):
         inner = newline + "  "
+        if o and isinstance(o, (list, tuple)) and all(type(v) is float for v in o):
+            out.append("[" + inner + ("," + inner).join(map(_real, o)) + newline + "]")
+            return
         sep = "[" + inner
         for value in o:
             out.append(sep)
@@ -311,6 +329,8 @@ def dump_json(payload: Any) -> str:
     The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``
     plus a newline, each float first rounded by :func:`fmt12`: two-space
     indent, ASCII-escaped strings, and ``ValueError`` on NaN or infinity.
+    A float's text is its 12-digit text, with ``.0`` added to an integer
+    value, or, where that text has an exponent, ``repr`` of its value.
     Dict keys must be strings.  An iterator (a generator, say) is written as
     an array, so a caller can stream a large array without building it.
     """

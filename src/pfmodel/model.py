@@ -354,7 +354,11 @@ class Factorization:
     prior_pos: float
     phi: NormalizedConfusionMatrix
     eta: float | None
-    zero_negative_mass: bool
+
+    @property
+    def zero_negative_mass(self) -> bool:
+        """True when no negative mass exists (all f = 1), so ``eta`` is ``None``."""
+        return self.eta is None
 
     def reconstruct(self) -> JointMatrix:
         """Rebuild the joint mass as diag(prior_neg, prior_pos) . phi."""
@@ -433,7 +437,6 @@ def _factorization(
             prior_pos=prior_pos,
             phi=state.intrinsic(),
             eta=None,
-            zero_negative_mass=True,
         )
 
     psi01, psi11 = state.psi01, state.psi11
@@ -445,7 +448,6 @@ def _factorization(
         prior_pos=prior_pos,
         phi=phi,
         eta=eta,
-        zero_negative_mass=False,
     )
 
 

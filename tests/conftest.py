@@ -14,6 +14,7 @@ from pfmodel import (
     Pipeline,
     validate_taxonomy,
 )
+from pfmodel.io import fmt12
 
 GAMMA_A = NormalizedConfusionMatrix(tn=0.9, fp=0.1, fn=0.2, tp=0.8)
 GAMMA_B = NormalizedConfusionMatrix(tn=0.8, fp=0.2, fn=0.1, tp=0.9)
@@ -114,6 +115,20 @@ L2_PROFILES_JSON = json.dumps(
         }
     }
 )
+
+
+def reals_of_pretty_json(text: str) -> list[float]:
+    """Every real in a pfmodel JSON text, after checking that the text is the
+    stdlib pretty-printer's and that each real keeps its 12-digit text."""
+    reals: list[float] = []
+
+    def keep(literal):
+        reals.append(float(literal))
+        return reals[-1]
+
+    assert text == json.dumps(json.loads(text, parse_float=keep), indent=2) + "\n"
+    assert all(float(fmt12(x)) == x for x in reals)
+    return reals
 
 
 #: categories of a chain deeper than a recursive walk of it could go

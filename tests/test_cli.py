@@ -16,7 +16,7 @@ from pfmodel import cli, depth_profile, find_pipeline, parse_inputs, simulate
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
 from pfmodel.io import fmt12
 
-from conftest import DEEP_CHAIN_SIZE, chain_json
+from conftest import DEEP_CHAIN_SIZE, chain_json, reals_of_pretty_json
 
 
 def run(argv, capsys):
@@ -149,6 +149,25 @@ def test_analyze_deep_chain_pipeline_tsv(deep_chain_files, capsys):
     pipeline = find_pipeline(bundle.taxonomy, deepest)
     omega = depth_profile(pipeline, bundle.profiles).rows[-1].omega
     assert lines[-1].split("\t")[3:7] == [fmt12(w) for w in omega.as_tuple()]
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["sweep", "--target", "0.05", "--n", "3"]], ids=["analyze", "sweep"]
+)
+def test_deep_outputs_keep_the_12_digit_shortest_text(command, tmp_path, capsys):
+    # at f=0.5 the deep prefixes' masses fall below 1e-4 and on to subnormals,
+    # which the goldens never reach: their text takes the exponent form
+    taxonomy, profiles = tmp_path / "taxonomy.json", tmp_path / "profiles.json"
+    for path, text in zip((taxonomy, profiles), chain_json(DEEP_CHAIN_SIZE, f=0.5)):
+        path.write_text(text)
+    deepest = "/".join(f"c{i}" for i in range(DEEP_CHAIN_SIZE))
+    code, out, err = run([*command, "--taxonomy", str(taxonomy), "--profiles", str(profiles),
+                          "--pipeline", deepest], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    reals = reals_of_pretty_json(out)
+    assert any(0.0 < abs(x) < 1e-4 for x in reals)
+    if command[0] == "analyze":
+        assert any(0.0 < abs(x) < sys.float_info.min for x in reals)
 
 
 def test_analyze_tsv_recall_column(l2_files, capsys):

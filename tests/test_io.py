@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
-from pfmodel.io import build_report, dump_json, fmt12, write_report
+from pfmodel.io import _real, build_report, dump_json, fmt12, write_report
 
 from conftest import (
     DAG_PROFILES_JSON,
@@ -23,6 +24,7 @@ from conftest import (
     chain_json,
     random_gamma,
     random_tree,
+    reals_of_pretty_json,
 )
 
 MINIMAL_TAXONOMY = json.dumps(
@@ -371,15 +373,7 @@ def test_report_blocks_equal_the_per_pipeline_evaluations(bundle):
 @given(bundles_with_overrides())
 @settings(max_examples=100, deadline=None)
 def test_report_json_is_pretty_printed_with_12_digit_reals(bundle):
-    text = write_report(build_report(bundle), "json")
-    floats = []
-
-    def keep(literal):
-        floats.append(float(literal))
-        return floats[-1]
-
-    assert text == json.dumps(json.loads(text, parse_float=keep), indent=2) + "\n"
-    assert all(float(fmt12(x)) == x for x in floats)
+    reals_of_pretty_json(write_report(build_report(bundle), "json"))
 
 
 def test_library_int_reals_are_written_as_floats():
@@ -543,7 +537,17 @@ json_values = st.recursive(
 )
 
 
+class _Float(float):
+    pass
+
+
+# arrays that must not take the all-float branch, and the empty one
 @given(json_values)
+@example((1.0, 2))
+@example((1.0, True))
+@example((1.0, None))
+@example((_Float(0.5), 1.0))
+@example(())
 @settings(max_examples=150, deadline=None)
 def test_dump_json_matches_the_stdlib_pretty_printer(value):
     def rounded(v):
@@ -560,11 +564,36 @@ def test_dump_json_matches_the_stdlib_pretty_printer(value):
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_dump_json_rejects_non_finite_floats_like_the_stdlib(x):
-    with pytest.raises(ValueError) as ours:
-        dump_json({"a": [1.0, x]})
-    with pytest.raises(ValueError) as stdlib:
-        json.dumps({"a": [1.0, x]}, indent=2, allow_nan=False)
-    assert str(ours.value) == str(stdlib.value)
+    for value in ({"a": [1.0, x]}, {"a": (1.0, x)}, {"a": [1.0, "s", x]}):
+        with pytest.raises(ValueError) as ours:
+            dump_json(value)
+        with pytest.raises(ValueError) as stdlib:
+            json.dumps(value, indent=2, allow_nan=False)
+        assert str(ours.value) == str(stdlib.value)
+
+
+#: where the 12-digit text turns to or from an exponent form, each with its
+#: finite neighbours, and the subnormal and largest floats, where fewer
+#: digits can round-trip; and the negative of each
+REAL_TEXT_BOUNDARIES = [
+    sign * x
+    for v in [0.0, 1.0, 100.0, 1e-4, 9.999999999995e11, 1e12, 1e15, 1e16, 5e-324,
+              sys.float_info.min, 1e-300, 1e-310, sys.float_info.max]
+    for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))
+    if math.isfinite(x)
+    for sign in (1.0, -1.0)
+]
+
+
+@pytest.mark.parametrize("x", REAL_TEXT_BOUNDARIES)
+def test_real_text_is_the_shortest_text_of_the_12_digit_rounding(x):
+    assert _real(x) == float.__repr__(float(fmt12(x)))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=150, deadline=None)
+def test_real_text_matches_the_12_digit_round_trip(x):
+    assert _real(x) == float.__repr__(float(fmt12(x)))
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"x", object(), {1: 2.0}, {"a": [{None: 1}]}])

@@ -104,6 +104,7 @@ _SIMULATE_NAMES = frozenset({
     "run_simulation",
     "simulate_pipeline",
     "simulate_taxonomy",
+    "taxonomy_memberships",
     "verify_oracles",
 })
 #: the submodules that import numpy; loading ``simulate`` binds both

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -184,24 +184,33 @@ def _coin_probability(t: Taxonomy, node: CategoryId, q_of: Mapping[CategoryId, f
 
 @dataclass(frozen=True)
 class TaxonomySimOutcome:
-    """Whole-taxonomy simulation: shared truth, per-pipeline tallies.
+    """Whole-taxonomy simulation: per-pipeline tallies and the joint matrix
+    each pipeline is expected to follow, resolved the same way the
+    simulation resolved its classifiers.  The truth is not kept;
+    :func:`taxonomy_memberships` regenerates it bit for bit."""
 
-    ``memberships`` maps category -> boolean array over documents (the
-    generated label sets, ancestor-closed by construction); ``models``
-    carries the joint matrix each pipeline is expected to follow, resolved
-    the same way the simulation resolved its classifiers.
-    """
-
-    m: int
-    memberships: Mapping[CategoryId, np.ndarray]
     per_pipeline: Mapping[str, SimOutcome]
     models: Mapping[str, JointMatrix]
 
-    def label_sets(self, limit: int | None = None) -> Iterator[frozenset[CategoryId]]:
-        """Yield per-document label sets (optionally only the first ``limit``)."""
-        n = self.m if limit is None else min(limit, self.m)
-        for i in range(n):
-            yield frozenset(c for c, member in self.memberships.items() if member[i])
+
+def taxonomy_memberships(t: Taxonomy, cfg: SimConfig) -> dict[CategoryId, np.ndarray]:
+    """Category -> boolean array over ``cfg.m`` documents: the label sets that
+    whole-taxonomy simulation draws, ancestor-closed by construction.
+
+    One membership coin per category in topological order, gated by all
+    its parents, so a category is entered only if all its parents were.
+    """
+    m = cfg.m
+    memberships: dict[CategoryId, np.ndarray] = {t.root: np.ones(m, dtype=bool)}
+    q_of: dict[CategoryId, float] = {t.root: 1.0}
+    for node in t.topological_order[1:]:
+        q = q_of[node] = _coin_probability(t, node, q_of)
+        gate = np.ones(m, dtype=bool)
+        for p in t.parents_of(node):
+            gate &= memberships[p]
+        u = uniforms(cfg.seed, ("taxonomy-membership", node), m)
+        memberships[node] = gate & (u < q)
+    return memberships
 
 
 def simulate_taxonomy(
@@ -209,13 +218,11 @@ def simulate_taxonomy(
 ) -> TaxonomySimOutcome:
     """Flow documents through the whole taxonomy top-down and tally per pipeline.
 
-    Truth: each document's label set grows from the root; a category is
-    entered only if all its parents were (ancestor closure is structural),
-    with one membership draw per category.  Decisions: every accepting
-    classifier forwards to all children, so each rooted path re-judges the
-    document while its prefix kept accepting.  Classifier profiles are
-    resolved per rooted prefix, which is also how the per-pipeline model
-    matrices in ``models`` are built.
+    Truth: the label sets of :func:`taxonomy_memberships`.  Decisions: every
+    accepting classifier forwards to all children, so each rooted path
+    re-judges the document while its prefix kept accepting.  Classifier
+    profiles are resolved per rooted prefix, which is also how the
+    per-pipeline model matrices in ``models`` are built.
     """
     return _simulate_taxonomy(t, profiles, cfg, {})
 
@@ -226,17 +233,7 @@ def _simulate_taxonomy(
     """:func:`simulate_taxonomy`, building only the models that ``models``
     lacks into it, so replications that pass the same dict build each once."""
     m = cfg.m
-
-    # truth: one membership coin per category in topological order, gated by all parents
-    memberships: dict[CategoryId, np.ndarray] = {t.root: np.ones(m, dtype=bool)}
-    q_of: dict[CategoryId, float] = {t.root: 1.0}
-    for node in t.topological_order[1:]:
-        q = q_of[node] = _coin_probability(t, node, q_of)
-        gate = np.ones(m, dtype=bool)
-        for p in t.parents_of(node):
-            gate &= memberships[p]
-        u = uniforms(cfg.seed, ("taxonomy-membership", node), m)
-        memberships[node] = gate & (u < q)
+    memberships = taxonomy_memberships(t, cfg)
 
     # decisions: one stream per rooted prefix, shared by extending pipelines.
     # Pipelines come prefix-first, so each one extends its parent prefix's
@@ -260,12 +257,7 @@ def _simulate_taxonomy(
         if p.path not in models:
             models[p.path] = JointMatrix(*_closed_form(p.require_fs(), chain))
 
-    return TaxonomySimOutcome(
-        m=m,
-        memberships=memberships,
-        per_pipeline=per_pipeline,
-        models=models,
-    )
+    return TaxonomySimOutcome(per_pipeline=per_pipeline, models=models)
 
 
 @dataclass(frozen=True, slots=True)
@@ -438,8 +430,8 @@ def run_simulation(t: Taxonomy, profiles: ClassifierProfileSet, m: int, seed: in
             pairs = [(predicted, simulate_pipeline(pipeline, profiles, cfg))]
         else:
             result = _simulate_taxonomy(t, profiles, cfg, models)
-            pairs = zip(result.models.values(), result.per_pipeline.values())
-            del result  # its memberships take m bytes per category
+            pairs = [(result.models[path], outcome)
+                     for path, outcome in result.per_pipeline.items()]
         runs.extend(SimRun(r, cfg.seed, outcome, model,
                            compare(model, outcome, z_threshold=z_threshold))
                     for model, outcome in pairs)

@@ -232,16 +232,21 @@ def test_criterion_8_monte_carlo_validation():
 def test_criterion_9_taxonomy_simulation():
     with criterion(9, "taxonomy simulation: consistent labels, per-pipeline 4 sigma"):
         bundle = pf.parse_inputs(DAG_TAXONOMY_JSON, DAG_PROFILES_JSON)
-        res = pf.simulate_taxonomy(
-            bundle.taxonomy, bundle.profiles, SimConfig(m=100_000, seed=42)
-        )
+        cfg = SimConfig(m=100_000, seed=42)
+        res = pf.simulate_taxonomy(bundle.taxonomy, bundle.profiles, cfg)
+        # the truth the tallies were drawn from, regenerated bit for bit
+        memberships = pf.taxonomy_memberships(bundle.taxonomy, cfg)
         for c in bundle.taxonomy.categories:
             ancestors, _, _ = pf.relative_sets(bundle.taxonomy, c)
             for a in ancestors:
-                assert np.all(res.memberships[c] <= res.memberships[a])
-        for ls in res.label_sets(limit=500):
+                assert np.all(memberships[c] <= memberships[a])
+        for i in range(500):
+            ls = frozenset(c for c, member in memberships.items() if member[i])
             ok, _ = pf.check_label_consistency(bundle.taxonomy, ls)
             assert ok
+        for p in pf.enumerate_pipelines(bundle.taxonomy):
+            _, _, fn, tp = res.per_pipeline[p.path].counts
+            assert fn + tp == np.count_nonzero(memberships[p.nodes[-1]]), p.path
         for path, outcome in res.per_pipeline.items():
             report = pf.compare(res.models[path], outcome, z_threshold=Z_BOUND)
             assert report.passed, (path, report.max_z)

@@ -8,9 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfmodel import cli, depth_profile, find_pipeline, parse_inputs, simulate
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
@@ -372,6 +375,37 @@ def test_verify_gate_trips_at_zero_tolerance(dag_files, tmp_path, capsys):
         f"pfmodel: falsified: {len(failed)} of {len(payload['checks'])} checks above --tol 0;"
     )
     assert f" worst: {worst['source']} {worst['pipeline']} {worst['check']}," in line
+
+
+def shift_fp_into_tn(oracle, path, rel=1e-9):
+    """``oracle``, except that on pipeline ``path`` a relative ``rel`` of the
+    fp mass moves into tn, so the joint mass still sums to one."""
+    def planted(pipeline, profiles):
+        w = oracle(pipeline, profiles)
+        if pipeline.path != path:
+            return w
+        d = rel * w.fp
+        return type(w)(tn=w.tn + d, fp=w.fp - d, fn=w.fn, tp=w.tp)
+    return planted
+
+
+@pytest.mark.parametrize("oracle, failing", [
+    ("omega_closed", {"closed_vs_recursive", "exact_vs_closed"}),
+    ("omega_recursive", {"closed_vs_recursive", "exact_vs_recursive"}),
+    ("enumerate_exact", {"exact_vs_recursive", "exact_vs_closed"}),
+])
+def test_verify_catches_a_planted_fault(oracle, failing, monkeypatch, capsys):
+    # an oracle that came to agree with a wrong model would pass every
+    # agreement test; a 1e-9 relative fault in one pipeline must not pass
+    monkeypatch.setattr(simulate, oracle, shift_fp_into_tn(getattr(simulate, oracle), "A/B/D"))
+    code, out, err = run(["verify", "--taxonomy", str(GOLDEN / "taxonomy.json"),
+                          "--profiles", str(GOLDEN / "profiles.json"), "--samples", "0"],
+                         capsys)
+    assert code == EXIT_FALSIFIED
+    assert err.count("\n") == 1 and " A/B/D " in err
+    failed = {(c["pipeline"], c["check"]) for c in json.loads(out)["checks"]
+              if not c["passed"]}
+    assert failed == {("A/B/D", check) for check in failing}
 
 
 def test_verify_tsv(l2_files, capsys):
@@ -737,3 +771,62 @@ def test_sweep_infeasible_target(l2_files, capsys):
         capsys,
     )
     assert code == EXIT_INVALID
+
+
+# --- valid inputs never crash -------------------------------------------------------
+
+#: probabilities where floating point is most fragile
+EXTREMES = (0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16)
+_unit = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1.0))
+
+
+@st.composite
+def valid_tree_inputs(draw):
+    """Taxonomy and profiles JSON of a random tree c0 > c1 > c2 > ... (each
+    later node under a random earlier one), and a pipeline of depth >= 2
+    whose classifier is overridden at a non-final step."""
+    n = draw(st.integers(3, 14))
+    parent = [None, 0, 1] + [draw(st.integers(0, i - 1)) for i in range(3, n)]
+    names = [f"c{i}" for i in range(n)]
+
+    def row():
+        fp, tp = draw(_unit), draw(_unit)
+        return {"tn": 1.0 - fp, "fp": fp, "fn": 1.0 - tp, "tp": tp}
+
+    def path_to(i):
+        return path_to(parent[i]) + [names[i]] if i else [names[0]]
+
+    nodes = path_to(draw(st.sampled_from([i for i in range(2, n) if len(path_to(i)) > 2])))
+    step = draw(st.integers(1, len(nodes) - 2))
+    taxonomy = {"root": names[0], "categories": names,
+                "edges": [{"child": names[i], "parent": names[parent[i]], "f": draw(_unit)}
+                          for i in range(1, n)]}
+    profiles = {"classifiers": {c: row() for c in names[1:]},
+                "overrides": [{"pipeline": "/".join(nodes), "category": nodes[step], **row()}]}
+    return json.dumps(taxonomy), json.dumps(profiles), "/".join(nodes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(valid_tree_inputs())
+def test_valid_inputs_never_crash(inputs):
+    taxonomy_json, profiles_json, pipeline = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        taxonomy, profiles = Path(tmp, "taxonomy.json"), Path(tmp, "profiles.json")
+        taxonomy.write_text(taxonomy_json)
+        profiles.write_text(profiles_json)
+        files = ["--taxonomy", str(taxonomy), "--profiles", str(profiles)]
+        for argv, codes in [
+            (["pipelines", "--taxonomy", str(taxonomy)], {EXIT_OK}),
+            (["analyze", *files], {EXIT_OK}),
+            (["analyze", *files, "--format", "tsv"], {EXIT_OK}),
+            (["verify", *files, "--samples", "2"], {EXIT_OK}),
+            (["simulate", *files, "--m", "200"], {EXIT_OK, EXIT_FALSIFIED}),
+            (["simulate", *files, "--m", "200", "--pipeline", pipeline],
+             {EXIT_OK, EXIT_FALSIFIED}),
+            (["sweep", *files, "--pipeline", pipeline, "--target", "0.05", "--n", "5"],
+             {EXIT_OK}),
+        ]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in codes, (argv[0], code, err.getvalue())

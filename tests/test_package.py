@@ -30,7 +30,7 @@ EXPORTED = (
     "parse_taxonomy", "pipeline_leq", "pipeline_metrics", "precision_constraint_check",
     "psi", "relative_sets", "relevance", "rng", "run_simulation", "serialize_profiles",
     "serialize_taxonomy", "simulate", "simulate_pipeline", "simulate_taxonomy", "taxonomy",
-    "validate_taxonomy", "verify_oracles", "wfs_char", "write_pipelines", "write_report",
+    "taxonomy_memberships", "validate_taxonomy", "verify_oracles", "wfs_char", "write_pipelines", "write_report",
     "write_simulation", "write_sweep", "write_verification",
 )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from pfmodel import (
 from pfmodel.rng import uniforms
 
 from conftest import DEEP_CHAIN_SIZE, GAMMA_B, chain_json, random_gamma, random_pipeline
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def brute_force_joint(fs, gammas):
@@ -321,15 +324,63 @@ def dag_sim_inputs(dag_example):
 
 
 def test_taxonomy_labels_are_ancestor_closed(dag_sim_inputs):
-    t, profiles = dag_sim_inputs
-    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=20_000, seed=5))
+    t, _ = dag_sim_inputs
+    memberships = pf.taxonomy_memberships(t, SimConfig(m=20_000, seed=5))
     for c in t.categories:
         ancestors, _, _ = pf.relative_sets(t, c)
         for a in ancestors:
-            assert np.all(res.memberships[c] <= res.memberships[a])
-    for ls in res.label_sets(limit=100):
+            assert np.all(memberships[c] <= memberships[a])
+    for i in range(100):
+        ls = frozenset(c for c, member in memberships.items() if member[i])
         ok, missing = pf.check_label_consistency(t, ls)
         assert ok and not missing
+
+
+def golden_bundle():
+    return pf.parse_inputs((GOLDEN / "taxonomy.json").read_text(),
+                           (GOLDEN / "profiles.json").read_text())
+
+
+def four_ary_tree(depth, f=lambda i: 0.7):
+    """The full 4-ary tree of ``depth`` levels below c0, every classifier GAMMA_B;
+    the edge into c<i> has probability ``f(i)``."""
+    n = (4 ** (depth + 1) - 1) // 3
+    names = [f"c{i}" for i in range(n)]
+    t = pf.validate_taxonomy(names, [Edge(names[i], names[(i - 1) // 4], f(i))
+                                     for i in range(1, n)])
+    return t, ClassifierProfileSet(base={c: GAMMA_B for c in names[1:]}, root=names[0])
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("inputs", ["golden", "tree"])
+def test_tallies_count_the_regenerated_truth(inputs, seed):
+    if inputs == "golden":
+        bundle = golden_bundle()
+        t, profiles = bundle.taxonomy, bundle.profiles
+    else:
+        t, profiles = four_ary_tree(2, lambda i: 0.2 + 0.03 * i)
+    cfg = SimConfig(m=5_000, seed=seed)
+    res = pf.simulate_taxonomy(t, profiles, cfg)
+    memberships = pf.taxonomy_memberships(t, cfg)
+    for p in pf.enumerate_pipelines(t):
+        _, _, fn, tp = res.per_pipeline[p.path].counts
+        assert fn + tp == np.count_nonzero(memberships[p.nodes[-1]]), p.path
+
+
+def test_simulation_runs_pair_with_their_own_models():
+    bundle = golden_bundle()
+    t, profiles = bundle.taxonomy, bundle.profiles
+    m, seed = 2_000, 7
+    sim = pf.run_simulation(t, profiles, m, seed, 3, 4.0)
+    assert len(sim.runs) == 3 * len(pf.enumerate_pipelines(t))
+    for r in range(3):
+        expected = pf.simulate_taxonomy(t, profiles, SimConfig(m, seed + r))
+        runs = [run for run in sim.runs if run.replication == r]
+        assert [run.outcome.pipeline for run in runs] == list(expected.per_pipeline)
+        for run in runs:
+            path = run.outcome.pipeline
+            assert run.model == expected.models[path]
+            assert run.outcome.counts == expected.per_pipeline[path].counts
 
 
 def test_taxonomy_regression_counts(dag_sim_inputs):
@@ -380,22 +431,35 @@ def test_deep_chain_taxonomy_tallies_each_prefix():
     assert_never_grows([res.per_pipeline[p.path].counts for p in pipelines])
 
 
-def test_taxonomy_holds_only_the_live_path():
-    # a finished subtree's decision arrays are freed, so the peak is the
-    # memberships (N*m bytes) plus about depth+1 decision arrays, not 2*N*m
-    n, m = 341, 50_000  # a full 4-ary tree of depth 4
-    names = [f"c{i}" for i in range(n)]
-    t = pf.validate_taxonomy(names, [Edge(names[i], names[(i - 1) // 4], 0.7)
-                                     for i in range(1, n)])
-    profiles = ClassifierProfileSet(base={c: GAMMA_B for c in names[1:]}, root=names[0])
+def traced_simulation(m):
+    """(current, peak) bytes traced across simulating the full 4-ary tree of
+    depth 4 (341 nodes) at ``m``, current taken while the result is held."""
+    t, profiles = four_ary_tree(4)
     pf.simulate_taxonomy(t, profiles, SimConfig(m=16, seed=0))  # warm-up
     tracemalloc.start()
     try:
-        pf.simulate_taxonomy(t, profiles, SimConfig(m=m, seed=0))
-        _, peak = tracemalloc.get_traced_memory()
+        res = pf.simulate_taxonomy(t, profiles, SimConfig(m=m, seed=0))
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(res.per_pipeline) == 341
+    return current, peak
+
+
+def test_taxonomy_holds_only_the_live_path():
+    # a finished subtree's decision arrays are freed, so the peak is the
+    # memberships (N*m bytes) plus about depth+1 decision arrays, not 2*N*m
+    n, m = 341, 50_000
+    _, peak = traced_simulation(m)
     assert peak < 1.6 * n * m
+
+
+def test_taxonomy_result_holds_no_draws():
+    # the memberships (N*m bytes) are gone once the walk returns; the
+    # result holds tallies and models only
+    n, m = 341, 50_000
+    current, _ = traced_simulation(m)
+    assert current < 0.05 * n * m
 
 
 def test_taxonomy_requires_edge_probabilities():
@@ -415,13 +479,15 @@ def test_diamond_dag_consistent_edges_match_models():
     )
     g = NormalizedConfusionMatrix(tn=0.9, fp=0.1, fn=0.2, tp=0.8)
     profiles = ClassifierProfileSet(base={"B": g, "C": g, "D": g}, root="A")
-    res = pf.simulate_taxonomy(t, profiles, SimConfig(m=100_000, seed=3))
+    cfg = SimConfig(m=100_000, seed=3)
+    res = pf.simulate_taxonomy(t, profiles, cfg)
     for path, outcome in res.per_pipeline.items():
         assert pf.compare(res.models[path], outcome).passed, path
+    memberships = pf.taxonomy_memberships(t, cfg)
     for c in t.categories:
         ancestors, _, _ = pf.relative_sets(t, c)
         for a in ancestors:
-            assert np.all(res.memberships[c] <= res.memberships[a])
+            assert np.all(memberships[c] <= memberships[a])
 
 
 def test_diamond_dag_infeasible_edges_rejected():

@@ -408,11 +408,10 @@ def build_report(
     else:
         pipelines = (find_pipeline(bundle.taxonomy, pipeline_path, leaf_only=leaf_only),)
     profiles = bundle.profiles
-    overridden = {path for path, _ in profiles.overrides}
     analyzed: dict[tuple[str, ...], DepthProfile] = {}
     for p in pipelines:
         parent = analyzed.get(p.nodes[:-1])
-        if parent is not None and (p.path in overridden or parent.pipeline.path in overridden):
+        if parent is not None and not profiles.extends(p, parent.pipeline):
             parent = None
         analyzed[p.nodes] = _fold(p, profiles.gamma_chain(p), parent)
     return Report(

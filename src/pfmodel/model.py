@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -219,6 +220,17 @@ class ClassifierProfileSet:
     def gamma_chain(self, pipeline: Pipeline) -> tuple[NormalizedConfusionMatrix, ...]:
         """Profiles for steps 1..L of ``pipeline`` in order."""
         return tuple(self.resolve(pipeline, k) for k in range(1, len(pipeline.nodes)))
+
+    @cached_property
+    def _overridden_paths(self) -> frozenset[str]:
+        return frozenset(path for path, _ in self.overrides)
+
+    def extends(self, pipeline: Pipeline, parent: Pipeline) -> bool:
+        """Whether ``pipeline``'s chain is ``parent``'s chain plus one step, so
+        a fold along ``parent`` carries on to ``pipeline``.  Overrides are keyed
+        by the full pipeline path, so this holds when neither path carries one."""
+        return (pipeline.path not in self._overridden_paths
+                and parent.path not in self._overridden_paths)
 
 
 def _gammas_for(

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .metrics import DEFAULT_Z_THRESHOLD, MetricReport, pipeline_metrics
 from .model import (ClassifierProfileSet, JointMatrix, NormalizedConfusionMatrix,
-                    _closed_form, omega_closed, omega_recursive)
+                    _closed_form, omega_closed, omega_recursive, omega_step)
 from .rng import stream_key, uniforms
 from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
 
@@ -365,11 +365,20 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
                    samples: int, seed: int) -> Verification:
     """Cross-check the closed form, the recurrence and, up to depth ``max_len``,
     exact enumeration on every pipeline of ``t`` and on ``samples`` random ones
-    drawn from the stream keyed by ``seed``; a check passes within ``tol``."""
+    drawn from the stream keyed by ``seed``; a check passes within ``tol``.
+
+    Taxonomy pipelines come prefix-first, so the recurrence takes one
+    :func:`omega_step` per rooted prefix, from its parent prefix's value.  The
+    root, and a pipeline whose own path or parent's path carries an override
+    (:meth:`ClassifierProfileSet.extends`), are folded from the root by
+    :func:`omega_recursive`, as the random pipelines are.  Either way each
+    value is :func:`omega_recursive`'s, bit for bit.  The closed form and
+    exact enumeration evaluate each pipeline on its own.
+    """
     checks = []
 
-    def run_one(source: str, pipeline: Pipeline, profiles: ClassifierProfileSet) -> None:
-        recursive = omega_recursive(pipeline, profiles)
+    def run_one(source: str, pipeline: Pipeline, profiles: ClassifierProfileSet,
+                recursive: JointMatrix) -> None:
         closed = omega_closed(pipeline, profiles)
         rows = [("closed_vs_recursive", closed.max_abs_diff(recursive)),
                 ("mass_sums_to_one", abs(recursive.total - 1.0))]
@@ -380,11 +389,22 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
         checks.extend(OracleCheck(source, pipeline, check, diff, diff <= tol)
                       for check, diff in rows)
 
+    # ``live[k]`` holds the live prefix at depth k and its recurrence value,
+    # so finished subtrees free theirs
+    live: list[tuple[Pipeline, JointMatrix]] = []
     for p in enumerate_pipelines(t):
-        run_one("taxonomy", p, profiles)
+        del live[p.depth:]
+        if live and profiles.extends(p, live[-1][0]):
+            recursive = omega_step(live[-1][1], p.require_fs()[-1], profiles.resolve(p, p.depth))
+        else:
+            recursive = omega_recursive(p, profiles)
+        live.append((p, recursive))
+        run_one("taxonomy", p, profiles, recursive)
     rng = Generator(Philox(key=stream_key(seed, "verify")))
     for i in range(samples):
-        run_one(f"random[{i}]", *_random_pipeline(rng, max_len))
+        pipeline, sample_profiles = _random_pipeline(rng, max_len)
+        run_one(f"random[{i}]", pipeline, sample_profiles,
+                omega_recursive(pipeline, sample_profiles))
     return Verification(tol, max_len, samples, seed, tuple(checks))
 
 

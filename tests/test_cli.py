@@ -377,15 +377,26 @@ def test_verify_gate_trips_at_zero_tolerance(dag_files, tmp_path, capsys):
     assert f" worst: {worst['source']} {worst['pipeline']} {worst['check']}," in line
 
 
-def shift_fp_into_tn(oracle, path, rel=1e-9):
-    """``oracle``, except that on pipeline ``path`` a relative ``rel`` of the
-    fp mass moves into tn, so the joint mass still sums to one."""
+def shifted(w, rel=1e-9):
+    """``w`` with a relative ``rel`` of its fp mass moved into tn, so the
+    joint mass still sums to one."""
+    d = rel * w.fp
+    return type(w)(tn=w.tn + d, fp=w.fp - d, fn=w.fn, tp=w.tp)
+
+
+def shift_fp_into_tn(oracle, path):
+    """``oracle``, except that on pipeline ``path`` its value is shifted."""
     def planted(pipeline, profiles):
         w = oracle(pipeline, profiles)
-        if pipeline.path != path:
-            return w
-        d = rel * w.fp
-        return type(w)(tn=w.tn + d, fp=w.fp - d, fn=w.fn, tp=w.tp)
+        return shifted(w) if pipeline.path == path else w
+    return planted
+
+
+def shift_step_into_tn(step, value):
+    """``step``, except that the step which yields ``value`` yields it shifted."""
+    def planted(*args):
+        w = step(*args)
+        return shifted(w) if w == value else w
     return planted
 
 
@@ -397,7 +408,16 @@ def shift_fp_into_tn(oracle, path, rel=1e-9):
 def test_verify_catches_a_planted_fault(oracle, failing, monkeypatch, capsys):
     # an oracle that came to agree with a wrong model would pass every
     # agreement test; a 1e-9 relative fault in one pipeline must not pass
-    monkeypatch.setattr(simulate, oracle, shift_fp_into_tn(getattr(simulate, oracle), "A/B/D"))
+    if oracle == "omega_recursive":
+        # verify steps A/B/D's recurrence value on from A/B's, so the fault
+        # goes into the one step that yields it
+        bundle = parse_inputs((GOLDEN / "taxonomy.json").read_text(),
+                              (GOLDEN / "profiles.json").read_text())
+        value = simulate.omega_recursive(find_pipeline(bundle.taxonomy, "A/B/D"), bundle.profiles)
+        monkeypatch.setattr(simulate, "omega_step", shift_step_into_tn(simulate.omega_step, value))
+    else:
+        monkeypatch.setattr(simulate, oracle,
+                            shift_fp_into_tn(getattr(simulate, oracle), "A/B/D"))
     code, out, err = run(["verify", "--taxonomy", str(GOLDEN / "taxonomy.json"),
                           "--profiles", str(GOLDEN / "profiles.json"), "--samples", "0"],
                          capsys)
@@ -406,6 +426,26 @@ def test_verify_catches_a_planted_fault(oracle, failing, monkeypatch, capsys):
     failed = {(c["pipeline"], c["check"]) for c in json.loads(out)["checks"]
               if not c["passed"]}
     assert failed == {("A/B/D", check) for check in failing}
+
+
+@pytest.mark.parametrize("k", [1, 30])
+@pytest.mark.parametrize("lacks", ["f", "profile"])
+def test_verify_names_what_a_chain_lacks_at_depth_k(lacks, k, tmp_path, capsys):
+    # verify steps each pipeline on from its parent, so the first pipeline
+    # that lacks something is still the one whose error is reported
+    taxonomy, profiles = (json.loads(text) for text in chain_json(41))
+    if lacks == "f":
+        del taxonomy["edges"][k - 1]["f"]  # the edge into c<k>
+        path = "/".join(f"c{i}" for i in range(k + 1))
+        message = f"pipeline {path}: edge into 'c{k}' has no f"
+    else:
+        del profiles["classifiers"][f"c{k}"]
+        message = f"categories without a classifier profile: ['c{k}']"
+    (tmp_path / "t.json").write_text(json.dumps(taxonomy))
+    (tmp_path / "p.json").write_text(json.dumps(profiles))
+    code, out, err = run(["verify", "--taxonomy", str(tmp_path / "t.json"),
+                          "--profiles", str(tmp_path / "p.json")], capsys)
+    assert (code, out, err) == (EXIT_INVALID, "", f"pfmodel: error: {message}\n")
 
 
 def test_verify_tsv(l2_files, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -19,6 +20,8 @@ from pfmodel import (
     NormalizedConfusionMatrix,
     Pipeline,
     SimConfig,
+    model,
+    simulate,
 )
 from pfmodel.rng import uniforms
 
@@ -500,6 +503,105 @@ def test_diamond_dag_infeasible_edges_rejected():
     profiles = ClassifierProfileSet(base={"B": g, "C": g, "D": g}, root="A")
     with pytest.raises(pf.OutOfRangeProbabilityError):
         pf.simulate_taxonomy(t, profiles, SimConfig(m=100, seed=0))
+
+
+# --- verify -------------------------------------------------------------------------
+
+
+def chain_dicts(n):
+    """The taxonomy and profiles of ``chain_json(n)`` as dicts, to edit."""
+    return [json.loads(text) for text in chain_json(n)]
+
+
+def chain_path(k):
+    return "/".join(f"c{i}" for i in range(k + 1))
+
+
+def count_steps(monkeypatch):
+    """Every ``omega_step`` call from here on, in verify's own steps and in
+    ``omega_recursive``'s folds alike."""
+    calls = []
+    step = model.omega_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(model, "omega_step", counting)
+    monkeypatch.setattr(simulate, "omega_step", counting)
+    return calls
+
+
+def test_verify_steps_each_chain_prefix_once(monkeypatch):
+    depth = 400
+    bundle = pf.parse_inputs(*chain_json(depth + 1))
+    calls = count_steps(monkeypatch)
+    pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 6, 0, 42)
+    assert len(calls) == depth  # folding each from the root took 80,200
+
+
+def test_verify_refolds_the_overridden_pipelines_of_the_golden_dag(monkeypatch):
+    bundle = golden_bundle()
+    calls = count_steps(monkeypatch)
+    folded = []
+    recursive = simulate.omega_recursive
+    monkeypatch.setattr(simulate, "omega_recursive",
+                        lambda p, profiles: folded.append(p.path) or recursive(p, profiles))
+    pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 6, 0, 42)
+    # the root and the pipelines whose own path (A/B/D/E, A/C/D) or parent's
+    # path (A/C/D/E) carries an override fold from the root: 0 + 3 + 2 + 3
+    # steps; A/B, A/B/D, A/B/F and A/C take one step each from their parents
+    assert folded == ["A", "A/B/D/E", "A/C/D", "A/C/D/E"]
+    assert len(calls) == 12
+
+
+def chain_with_override():
+    """A 40-deep chain whose pipeline c0/../c20 overrides c10's classifier."""
+    taxonomy, profiles = chain_dicts(41)
+    profiles["overrides"] = [{"pipeline": chain_path(20), "category": "c10",
+                              "tn": 0.6, "fp": 0.4, "fn": 0.1, "tp": 0.9}]
+    return pf.parse_inputs(json.dumps(taxonomy), json.dumps(profiles))
+
+
+@pytest.mark.parametrize("inputs", [golden_bundle, chain_with_override])
+def test_verify_discrepancies_are_those_of_omega_recursive(inputs):
+    bundle = inputs()
+    t, profiles = bundle.taxonomy, bundle.profiles
+    got = {(c.pipeline.path, c.check): c.discrepancy
+           for c in pf.verify_oracles(t, profiles, 1e-12, 6, 0, 42).checks}
+    for p in pf.enumerate_pipelines(t):
+        recursive = pf.omega_recursive(p, profiles)
+        closed = pf.omega_closed(p, profiles)
+        assert got[p.path, "closed_vs_recursive"] == closed.max_abs_diff(recursive), p.path
+        assert got[p.path, "mass_sums_to_one"] == abs(recursive.total - 1.0), p.path
+
+
+@pytest.mark.parametrize("k", [1, 7, 30])
+def test_verify_raises_where_an_edge_lacks_f(k):
+    taxonomy, profiles = chain_dicts(41)
+    del taxonomy["edges"][k - 1]["f"]  # the edge into c<k>
+    bundle = pf.parse_inputs(json.dumps(taxonomy), json.dumps(profiles))
+    first = pf.find_pipeline(bundle.taxonomy, chain_path(k))
+    with pytest.raises(pf.MissingEdgeProbabilityError) as want:
+        pf.omega_recursive(first, bundle.profiles)
+    with pytest.raises(pf.MissingEdgeProbabilityError) as got:
+        pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 6, 0, 42)
+    assert str(got.value) == str(want.value) == f"pipeline {first.path}: edge into 'c{k}' has no f"
+    assert got.traceback[-1].name == "require_fs"
+
+
+@pytest.mark.parametrize("k", [1, 7, 30])
+def test_verify_raises_where_a_category_lacks_its_profile(k):
+    bundle = pf.parse_inputs(*chain_json(41))
+    profiles = ClassifierProfileSet(
+        base={c: g for c, g in bundle.profiles.base.items() if c != f"c{k}"}, root="c0")
+    first = pf.find_pipeline(bundle.taxonomy, chain_path(k))
+    with pytest.raises(pf.MissingGammaError) as want:
+        pf.omega_recursive(first, profiles)
+    with pytest.raises(pf.MissingGammaError) as got:
+        pf.verify_oracles(bundle.taxonomy, profiles, 1e-12, 6, 0, 42)
+    assert str(got.value) == str(want.value) == f"no confusion profile for category 'c{k}'"
+    assert [entry.name for entry in got.traceback[-2:]] == ["resolve", "resolve_category"]
 
 
 # --- deviation report ---------------------------------------------------------------

@@ -23,9 +23,12 @@ reported in one line).  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import io
 import math
+import os
+import stat
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import io as pfio
 from .errors import ParseError, PFModelError
@@ -115,18 +118,38 @@ def _require_seed(seed: int, streams: int = 1) -> None:
         )
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` as UTF-8 to ``out``, or to stdout whatever the locale."""
-    if out is None:
-        sys.stdout.flush()
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:  # a text-only stream, such as io.StringIO
-            sys.stdout.write(text)
-        else:
-            buffer.write(text.encode("utf-8"))
-    else:
+def _emit(out: str | None, write: Callable[..., object], *record: Any) -> None:
+    """Write a record with ``write(*record, sink)`` as UTF-8 into the file
+    ``out``, or into stdout whatever the locale, as the writer renders it.
+
+    The handler calls this only once its library call has returned, so bad
+    input exits before any file is opened.  If writing fails, a partial
+    ``out`` file (a regular file, not ``/dev/null`` or a pipe) is removed;
+    text already written to stdout cannot be taken back.  Stdout is wrapped
+    in a UTF-8 text layer over its byte buffer, which is flushed and
+    detached afterwards so the real stdout stays open; a text-only stdout,
+    such as ``io.StringIO``, is written to directly.
+    """
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            try:
+                write(*record, fh)
+                fh.flush()  # a failure to write the last text removes the file too
+            except BaseException:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.unlink(out)
+                raise
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        write(*record, sys.stdout)
+        return
+    sys.stdout.flush()
+    sink = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+    try:
+        write(*record, sink)
+    finally:
+        sink.detach()  # flushes, and leaves the buffer open
 
 
 def _falsified(line: str) -> int:
@@ -148,7 +171,7 @@ def _read(path: str) -> str:
 def _cmd_pipelines(args) -> int:
     taxonomy = pfio.parse_taxonomy(_read(args.taxonomy))
     pipelines = enumerate_pipelines(taxonomy, leaf_only=args.leaf_only)
-    _emit(pfio.write_pipelines(pipelines), args.out)
+    _emit(args.out, pfio.write_pipelines, pipelines)
     return EXIT_OK
 
 
@@ -156,7 +179,7 @@ def _cmd_analyze(args) -> int:
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     report = pfio.build_report(bundle, leaf_only=args.leaf_only,
                                pipeline_path=args.pipeline)
-    _emit(pfio.write_report(report, args.format), args.out)
+    _emit(args.out, pfio.write_report, report, args.format)
     return EXIT_OK
 
 
@@ -179,7 +202,7 @@ def _cmd_verify(args) -> int:
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     result = verify_oracles(bundle.taxonomy, bundle.profiles, args.tol, args.max_len,
                             args.samples, args.seed)
-    _emit(pfio.write_verification(result, args.format), args.out)
+    _emit(args.out, pfio.write_verification, result, args.format)
     return EXIT_OK if result.passed else _falsified(pfio.verification_failure(result))
 
 
@@ -198,7 +221,7 @@ def _cmd_simulate(args) -> int:
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline) if args.pipeline else None
     result = run_simulation(bundle.taxonomy, bundle.profiles, args.m, args.seed,
                             args.replications, args.z_threshold, pipeline)
-    _emit(pfio.write_simulation(result, args.format), args.out)
+    _emit(args.out, pfio.write_simulation, result, args.format)
     return EXIT_OK if result.passed else _falsified(pfio.simulation_failure(result))
 
 
@@ -213,7 +236,7 @@ def _cmd_sweep(args) -> int:
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
     pipeline = find_pipeline(bundle.taxonomy, args.pipeline)
     result = imbalance_sweep(pipeline, bundle.profiles, args.target, args.n, args.seed)
-    _emit(pfio.write_sweep(result, args.format), args.out)
+    _emit(args.out, pfio.write_sweep, result, args.format)
     return EXIT_OK
 
 

@@ -25,6 +25,10 @@ come in enumeration order (lexicographic on the category sequence, prefix
 first), keys in a fixed order, and reals with 12 significant digits.  A
 report's depth rows are rendered once each per call, however many pipelines
 share them.
+
+A writer passes its text to a text sink piece by piece as it renders, so
+the whole text is never held in memory.  Called without a sink, it writes
+into an :class:`io.StringIO` and returns the text.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from io import StringIO
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
     MissingGammaError,
@@ -240,11 +245,25 @@ def _cell12(x: float | None) -> str:
     return "-" if x is None else fmt12(x)
 
 
-def tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+def _text(writer: Callable[..., None], *args: Any) -> str:
+    """What ``writer(*args, sink)`` writes into a text sink, as one string."""
+    sink = StringIO()
+    writer(*args, sink)
+    return sink.getvalue()
+
+
+def tsv(header: Sequence[str], rows: Iterable[Sequence[str]],
+        out: TextIO | None = None) -> str | None:
     """A tab-separated table: the header line, then one line per row of
-    already formatted cells, each line ending in a newline."""
-    lines = chain(("\t".join(header),), ("\t".join(cells) for cells in rows))
-    return "\n".join(lines) + "\n"
+    already formatted cells, each line ending in a newline.  Written line by
+    line into ``out``; without a sink, returned as a string."""
+    if out is None:
+        return _text(tsv, header, rows)
+    write = out.write
+    write("\t".join(header) + "\n")
+    for cells in rows:
+        write("\t".join(cells) + "\n")
+    return None
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -271,11 +290,12 @@ class _Text(str):
     """JSON text already written, which :func:`_write_json` copies as it is."""
 
 
-def _write_json(o: Any, out: list[str], newline: str) -> None:
-    """Append the JSON text of ``o`` to ``out``, as ``json.dumps(indent=2)``
-    writes it; ``newline`` is a line break plus the indent of o's own line.
+def _write_json(o: Any, write: Callable[[str], Any], newline: str) -> None:
+    """Pass the JSON text of ``o`` to ``write``, in fragments, as
+    ``json.dumps(indent=2)`` writes it; ``newline`` is a line break plus the
+    indent of o's own line.
 
-    A :class:`_Text` fragment is appended as it is: it is JSON text already
+    A :class:`_Text` fragment is written as it is: it is JSON text already
     written at this indent.  Objects and floats, the bulk of a report, are
     tested first; the other types are disjoint from them, so the order
     changes no output.  Each float is written by :func:`_real`, and a
@@ -283,47 +303,47 @@ def _write_json(o: Any, out: list[str], newline: str) -> None:
     """
     if isinstance(o, dict):
         if not o:
-            out.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, value in o.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(value, out, inner)
+            write(sep + _encode_str(key) + ": ")
+            _write_json(value, write, inner)
             sep = "," + inner
-        out.append(newline + "}")
+        write(newline + "}")
     elif isinstance(o, float):
-        out.append(_real(o))
+        write(_real(o))
     elif isinstance(o, _Text):
-        out.append(o)
+        write(o)
     elif isinstance(o, str):
-        out.append(_encode_str(o))
+        write(_encode_str(o))
     elif o is None:
-        out.append("null")
+        write("null")
     elif o is True:
-        out.append("true")
+        write("true")
     elif o is False:
-        out.append("false")
+        write("false")
     elif isinstance(o, int):
-        out.append(int.__repr__(o))
+        write(int.__repr__(o))
     elif isinstance(o, (list, tuple, Iterator)):
         inner = newline + "  "
         if o and isinstance(o, (list, tuple)) and all(type(v) is float for v in o):
-            out.append("[" + inner + ("," + inner).join(map(_real, o)) + newline + "]")
+            write("[" + inner + ("," + inner).join(map(_real, o)) + newline + "]")
             return
         sep = "[" + inner
         for value in o:
-            out.append(sep)
-            _write_json(value, out, inner)
+            write(sep)
+            _write_json(value, write, inner)
             sep = "," + inner
-        out.append("[]" if sep[0] == "[" else newline + "]")
+        write("[]" if sep[0] == "[" else newline + "]")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def dump_json(payload: Any) -> str:
+def dump_json(payload: Any, out: TextIO | None = None) -> str | None:
     """Canonical JSON text: fixed key order as constructed, trailing newline.
 
     The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``
@@ -331,13 +351,19 @@ def dump_json(payload: Any) -> str:
     indent, ASCII-escaped strings, and ``ValueError`` on NaN or infinity.
     A float's text is its 12-digit text, with ``.0`` added to an integer
     value, or, where that text has an exponent, ``repr`` of its value.
-    Dict keys must be strings.  An iterator (a generator, say) is written as
-    an array, so a caller can stream a large array without building it.
+    Dict keys must be strings.
+
+    The text is written into ``out`` fragment by fragment as it is
+    rendered; without a sink it is returned as a string.  An iterator (a
+    generator, say) is written as an array, consumed one item at a time, so
+    with a sink a caller can stream a large array without building it or
+    its text.
     """
-    out: list[str] = []
-    _write_json(payload, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    if out is None:
+        return _text(dump_json, payload)
+    _write_json(payload, out.write, "\n")
+    out.write("\n")
+    return None
 
 
 def serialize_taxonomy(t: Taxonomy) -> str:
@@ -372,9 +398,17 @@ def serialize_profiles(p: ClassifierProfileSet) -> str:
     return dump_json(payload)
 
 
-def write_pipelines(pipelines: Iterable[Pipeline]) -> str:
-    """One slash-joined path per line, in the order given."""
-    return "\n".join(p.path for p in pipelines) + "\n"
+def write_pipelines(pipelines: Iterable[Pipeline], out: TextIO | None = None) -> str | None:
+    """One slash-joined path per line, in the order given, into ``out``, or,
+    without a sink, as a returned string."""
+    if out is None:
+        return _text(write_pipelines, pipelines)
+    sep = ""
+    for p in pipelines:
+        out.write(sep + p.path)
+        sep = "\n"
+    out.write("\n")
+    return None
 
 
 # --- analysis report ---------------------------------------------------------
@@ -477,7 +511,7 @@ def _depth_rows(
 
 def _row_json(row: DepthRow) -> _Text:
     """A depth row's JSON object, at its indent in a block's ``depth_profile``."""
-    out: list[str] = []
+    parts: list[str] = []
     _write_json({
         "k": row.k,
         "f": row.f,
@@ -485,8 +519,8 @@ def _row_json(row: DepthRow) -> _Text:
         "metrics": _metrics_payload(row.metrics),
         "precision_verdict": _verdict_text(row),
         "precision_bound": None if row.check is None else row.check.bound,
-    }, out, "\n        ")
-    return _Text("".join(out))
+    }, parts.append, "\n        ")
+    return _Text("".join(parts))
 
 
 def _row_tsv(row: DepthRow) -> str:
@@ -520,10 +554,14 @@ def _block_payload(b: DepthProfile, memo: dict[int, str]) -> dict:
     }
 
 
-def write_report(report: Report, format: str = "json") -> str:
-    """Render a report as canonical JSON or as per-(pipeline, depth) TSV.
-    Each distinct depth row is rendered once and its text reused in every
-    pipeline that shares it."""
+def write_report(report: Report, format: str = "json",
+                 out: TextIO | None = None) -> str | None:
+    """Render a report as canonical JSON or as per-(pipeline, depth) TSV,
+    into ``out`` as it goes, or, without a sink, as a returned string.
+    Each distinct depth row is rendered once and its text written again in
+    every pipeline that shares it."""
+    if out is None:
+        return _text(write_report, report, format)
     memo: dict[int, str] = {}
     if format == "json":
         payload = {
@@ -536,19 +574,23 @@ def write_report(report: Report, format: str = "json") -> str:
             },
             "pipelines": (_block_payload(b, memo) for b in report.blocks),
         }
-        return dump_json(payload)
+        return dump_json(payload, out)
     if format == "tsv":
         cols = ["pipeline", "k", "f_k", "w00", "w01", "w10", "w11",
                 "tP", "tR", "tF1", "tA", "precision_verdict"]
         return tsv(cols, (
             [b.pipeline.path, text]
             for b in report.blocks for text in _depth_rows(b, memo, _row_tsv)
-        ))
+        ), out)
     raise ValueError(f"unknown format {format!r}")
 
 
-def write_verification(v: Verification, format: str = "json") -> str:
-    """Render a ``verify`` run as canonical JSON or as one TSV row per check."""
+def write_verification(v: Verification, format: str = "json",
+                       out: TextIO | None = None) -> str | None:
+    """Render a ``verify`` run as canonical JSON or as one TSV row per check,
+    into ``out``, or, without a sink, as a returned string."""
+    if out is None:
+        return _text(write_verification, v, format)
     if format == "json":
         return dump_json({
             "tolerance": v.tolerance, "max_len": v.max_len, "samples": v.samples, "seed": v.seed,
@@ -557,14 +599,14 @@ def write_verification(v: Verification, format: str = "json") -> str:
                         "discrepancy": c.discrepancy, "passed": c.passed} for c in v.checks),
             "max_discrepancy": max(c.discrepancy for c in v.checks),
             "passed": v.passed,
-        })
+        }, out)
     if format == "tsv":
         cols = ["source", "pipeline", "depth", "check", "discrepancy", "passed"]
         return tsv(cols, (
             [c.source, c.pipeline.path, str(c.pipeline.depth), c.check,
              fmt12(c.discrepancy), str(c.passed).lower()]
             for c in v.checks
-        ))
+        ), out)
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -588,15 +630,19 @@ def _run_payload(run: SimRun) -> dict:
     }
 
 
-def write_simulation(s: Simulation, format: str = "json") -> str:
-    """Render a ``simulate`` run as canonical JSON or as one TSV row per run."""
+def write_simulation(s: Simulation, format: str = "json",
+                     out: TextIO | None = None) -> str | None:
+    """Render a ``simulate`` run as canonical JSON or as one TSV row per run,
+    into ``out``, or, without a sink, as a returned string."""
+    if out is None:
+        return _text(write_simulation, s, format)
     if format == "json":
         return dump_json({
             "m": s.m, "seed": s.seed, "replications": s.replications,
             "z_threshold": s.z_threshold,
             "runs": (_run_payload(run) for run in s.runs),
             "passed": s.passed,
-        })
+        }, out)
     if format == "tsv":
         cols = ["replication", "seed", "pipeline", "m",
                 "tn", "fp", "fn", "tp", "max_z", "passed"]
@@ -605,7 +651,7 @@ def write_simulation(s: Simulation, format: str = "json") -> str:
              *map(str, run.outcome.counts),
              fmt12(run.deviation.max_z), str(run.deviation.passed).lower()]
             for run in s.runs
-        ))
+        ), out)
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -623,8 +669,12 @@ def simulation_failure(s: Simulation) -> str:
             f" expected {fmt12(m * cells[i].model)}, z {fmt12(cells[i].z)}")
 
 
-def write_sweep(result: SweepResult, format: str = "json") -> str:
-    """Render a ``sweep`` as canonical JSON or as TSV rows, then tP and tF1 spreads."""
+def write_sweep(result: SweepResult, format: str = "json",
+                out: TextIO | None = None) -> str | None:
+    """Render a ``sweep`` as canonical JSON or as TSV rows, then tP and tF1
+    spreads, into ``out``, or, without a sink, as a returned string."""
+    if out is None:
+        return _text(write_sweep, result, format)
     if format == "json":
         return dump_json({
             "pipeline": result.pipeline,
@@ -638,7 +688,7 @@ def write_sweep(result: SweepResult, format: str = "json") -> str:
                  "undefined": s.undefined}
                 for s in result.spreads
             ],
-        })
+        }, out)
     if format == "tsv":
         depth = len(result.rows[0].fs) - 1
         cols = (["index"] + [f"f_{k}" for k in range(1, depth + 1)]
@@ -651,5 +701,5 @@ def write_sweep(result: SweepResult, format: str = "json") -> str:
              + [_cell12(s.minimum), _cell12(s.maximum), _cell12(s.mean), "-"]
              for s in result.spreads if s.metric in spread_names),
         )
-        return tsv(cols, rows)
+        return tsv(cols, rows, out)
     raise ValueError(f"unknown format {format!r}")

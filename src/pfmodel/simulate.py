@@ -395,7 +395,11 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
     for p in enumerate_pipelines(t):
         del live[p.depth:]
         if live and profiles.extends(p, live[-1][0]):
-            recursive = omega_step(live[-1][1], p.require_fs()[-1], profiles.resolve(p, p.depth))
+            # the parent prefix has every f, so only the last edge can lack one
+            f_last = p.fs[-1]
+            if f_last is None:
+                p.require_fs()  # raises, naming the edge
+            recursive = omega_step(live[-1][1], float(f_last), profiles.resolve(p, p.depth))
         else:
             recursive = omega_recursive(p, profiles)
         live.append((p, recursive))

@@ -15,8 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfmodel import cli, depth_profile, find_pipeline, parse_inputs, simulate
+from pfmodel import (
+    cli,
+    depth_profile,
+    enumerate_pipelines,
+    find_pipeline,
+    parse_inputs,
+    parse_taxonomy,
+    simulate,
+)
 from pfmodel.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, main
+from pfmodel import io as pfio
 from pfmodel.io import fmt12
 
 from conftest import DEEP_CHAIN_SIZE, chain_json, reals_of_pretty_json
@@ -306,6 +315,77 @@ def test_unexpected_exception_is_an_internal_error(dag_files, monkeypatch, capsy
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "pfmodel: internal error: ValueError: a fault of pfmodel\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipelines"],
+    ["analyze"],
+    ["analyze", "--format", "tsv"],
+    ["verify"],
+    ["simulate", "--m", "100"],
+    ["sweep", "--pipeline", "A/X", "--target", "0.1"],
+], ids=["pipelines", "analyze-json", "analyze-tsv", "verify", "simulate", "sweep"])
+def test_invalid_input_leaves_an_existing_out_file_untouched(argv, tmp_path, capsys):
+    # the edge into C lacks f, which the library call finds after parsing;
+    # pipelines needs no f, so its C hangs under a category that is not
+    # there, and sweep names a pipeline that is not there
+    pipelines = argv[0] == "pipelines"
+    taxonomy, profiles = write_inputs(tmp_path, [("B", "A", 0.5),
+                                                 ("C", "D" if pipelines else "B", None)])
+    out = tmp_path / "out"
+    out.write_bytes(b"kept\n")
+    files = ["--taxonomy", taxonomy] + ([] if pipelines else ["--profiles", profiles])
+    code, stdout, err = run([argv[0], *files, *argv[1:], "--out", str(out)], capsys)
+    assert (code, stdout, err.count("\n")) == (EXIT_INVALID, "", 1)
+    assert err.startswith("pfmodel: error: ")
+    assert out.read_bytes() == b"kept\n"
+
+
+def fail_on_second_row(monkeypatch):
+    """Make the report writer raise as it renders its second depth row."""
+    row_json, rendered = pfio._row_json, []
+
+    def broken(row):
+        rendered.append(row)
+        if len(rendered) == 2:
+            raise ValueError("a fault of pfmodel")
+        return row_json(row)
+
+    monkeypatch.setattr(pfio, "_row_json", broken)
+
+
+def test_a_failed_write_removes_its_partial_out_file(l2_files, tmp_path, monkeypatch, capsys):
+    taxonomy, profiles = l2_files
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old report\n")
+    fail_on_second_row(monkeypatch)
+    code, stdout, err = run(["analyze", "--taxonomy", taxonomy, "--profiles", profiles,
+                             "--out", str(out)], capsys)
+    assert (code, stdout) == (EXIT_INTERNAL, "")
+    assert err == "pfmodel: internal error: ValueError: a fault of pfmodel\n"
+    assert not out.exists()
+
+
+def test_a_failed_write_to_stdout_keeps_what_it_wrote(l2_files, monkeypatch, capsys):
+    # bytes already on stdout cannot be taken back; the exit code says the
+    # text is cut short
+    taxonomy, profiles = l2_files
+    fail_on_second_row(monkeypatch)
+    code, stdout, err = run(["analyze", "--taxonomy", taxonomy, "--profiles", profiles], capsys)
+    assert (code, err) == (EXIT_INTERNAL, "pfmodel: internal error: ValueError: a fault of pfmodel\n")
+    assert stdout.startswith('{\n  "taxonomy": {')
+
+
+def test_writing_to_stdout_leaves_it_open(l2_files, monkeypatch):
+    # the UTF-8 layer over stdout's buffer is detached, not closed, after use
+    taxonomy, profiles = l2_files
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["pipelines", "--taxonomy", taxonomy]) == EXIT_OK
+    assert not stdout.closed
+    stdout.write("after\n")
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b"A\nA/B\nA/B/C\nafter\n"
 
 
 def test_analyze_edge_without_f_is_invalid_input(tmp_path, capsys):
@@ -820,6 +900,12 @@ EXTREMES = (0.0, 1.0, 5e-324, 1e-300, 1.0 - 1e-16)
 _unit = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1.0))
 
 
+def confusion_row(draw) -> dict:
+    """A tn/fp/fn/tp object with a drawn fp-rate and tp-rate."""
+    fp, tp = draw(_unit), draw(_unit)
+    return {"tn": 1.0 - fp, "fp": fp, "fn": 1.0 - tp, "tp": tp}
+
+
 @st.composite
 def valid_tree_inputs(draw):
     """Taxonomy and profiles JSON of a random tree c0 > c1 > c2 > ... (each
@@ -829,10 +915,6 @@ def valid_tree_inputs(draw):
     parent = [None, 0, 1] + [draw(st.integers(0, i - 1)) for i in range(3, n)]
     names = [f"c{i}" for i in range(n)]
 
-    def row():
-        fp, tp = draw(_unit), draw(_unit)
-        return {"tn": 1.0 - fp, "fp": fp, "fn": 1.0 - tp, "tp": tp}
-
     def path_to(i):
         return path_to(parent[i]) + [names[i]] if i else [names[0]]
 
@@ -841,13 +923,53 @@ def valid_tree_inputs(draw):
     taxonomy = {"root": names[0], "categories": names,
                 "edges": [{"child": names[i], "parent": names[parent[i]], "f": draw(_unit)}
                           for i in range(1, n)]}
-    profiles = {"classifiers": {c: row() for c in names[1:]},
-                "overrides": [{"pipeline": "/".join(nodes), "category": nodes[step], **row()}]}
+    profiles = {"classifiers": {c: confusion_row(draw) for c in names[1:]},
+                "overrides": [{"pipeline": "/".join(nodes), "category": nodes[step],
+                               **confusion_row(draw)}]}
     return json.dumps(taxonomy), json.dumps(profiles), "/".join(nodes)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(valid_tree_inputs())
+@st.composite
+def valid_dag_inputs(draw):
+    """Taxonomy and profiles JSON of a random DAG whose edge probabilities
+    are coin-consistent, built as ``bench/gen.py``'s ``dag`` builds one: a
+    random tree c0 > c1 > c2 > ..., a second, earlier parent on some nodes,
+    one coin per node, and each edge's f the child's coin times the coins
+    of its ancestors outside the parent's closure; then an override of the
+    last classifier on some pipelines.  Also names a pipeline of depth >= 2."""
+    n = draw(st.integers(4, 12))
+    parents = [(), (0,), (1,)] + [(draw(st.integers(0, i - 1)),) for i in range(3, n)]
+    for i in range(3, n):
+        if draw(st.booleans()):
+            second = draw(st.integers(0, i - 1))
+            if second != parents[i][0]:
+                parents[i] += (second,)
+    closures: list[frozenset[int]] = []
+    for ps in parents:
+        closures.append(frozenset(ps).union(*(closures[p] for p in ps)))
+    coins = [1.0] + [draw(_unit) for _ in range(1, n)]
+
+    def consistent_f(child, parent):
+        f = coins[child]
+        for a in sorted(closures[child] - closures[parent] - {parent}):
+            f *= coins[a]
+        return f
+
+    names = [f"c{i}" for i in range(n)]
+    taxonomy = {"root": names[0], "categories": names,
+                "edges": [{"child": names[i], "parent": names[p], "f": consistent_f(i, p)}
+                          for i in range(1, n) for p in parents[i]]}
+    paths = [p.nodes for p in enumerate_pipelines(parse_taxonomy(json.dumps(taxonomy)))]
+    overridden = draw(st.lists(st.sampled_from(paths[1:]), max_size=3, unique=True))
+    profiles = {"classifiers": {c: confusion_row(draw) for c in names[1:]},
+                "overrides": [{"pipeline": "/".join(path), "category": path[-1],
+                               **confusion_row(draw)} for path in overridden]}
+    pipeline = draw(st.sampled_from([path for path in paths if len(path) > 2]))
+    return json.dumps(taxonomy), json.dumps(profiles), "/".join(pipeline)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(valid_tree_inputs(), valid_dag_inputs()))
 def test_valid_inputs_never_crash(inputs):
     taxonomy_json, profiles_json, pipeline = inputs
     with tempfile.TemporaryDirectory() as tmp:

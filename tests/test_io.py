@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,17 +217,89 @@ def test_serialize_taxonomy_omits_a_missing_f():
     assert pf.parse_taxonomy(text) == t
 
 
-@pytest.mark.parametrize("write, record", [
+#: each record writer, with the library call that makes its record from a bundle
+RECORD_WRITERS = pytest.mark.parametrize("write, record", [
     (write_report, build_report),
     (pf.write_verification, lambda b: pf.verify_oracles(b.taxonomy, b.profiles, 1e-9, 6, 1, 42)),
     (pf.write_simulation, lambda b: pf.run_simulation(b.taxonomy, b.profiles, 10, 42, 1, 4.0)),
     (pf.write_sweep,
      lambda b: pf.imbalance_sweep(pf.find_pipeline(b.taxonomy, "A/B/C"), b.profiles, 0.3, 1, 42)),
 ], ids=["report", "verification", "simulation", "sweep"])
+
+
+@RECORD_WRITERS
 def test_writers_reject_an_unknown_format(write, record):
     bundle = pf.parse_inputs(L2_TAXONOMY_JSON, L2_PROFILES_JSON)  # a sweep needs depth 2
     with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
         write(record(bundle), "xml")
+
+
+class PieceSink:
+    """A text sink that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+
+def written(write, *args) -> str:
+    """What ``write(*args, sink)`` writes into a sink; it returns nothing then."""
+    sink = PieceSink()
+    assert write(*args, sink) is None
+    return "".join(sink.pieces)
+
+
+@RECORD_WRITERS
+@pytest.mark.parametrize("format", ["json", "tsv"])
+def test_record_writers_write_to_a_sink_what_they_return(write, record, format):
+    rec = record(pf.parse_inputs(L2_TAXONOMY_JSON, L2_PROFILES_JSON))
+    text = write(rec, format)
+    assert isinstance(text, str) and text
+    assert written(write, rec, format) == text
+
+
+def test_text_writers_write_to_a_sink_what_they_return():
+    pipelines = pf.enumerate_pipelines(pf.parse_taxonomy(DAG_TAXONOMY_JSON))
+    assert written(pf.write_pipelines, pipelines) == pf.write_pipelines(pipelines)
+    assert written(pf.write_pipelines, ()) == pf.write_pipelines(()) == "\n"
+    rows = [["A", "1"], ["B", "2"]]
+    assert written(pf.io.tsv, ["x", "y"], rows) == pf.io.tsv(["x", "y"], rows) == "x\ty\nA\t1\nB\t2\n"
+
+    def payload():  # an iterator payload is consumed by each write
+        return {"rows": ({"k": k, "v": [0.5 * k, "x"]} for k in range(3)), "empty": iter(())}
+
+    assert written(dump_json, payload()) == dump_json(payload())
+    assert written(dump_json, iter([1.5, None])) == dump_json([1.5, None]) == "[\n  1.5,\n  null\n]\n"
+
+
+class CountingSink:
+    """A text sink that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("format", ["json", "tsv"])
+def test_writing_a_report_to_a_sink_holds_little_of_its_text(format):
+    # the chain's report repeats each prefix's rows in every pipeline below
+    # it; written to a sink, only the distinct rows' text is held
+    report = build_report(pf.parse_inputs(*chain_json(400)))
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        write_report(report, format, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 40_000_000
+    assert peak < 0.05 * sink.size, (peak, sink.size)
 
 
 def test_serialize_profiles_keeps_overrides():

@@ -540,6 +540,21 @@ def test_verify_steps_each_chain_prefix_once(monkeypatch):
     assert len(calls) == depth  # folding each from the root took 80,200
 
 
+def test_verify_converts_each_f_chain_once_per_pipeline(monkeypatch):
+    # the closed form converts each pipeline's whole f chain; a step reads
+    # its last edge alone, where the whole chain was converted again
+    depth = 300
+    bundle = pf.parse_inputs(*chain_json(depth + 1))
+    converted = []
+    require_fs = pf.Pipeline.require_fs
+    monkeypatch.setattr(pf.Pipeline, "require_fs",
+                        lambda p: converted.append(p.depth) or require_fs(p))
+    pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 0, 0, 42)
+    # one per pipeline in omega_closed, and the root's in omega_recursive and
+    # in exact enumeration (depth 0 <= max_len 0)
+    assert sorted(converted) == [0, 0, *range(depth + 1)]
+
+
 def test_verify_refolds_the_overridden_pipelines_of_the_golden_dag(monkeypatch):
     bundle = golden_bundle()
     calls = count_steps(monkeypatch)

@@ -14,15 +14,18 @@ record it returns with :mod:`.io`:
 * ``sweep``     -- evaluate one pipeline under many input distributions
                    with the same final positive rate.
 
-Exit codes: 0 success; 1 bad input (parse/validation/usage); 2 model
-falsified (oracle disagreement or simulation deviation beyond threshold,
-named in one line on stderr); 3 internal error (a fault of pfmodel,
-reported in one line).  Identical invocations produce byte-identical output.
+Exit codes: 0 success; 1 bad input (a rejected flag or input file, or an
+``--out`` that cannot be opened, with its location); 2 model falsified
+(oracle disagreement or simulation deviation beyond threshold, named in one
+line on stderr); 3 a run that could not finish through a fault of pfmodel
+or of its environment (out of memory, a failed write), in one line.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import os
@@ -58,35 +61,34 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pfmodel", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, profiles=True, formats=True):
+    def common(p, handler, profiles=True):
+        p.set_defaults(handler=handler)
         p.add_argument("--taxonomy", required=True, help="taxonomy JSON file")
         if profiles:
             p.add_argument("--profiles", required=True, help="classifier profiles JSON file")
-        if formats:
             p.add_argument("--format", choices=("json", "tsv"), default="json")
-            p.add_argument("--out", help="output file (default: standard output)")
+        p.add_argument("--out", help="output file (default: standard output)")
 
     p = sub.add_parser("pipelines", help="list rooted paths")
-    common(p, profiles=False, formats=False)
+    common(p, _cmd_pipelines, profiles=False)
     p.add_argument("--leaf-only", action="store_true", help="only leaf-terminated pipelines")
-    p.add_argument("--out", help="output file (default: standard output)")
 
     p = sub.add_parser("analyze", help="predicted matrices and metrics per pipeline")
-    common(p)
+    common(p, _cmd_analyze)
     p.add_argument("--leaf-only", action="store_true", help="only leaf-terminated pipelines")
     p.add_argument("--pipeline", help="restrict to one slash-joined pipeline")
 
     p = sub.add_parser("verify", help="cross-check the three model evaluations")
-    common(p)
+    common(p, _cmd_verify)
     p.add_argument("--tol", type=float, default=1e-12, help="max allowed discrepancy")
     p.add_argument("--max-len", type=int, default=6,
-                   help="exact enumeration depth limit (default 6)")
+                   help="depth limit of exact enumeration and of random samples (default 6)")
     p.add_argument("--samples", type=int, default=50,
                    help="random synthetic pipelines to add (default 50)")
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("simulate", help="seeded simulation vs model prediction")
-    common(p)
+    common(p, _cmd_simulate)
     p.add_argument("--m", type=int, default=100000, help="documents per run (default 100000)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--replications", type=int, default=1)
@@ -95,7 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pipeline", help="simulate one pipeline in isolation")
 
     p = sub.add_parser("sweep", help="metrics under many same-imbalance distributions")
-    common(p)
+    common(p, _cmd_sweep)
     p.add_argument("--pipeline", required=True, help="slash-joined pipeline to sweep")
     p.add_argument("--target", type=float, required=True,
                    help="final positive rate shared by all sampled distributions")
@@ -123,15 +125,21 @@ def _emit(out: str | None, write: Callable[..., object], *record: Any) -> None:
     ``out``, or into stdout whatever the locale, as the writer renders it.
 
     The handler calls this only once its library call has returned, so bad
-    input exits before any file is opened.  If writing fails, a partial
+    input exits before any file is opened; an ``out`` that cannot be opened
+    is a :class:`ParseError` located at ``out``.  If writing fails, a partial
     ``out`` file (a regular file, not ``/dev/null`` or a pipe) is removed;
     text already written to stdout cannot be taken back.  Stdout is wrapped
-    in a UTF-8 text layer over its byte buffer, which is flushed and
-    detached afterwards so the real stdout stays open; a text-only stdout,
-    such as ``io.StringIO``, is written to directly.
+    in a UTF-8 text layer over its byte buffer, detached afterwards so the
+    real stdout stays open, or closed if it refuses the text (a full disk, a
+    closed pipe), so the interpreter does not retry the write at exit; a
+    text-only stdout, such as ``io.StringIO``, is written to directly.
     """
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="\n")
+        except OSError as e:
+            raise ParseError(e.strerror, location=out) from None
+        with fh:
             try:
                 write(*record, fh)
                 fh.flush()  # a failure to write the last text removes the file too
@@ -149,7 +157,12 @@ def _emit(out: str | None, write: Callable[..., object], *record: Any) -> None:
     try:
         write(*record, sink)
     finally:
-        sink.detach()  # flushes, and leaves the buffer open
+        try:
+            sink.detach()  # flushes, and leaves the buffer open
+        except OSError:
+            with contextlib.suppress(OSError):
+                sink.close()
+            raise
 
 
 def _falsified(line: str) -> int:
@@ -159,10 +172,13 @@ def _falsified(line: str) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The text of the UTF-8 file ``path``; a file that cannot be opened,
+    read or decoded is a :class:`ParseError` located at ``path``."""
     try:
-        return data.decode("utf-8")
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except OSError as e:
+        raise ParseError(e.strerror, location=path) from None
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}",
                          location=path) from None
@@ -241,21 +257,13 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "pipelines": _cmd_pipelines,
-        "analyze": _cmd_analyze,
-        "verify": _cmd_verify,
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except (PFModelError, OSError) as e:
+        return args.handler(args)
+    except PFModelError as e:
         print(f"pfmodel: error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except Exception as e:  # a fault of pfmodel, not of its input
+    except Exception as e:  # a fault of pfmodel or of its environment, not of its input
         print(f"pfmodel: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

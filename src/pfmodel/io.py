@@ -135,8 +135,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
 def _parse_row_matrix(
     raw: Mapping, where: str
 ) -> tuple[NormalizedConfusionMatrix, bool]:
-    """Read a tn/fp/fn/tp object; returns the matrix and whether rows moved."""
-    _require_keys(raw, {"tn", "fp", "fn", "tp"}, {"tn", "fp", "fn", "tp"}, where)
+    """Read a key-checked tn/fp/fn/tp object: the matrix, and whether rows moved."""
     vals = {key: _probability(raw, key, where) for key in ("tn", "fp", "fn", "tp")}
     renormalized = False
     for row, (a, b) in (("negative", ("tn", "fp")), ("positive", ("fn", "tp"))):
@@ -179,6 +178,7 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
             raise RootProfileForbiddenError(
                 f"{where}: the root passes everything down; its profile is fixed"
             )
+        _require_keys(raw_cls[name], {"tn", "fp", "fn", "tp"}, {"tn", "fp", "fn", "tp"}, where)
         matrix, moved = _parse_row_matrix(raw_cls[name], where)
         base[name] = matrix
         if moved:
@@ -206,9 +206,7 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
                              location=where)
         if cat == taxonomy.root:
             raise RootProfileForbiddenError(f"{where}: cannot override the root")
-        matrix, moved = _parse_row_matrix(
-            {k: raw[k] for k in ("tn", "fp", "fn", "tp")}, where
-        )
+        matrix, moved = _parse_row_matrix(raw, where)
         if (path, cat) in overrides:
             raise ParseError(f"duplicate override for {cat!r} in {path!r}", location=where)
         overrides[(path, cat)] = matrix
@@ -560,8 +558,6 @@ def write_report(report: Report, format: str = "json",
     into ``out`` as it goes, or, without a sink, as a returned string.
     Each distinct depth row is rendered once and its text written again in
     every pipeline that shares it."""
-    if out is None:
-        return _text(write_report, report, format)
     memo: dict[int, str] = {}
     if format == "json":
         payload = {
@@ -589,8 +585,6 @@ def write_verification(v: Verification, format: str = "json",
                        out: TextIO | None = None) -> str | None:
     """Render a ``verify`` run as canonical JSON or as one TSV row per check,
     into ``out``, or, without a sink, as a returned string."""
-    if out is None:
-        return _text(write_verification, v, format)
     if format == "json":
         return dump_json({
             "tolerance": v.tolerance, "max_len": v.max_len, "samples": v.samples, "seed": v.seed,
@@ -634,8 +628,6 @@ def write_simulation(s: Simulation, format: str = "json",
                      out: TextIO | None = None) -> str | None:
     """Render a ``simulate`` run as canonical JSON or as one TSV row per run,
     into ``out``, or, without a sink, as a returned string."""
-    if out is None:
-        return _text(write_simulation, s, format)
     if format == "json":
         return dump_json({
             "m": s.m, "seed": s.seed, "replications": s.replications,
@@ -673,8 +665,6 @@ def write_sweep(result: SweepResult, format: str = "json",
                 out: TextIO | None = None) -> str | None:
     """Render a ``sweep`` as canonical JSON or as TSV rows, then tP and tF1
     spreads, into ``out``, or, without a sink, as a returned string."""
-    if out is None:
-        return _text(write_sweep, result, format)
     if format == "json":
         return dump_json({
             "pipeline": result.pipeline,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -303,6 +304,56 @@ def test_undecodable_input_is_invalid_input(tmp_path, capsys):
     assert out == ""
     assert err == (f"pfmodel: error: {latin1}: "
                    "not UTF-8 text: invalid continuation byte at byte 10\n")
+
+
+class BrokenPipeBuffer(io.BytesIO):
+    """A byte buffer whose reader has gone, as a closed pipe's is."""
+
+    def write(self, data):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("case", [
+    "taxonomy-missing", "taxonomy-directory", "out-under-missing-directory", "out-directory",
+    "out-dev-full", "stdout-broken-pipe",
+])
+def test_exit_1_is_bad_input_and_a_failed_write_is_exit_3(case, l2_files, tmp_path,
+                                                          monkeypatch, capsys):
+    # an input or --out path that cannot be opened is bad input, named with
+    # its path; a write the environment refuses is a run that could not finish
+    taxonomy, profiles = l2_files
+    out = None
+    if case == "taxonomy-missing":
+        taxonomy, reason = str(tmp_path / "missing.json"), os.strerror(errno.ENOENT)
+    elif case == "taxonomy-directory":
+        taxonomy, reason = str(tmp_path), os.strerror(errno.EISDIR)
+    elif case == "out-under-missing-directory":
+        out, reason = tmp_path / "missing" / "report.json", os.strerror(errno.ENOENT)
+    elif case == "out-directory":
+        out, reason = tmp_path / "report", os.strerror(errno.EISDIR)
+        out.mkdir()
+    elif case == "out-dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        out = Path("/dev/full")
+    else:
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(BrokenPipeBuffer()))
+    argv = ["analyze", "--taxonomy", taxonomy, "--profiles", profiles]
+    code, stdout, err = run(argv + ([] if out is None else ["--out", str(out)]), capsys)
+    assert stdout == "" and err.count("\n") == 1 and "Traceback" not in err
+    if case == "out-dev-full":
+        assert (code, err) == (EXIT_INTERNAL, "pfmodel: internal error: OSError: "
+                               f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    elif case == "stdout-broken-pipe":
+        assert (code, err) == (EXIT_INTERNAL, "pfmodel: internal error: BrokenPipeError: "
+                               f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+    else:
+        assert (code, err) == (EXIT_INVALID,
+                               f"pfmodel: error: {taxonomy if out is None else out}: {reason}\n")
+    if case == "out-under-missing-directory":
+        assert not out.parent.exists()
+    if case == "out-directory":
+        assert list(out.iterdir()) == []
 
 
 def test_unexpected_exception_is_an_internal_error(dag_files, monkeypatch, capsys):

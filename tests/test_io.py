@@ -190,6 +190,22 @@ def test_override_validation():
         pf.parse_inputs(MINIMAL_TAXONOMY, json.dumps(duplicate))
 
 
+@pytest.mark.parametrize("entry, edit, message", [
+    ("classifier", lambda cells: cells.update(tq=0.5), "profiles.classifiers.B: unknown keys ['tq']"),
+    ("classifier", lambda cells: cells.pop("tp"), "profiles.classifiers.B: missing keys ['tp']"),
+    ("override", lambda cells: cells.update(tq=0.5), "profiles.overrides[0]: unknown keys ['tq']"),
+    ("override", lambda cells: cells.pop("tp"), "profiles.overrides[0]: missing keys ['tp']"),
+], ids=["classifier-extra", "classifier-missing", "override-extra", "override-missing"])
+def test_a_cell_key_error_names_its_entry(entry, edit, message):
+    classifier = {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8}
+    override = {"pipeline": "A/B", "category": "B", "tn": 0.5, "fp": 0.5, "fn": 0.5, "tp": 0.5}
+    edit(classifier if entry == "classifier" else override)
+    profiles = json.dumps({"classifiers": {"B": classifier}, "overrides": [override]})
+    with pytest.raises(pf.ParseError) as err:
+        pf.parse_inputs(MINIMAL_TAXONOMY, profiles)
+    assert str(err.value) == message
+
+
 # --- round trips -----------------------------------------------------------------
 
 
@@ -250,6 +266,14 @@ def written(write, *args) -> str:
     sink = PieceSink()
     assert write(*args, sink) is None
     return "".join(sink.pieces)
+
+
+@RECORD_WRITERS
+def test_writers_reject_an_unknown_format_before_writing_to_a_sink(write, record):
+    sink = PieceSink()
+    with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
+        write(record(pf.parse_inputs(L2_TAXONOMY_JSON, L2_PROFILES_JSON)), "xml", sink)
+    assert sink.pieces == []
 
 
 @RECORD_WRITERS

@@ -416,9 +416,7 @@ def write_pipelines(pipelines: Iterable[Pipeline], out: TextIO | None = None) ->
 class Report:
     """Deterministic analysis of every requested pipeline of a taxonomy."""
 
-    root: str
-    categories: tuple[str, ...]
-    edge_count: int
+    taxonomy: Taxonomy
     renormalized: tuple[str, ...]
     blocks: tuple[DepthProfile, ...]
 
@@ -446,13 +444,8 @@ def build_report(
         if parent is not None and not profiles.extends(p, parent.pipeline):
             parent = None
         analyzed[p.nodes] = _fold(p, profiles.gamma_chain(p), parent)
-    return Report(
-        root=bundle.taxonomy.root,
-        categories=tuple(sorted(bundle.taxonomy.categories)),
-        edge_count=len(bundle.taxonomy.edges),
-        renormalized=bundle.renormalized,
-        blocks=tuple(analyzed.values()),
-    )
+    return Report(taxonomy=bundle.taxonomy, renormalized=bundle.renormalized,
+                  blocks=tuple(analyzed.values()))
 
 
 def _omega_payload(omega: Cells2x2) -> dict:
@@ -560,11 +553,12 @@ def write_report(report: Report, format: str = "json",
     every pipeline that shares it."""
     memo: dict[int, str] = {}
     if format == "json":
+        t = report.taxonomy
         payload = {
             "taxonomy": {
-                "root": report.root,
-                "categories": list(report.categories),
-                "edge_count": report.edge_count,
+                "root": t.root,
+                "categories": sorted(t.categories),
+                "edge_count": len(t.edges),
                 "pipeline_count": len(report.blocks),
                 "renormalized_classifiers": list(report.renormalized),
             },
@@ -615,12 +609,15 @@ def verification_failure(v: Verification) -> str:
 
 
 def _run_payload(run: SimRun) -> dict:
+    """A run's JSON object; an infinite ``max_z`` (a zero-variance cell that
+    missed) is written as ``null``, as JSON has no infinity."""
+    max_z = run.deviation.max_z
     return {
         "replication": run.replication, "seed": run.seed,
         "pipeline": run.outcome.pipeline, "m": run.outcome.m,
         "counts": dict(zip(("tn", "fp", "fn", "tp"), run.outcome.counts)),
         "model": _omega_payload(run.model),
-        "max_z": run.deviation.max_z, "passed": run.deviation.passed,
+        "max_z": max_z if math.isfinite(max_z) else None, "passed": run.deviation.passed,
     }
 
 

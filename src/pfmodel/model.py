@@ -362,10 +362,14 @@ class Factorization:
     ``phi`` carries no mass and is reported as the intrinsic row.
     """
 
-    prior_neg: float
     prior_pos: float
     phi: NormalizedConfusionMatrix
     eta: float | None
+
+    @property
+    def prior_neg(self) -> float:
+        """The probability that an oracle chain drops an input: 1 - ``prior_pos``."""
+        return 1.0 - self.prior_pos
 
     @property
     def zero_negative_mass(self) -> bool:
@@ -444,23 +448,13 @@ def _factorization(
     prior_neg = 1.0 - prior_pos
 
     if prior_neg == 0.0:
-        return Factorization(
-            prior_neg=0.0,
-            prior_pos=prior_pos,
-            phi=state.intrinsic(),
-            eta=None,
-        )
+        return Factorization(prior_pos=prior_pos, phi=state.intrinsic(), eta=None)
 
     psi01, psi11 = state.psi01, state.psi11
     phi01 = min(_closed_form(fs, gammas)[1] / prior_neg, 1.0)  # it can round just above 1
     phi = NormalizedConfusionMatrix(tn=1.0 - phi01, fp=phi01, fn=1.0 - psi11, tp=psi11)
     eta = phi01 / psi01 if psi01 > 0.0 else state.leak / prior_neg
-    return Factorization(
-        prior_neg=prior_neg,
-        prior_pos=prior_pos,
-        phi=phi,
-        eta=eta,
-    )
+    return Factorization(prior_pos=prior_pos, phi=phi, eta=eta)
 
 
 def expected_confusion(m: int, omega: JointMatrix) -> Cells2x2:

@@ -266,8 +266,6 @@ class CellDeviation:
 
     cell: str
     model: float
-    empirical: float
-    deviation: float
     sigma: float
     z: float
 
@@ -277,9 +275,17 @@ class DeviationReport:
     """Cell-by-cell comparison of a predicted joint matrix to a tally."""
 
     cells: tuple[CellDeviation, ...]
-    max_z: float
     threshold: float
-    passed: bool
+
+    @property
+    def max_z(self) -> float:
+        """The largest cell z-score."""
+        return max(c.z for c in self.cells)
+
+    @property
+    def passed(self) -> bool:
+        """True when no cell's z-score exceeds the threshold."""
+        return self.max_z <= self.threshold
 
 
 def compare(
@@ -316,13 +322,8 @@ def compare(
             z = dev / sigma
         else:
             z = 0.0 if dev == 0.0 else math.inf
-        cells.append(
-            CellDeviation(cell=name, model=pred, empirical=emp, deviation=dev, sigma=sigma, z=z)
-        )
-    max_z = max(c.z for c in cells)
-    return DeviationReport(
-        cells=tuple(cells), max_z=max_z, threshold=z_threshold, passed=max_z <= z_threshold
-    )
+        cells.append(CellDeviation(cell=name, model=pred, sigma=sigma, z=z))
+    return DeviationReport(cells=tuple(cells), threshold=z_threshold)
 
 
 @dataclass(frozen=True, slots=True)

@@ -846,6 +846,52 @@ def test_simulate_coin_behind_a_parent_of_probability_zero(f_d_b, code, message,
     assert (result[0], result[2]) == (code, message)
 
 
+def inconsistent_dag_inputs(tmp_path):
+    """A feasible DAG whose edge probabilities disagree: D's coin is calibrated
+    on the edge from B, so documents realize f(D|C) = 0.5, not the edge's 0.0."""
+    gamma = {"tn": 0.9, "fp": 0.1, "fn": 0.1, "tp": 0.9}
+    return write_inputs(
+        tmp_path, [("B", "A", 0.5), ("C", "A", 0.5), ("D", "B", 0.5), ("D", "C", 0.0)],
+        {"B": gamma, "C": gamma, "D": gamma},
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_simulate_infinite_z_is_falsified_in_either_format(fmt, tmp_path, capsys):
+    # A/C/D predicts no positives, so its fn and tp cells have zero variance
+    # and the counts they get score z = inf
+    taxonomy, profiles = inconsistent_dag_inputs(tmp_path)
+    code, out, err = run(["simulate", "--taxonomy", taxonomy, "--profiles", profiles,
+                          "--m", "1000", "--format", fmt], capsys)
+    assert code == EXIT_FALSIFIED
+    assert err.count("\n") == 1 and " A/C/D cell " in err and err.endswith(", z inf\n")
+    if fmt == "json":
+        max_z = {r["pipeline"]: r["max_z"] for r in json.loads(out)["runs"]}
+        assert max_z["A/C/D"] is None
+        assert all(z is not None for path, z in max_z.items() if path != "A/C/D")
+    else:
+        rows = {r.split("\t")[2]: r for r in out.splitlines()[1:]}
+        assert rows["A/C/D"].endswith("\tinf\tfalse")
+
+
+@pytest.mark.parametrize("inputs", ["golden", "inconsistent-dag"])
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["verify"], ["simulate", "--m", "1000"],
+    ["sweep", "--pipeline", "A/B/D", "--target", "0.05", "--n", "20"],
+], ids=["analyze", "verify", "simulate", "sweep"])
+def test_json_and_tsv_exit_alike(command, inputs, tmp_path, capsys):
+    if inputs == "golden":
+        golden = Path(__file__).parent / "golden"
+        taxonomy, profiles = str(golden / "taxonomy.json"), str(golden / "profiles.json")
+    else:
+        taxonomy, profiles = inconsistent_dag_inputs(tmp_path)
+    argv = [*command, "--taxonomy", taxonomy, "--profiles", profiles, "--format"]
+    json_code, _, json_err = run([*argv, "json"], capsys)
+    tsv_code, _, tsv_err = run([*argv, "tsv"], capsys)
+    assert (json_code, json_err) == (tsv_code, tsv_err)
+    assert json_code in (EXIT_OK, EXIT_FALSIFIED)
+
+
 @pytest.mark.parametrize("replications", ["0", "-1"])
 def test_simulate_rejects_replications_below_one(l2_files, replications, capsys):
     taxonomy, profiles = l2_files

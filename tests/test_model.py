@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -338,6 +339,11 @@ def test_factorize_l2_fixture(l2_pipeline):
     assert not fact.zero_negative_mass
     omega = pf.omega_closed(p, profiles)
     assert fact.reconstruct().max_abs_diff(omega) <= 1e-12
+
+
+def test_factorization_prior_neg_follows_prior_pos(l2_pipeline):
+    fact = pf.factorize(*l2_pipeline)
+    assert dataclasses.replace(fact, prior_pos=0.25).prior_neg == 0.75
 
 
 def test_factorize_all_f_one():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -651,6 +652,15 @@ def test_compare_subnormal_prediction_has_nonzero_sigma():
     assert report.max_z < 1.0 and report.passed
     report = pf.compare(model, (7, 1, 0, 8), m=16)
     assert math.isfinite(report.max_z) and not report.passed
+
+
+def test_report_verdict_follows_its_threshold():
+    # max_z and passed are read from cells and threshold, so a report copied
+    # with another threshold cannot keep a stale verdict
+    model = pf.JointMatrix(tn=0.2, fp=0.2, fn=0.2, tp=0.4)
+    report = pf.compare(model, (480, 320, 320, 480), m=1600, z_threshold=20.0)
+    assert report.max_z > 0.0 and report.passed
+    assert not dataclasses.replace(report, threshold=report.max_z / 2).passed
 
 
 @pytest.mark.parametrize("cells, counts, outside", [

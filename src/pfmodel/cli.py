@@ -234,7 +234,7 @@ def _cmd_simulate(args) -> int:
     _require_finite_nonnegative("--z-threshold", args.z_threshold)
     _require_seed(args.seed, streams=args.replications)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))
-    pipeline = find_pipeline(bundle.taxonomy, args.pipeline) if args.pipeline else None
+    pipeline = None if args.pipeline is None else find_pipeline(bundle.taxonomy, args.pipeline)
     result = run_simulation(bundle.taxonomy, bundle.profiles, args.m, args.seed,
                             args.replications, args.z_threshold, pipeline)
     _emit(args.out, pfio.write_simulation, result, args.format)

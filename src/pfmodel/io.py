@@ -68,9 +68,21 @@ ROW_SUM_TOLERANCE = 1e-9
 # --- parsing -----------------------------------------------------------------
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def _load_json(text: str, what: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(str(e), location=f"{what}: line {e.lineno}, column {e.colno}") from None
     except RecursionError:
@@ -117,6 +129,11 @@ def parse_taxonomy(text: str) -> Taxonomy:
     cats = data["categories"]
     if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
         raise ParseError("categories must be a list of strings", location="taxonomy.categories")
+    seen: set[str] = set()
+    for i, c in enumerate(cats):
+        if c in seen:
+            raise ParseError(f"duplicate category {c!r}", location=f"taxonomy.categories[{i}]")
+        seen.add(c)
     if not isinstance(data["edges"], list):
         raise ParseError("edges must be a list", location="taxonomy.edges")
     edges = []
@@ -427,11 +444,10 @@ def build_report(
     """Analyze the bundle's pipelines, in enumeration order, into a :class:`Report`.
 
     Pipelines arrive prefix-first, so each one whose parent prefix was
-    analyzed extends that profile by its last step.  Overrides are keyed by
-    the full pipeline path, so a pipeline whose own path or parent's path
-    carries one is folded from the root instead; so are the root, and every
-    pipeline whose parent is not in the report (``leaf_only``,
-    ``pipeline_path``).
+    analyzed extends that profile by its last step.  A pipeline that
+    :meth:`ClassifierProfileSet.extends` refuses is folded from the root
+    instead; so are the root, and every pipeline whose parent is not in the
+    report (``leaf_only``, ``pipeline_path``).
     """
     if pipeline_path is None:
         pipelines = enumerate_pipelines(bundle.taxonomy, leaf_only=leaf_only)
@@ -440,9 +456,7 @@ def build_report(
     profiles = bundle.profiles
     analyzed: dict[tuple[str, ...], DepthProfile] = {}
     for p in pipelines:
-        parent = analyzed.get(p.nodes[:-1])
-        if parent is not None and not profiles.extends(p, parent.pipeline):
-            parent = None
+        parent = analyzed.get(p.nodes[:-1]) if profiles.extends(p) else None
         analyzed[p.nodes] = _fold(p, profiles.gamma_chain(p), parent)
     return Report(taxonomy=bundle.taxonomy, renormalized=bundle.renormalized,
                   blocks=tuple(analyzed.values()))

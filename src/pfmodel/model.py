@@ -225,12 +225,14 @@ class ClassifierProfileSet:
     def _overridden_paths(self) -> frozenset[str]:
         return frozenset(path for path, _ in self.overrides)
 
-    def extends(self, pipeline: Pipeline, parent: Pipeline) -> bool:
-        """Whether ``pipeline``'s chain is ``parent``'s chain plus one step, so
-        a fold along ``parent`` carries on to ``pipeline``.  Overrides are keyed
-        by the full pipeline path, so this holds when neither path carries one."""
+    def extends(self, pipeline: Pipeline) -> bool:
+        """Whether ``pipeline``'s chain is its parent prefix's chain plus one
+        step, so a fold along the parent carries on to ``pipeline``.  Overrides
+        are keyed by the full pipeline path, so this holds when neither the
+        pipeline's path nor its parent's carries one."""
+        parent_path = pipeline.path.rpartition("/")[0]
         return (pipeline.path not in self._overridden_paths
-                and parent.path not in self._overridden_paths)
+                and parent_path not in self._overridden_paths)
 
 
 def _gammas_for(

@@ -164,7 +164,7 @@ def _coin_probability(t: Taxonomy, node: CategoryId, q_of: Mapping[CategoryId, f
         raise MissingEdgeProbabilityError(f"edge {node!r}<{edge.parent!r} has no f")
     parent_closure = {edge.parent} | t.ancestors_of(edge.parent)
     divisor = 1.0
-    for a in t.ancestors_of(node) - parent_closure:
+    for a in sorted(t.ancestors_of(node) - parent_closure):  # a set iterates in str-hash order
         divisor *= q_of[a]
     if divisor == 0.0:
         if edge.f == 0.0:
@@ -370,17 +370,16 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
 
     Taxonomy pipelines come prefix-first, so the recurrence takes one
     :func:`omega_step` per rooted prefix, from its parent prefix's value.  The
-    root, and a pipeline whose own path or parent's path carries an override
-    (:meth:`ClassifierProfileSet.extends`), are folded from the root by
-    :func:`omega_recursive`, as the random pipelines are.  Either way each
-    value is :func:`omega_recursive`'s, bit for bit.  The closed form and
-    exact enumeration evaluate each pipeline on its own.
+    root, and a pipeline that :meth:`ClassifierProfileSet.extends` refuses,
+    are folded from the root by :func:`omega_recursive`, as the random
+    pipelines are.  Either way each value is :func:`omega_recursive`'s, bit
+    for bit.  The closed form and exact enumeration evaluate each pipeline on
+    its own.
     """
     checks = []
 
     def run_one(source: str, pipeline: Pipeline, profiles: ClassifierProfileSet,
-                recursive: JointMatrix) -> None:
-        closed = omega_closed(pipeline, profiles)
+                closed: JointMatrix, recursive: JointMatrix) -> None:
         rows = [("closed_vs_recursive", closed.max_abs_diff(recursive)),
                 ("mass_sums_to_one", abs(recursive.total - 1.0))]
         if pipeline.depth <= max_len:
@@ -390,25 +389,23 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
         checks.extend(OracleCheck(source, pipeline, check, diff, diff <= tol)
                       for check, diff in rows)
 
-    # ``live[k]`` holds the live prefix at depth k and its recurrence value,
+    # ``live[k]`` holds the recurrence value of the live prefix at depth k,
     # so finished subtrees free theirs
-    live: list[tuple[Pipeline, JointMatrix]] = []
+    live: list[JointMatrix] = []
     for p in enumerate_pipelines(t):
+        closed = omega_closed(p, profiles)  # raises where ``p`` lacks an f or a profile
         del live[p.depth:]
-        if live and profiles.extends(p, live[-1][0]):
-            # the parent prefix has every f, so only the last edge can lack one
-            f_last = p.fs[-1]
-            if f_last is None:
-                p.require_fs()  # raises, naming the edge
-            recursive = omega_step(live[-1][1], float(f_last), profiles.resolve(p, p.depth))
+        if live and profiles.extends(p):
+            recursive = omega_step(live[-1], p.fs[-1], profiles.resolve(p, p.depth))
         else:
             recursive = omega_recursive(p, profiles)
-        live.append((p, recursive))
-        run_one("taxonomy", p, profiles, recursive)
+        live.append(recursive)
+        run_one("taxonomy", p, profiles, closed, recursive)
     rng = Generator(Philox(key=stream_key(seed, "verify")))
     for i in range(samples):
         pipeline, sample_profiles = _random_pipeline(rng, max_len)
         run_one(f"random[{i}]", pipeline, sample_profiles,
+                omega_closed(pipeline, sample_profiles),
                 omega_recursive(pipeline, sample_profiles))
     return Verification(tol, max_len, samples, seed, tuple(checks))
 

@@ -6,15 +6,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pfmodel import (
     ClassifierProfileSet,
     Edge,
     NormalizedConfusionMatrix,
     Pipeline,
+    enumerate_pipelines,
     validate_taxonomy,
 )
-from pfmodel.io import fmt12
+from pfmodel.io import InputBundle, fmt12
 
 GAMMA_A = NormalizedConfusionMatrix(tn=0.9, fp=0.1, fn=0.2, tp=0.8)
 GAMMA_B = NormalizedConfusionMatrix(tn=0.8, fp=0.2, fn=0.1, tp=0.9)
@@ -69,6 +71,37 @@ def random_tree(rng: np.random.Generator, n_nodes: int):
         parent = names[int(rng.integers(0, i))]
         edges.append(Edge(names[i], parent, float(rng.random())))
     return validate_taxonomy(names, edges)
+
+
+probabilities = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+
+
+@st.composite
+def bundles_with_overrides(draw):
+    """A small random DAG (up to two parents per node), profiles, and
+    overrides on random steps of random pipelines: last steps, earlier
+    steps, and paths that other pipelines extend."""
+    n = draw(st.integers(1, 7))
+    names = [f"c{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parents = draw(st.sets(st.integers(0, i - 1), min_size=1, max_size=min(i, 2)))
+        edges += [Edge(names[i], names[j], draw(probabilities)) for j in sorted(parents)]
+    taxonomy = validate_taxonomy(names, edges)
+
+    def gamma():
+        fp, tp = draw(probabilities), draw(probabilities)
+        return NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
+
+    base = {c: gamma() for c in names[1:]}
+    stepped = [p for p in enumerate_pipelines(taxonomy) if p.depth >= 1]
+    overrides = {}
+    if stepped:
+        for _ in range(draw(st.integers(0, 4))):
+            p = draw(st.sampled_from(stepped))
+            overrides[(p.path, p.nodes[draw(st.integers(1, p.depth))])] = gamma()
+    profiles = ClassifierProfileSet(base=base, overrides=overrides, root=names[0])
+    return InputBundle(taxonomy=taxonomy, profiles=profiles)
 
 
 # --- the standard file-format example pair ------------------------------------

@@ -910,6 +910,9 @@ def test_simulate_rejects_replications_below_one(l2_files, replications, capsys)
     (["analyze", "--leaf-only", "--pipeline", "A/B"], "A/B"),
     (["simulate", "--m", "100", "--pipeline", "A/Z"], "A/Z"),
     (["sweep", "--target", "0.1", "--pipeline", "A/Z"], "A/Z"),
+    (["analyze", "--pipeline", ""], ""),
+    (["simulate", "--m", "100", "--pipeline", ""], ""),
+    (["sweep", "--target", "0.1", "--pipeline", ""], ""),
 ])
 def test_unknown_pipeline_error_text(l2_files, argv, path, capsys):
     taxonomy, profiles = l2_files

@@ -22,6 +22,7 @@ from conftest import (
     DAG_TAXONOMY_JSON,
     L2_PROFILES_JSON,
     L2_TAXONOMY_JSON,
+    bundles_with_overrides,
     chain_json,
     random_gamma,
     random_tree,
@@ -139,6 +140,34 @@ def test_unknown_keys_rejected():
     with pytest.raises(pf.ParseError) as err:
         pf.parse_taxonomy(bad)
     assert "extra" in str(err.value)
+
+
+def test_duplicate_category_rejected_at_its_first_repeat():
+    bad = json.dumps({"root": "A", "categories": ["A", "B", "C", "B", "C"],
+                      "edges": [{"child": "B", "parent": "A", "f": 0.6},
+                                {"child": "C", "parent": "A", "f": 0.2}]})
+    with pytest.raises(pf.ParseError) as err:
+        pf.parse_taxonomy(bad)
+    assert str(err.value) == "taxonomy.categories[3]: duplicate category 'B'"
+
+
+@pytest.mark.parametrize("taxonomy, profiles, message", [
+    # the same classifier twice: json would keep the second profile
+    (MINIMAL_TAXONOMY,
+     '{"classifiers": {"B": {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8},'
+     ' "B": {"tn": 0.5, "fp": 0.5, "fn": 0.5, "tp": 0.5}}}',
+     "profiles: duplicate key 'B'"),
+    (MINIMAL_TAXONOMY,
+     '{"classifiers": {"B": {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8, "tp": 0.8}}}',
+     "profiles: duplicate key 'tp'"),
+    ('{"root": "A", "root": "B", "categories": ["A", "B"],'
+     ' "edges": [{"child": "B", "parent": "A", "f": 0.6}]}',
+     MINIMAL_PROFILES, "taxonomy: duplicate key 'root'"),
+], ids=["classifier", "cell", "root"])
+def test_duplicate_json_key_rejected(taxonomy, profiles, message):
+    with pytest.raises(pf.ParseError) as err:
+        pf.parse_inputs(taxonomy, profiles)
+    assert str(err.value) == message
 
 
 def test_unknown_classifier_category():
@@ -420,37 +449,6 @@ def test_report_pipeline_filter_and_leaf_only():
     assert [b.pipeline.path for b in leaves.blocks] == ["A/B/C", "A/B/D", "A/C"]
     with pytest.raises(pf.UnknownCategoryError):
         build_report(bundle, pipeline_path="A/Z")
-
-
-probabilities = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
-
-
-@st.composite
-def bundles_with_overrides(draw):
-    """A small random DAG (up to two parents per node), profiles, and
-    overrides on random steps of random pipelines: last steps, earlier
-    steps, and paths that other pipelines extend."""
-    n = draw(st.integers(1, 7))
-    names = [f"c{i}" for i in range(n)]
-    edges = []
-    for i in range(1, n):
-        parents = draw(st.sets(st.integers(0, i - 1), min_size=1, max_size=min(i, 2)))
-        edges += [pf.Edge(names[i], names[j], draw(probabilities)) for j in sorted(parents)]
-    taxonomy = pf.validate_taxonomy(names, edges)
-
-    def gamma():
-        fp, tp = draw(probabilities), draw(probabilities)
-        return pf.NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
-
-    base = {c: gamma() for c in names[1:]}
-    stepped = [p for p in pf.enumerate_pipelines(taxonomy) if p.depth >= 1]
-    overrides = {}
-    if stepped:
-        for _ in range(draw(st.integers(0, 4))):
-            p = draw(st.sampled_from(stepped))
-            overrides[(p.path, p.nodes[draw(st.integers(1, p.depth))])] = gamma()
-    profiles = pf.ClassifierProfileSet(base=base, overrides=overrides, root=names[0])
-    return pf.io.InputBundle(taxonomy=taxonomy, profiles=profiles)
 
 
 @given(bundles_with_overrides())

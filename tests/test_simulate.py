@@ -6,12 +6,15 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
@@ -26,7 +29,14 @@ from pfmodel import (
 )
 from pfmodel.rng import uniforms
 
-from conftest import DEEP_CHAIN_SIZE, GAMMA_B, chain_json, random_gamma, random_pipeline
+from conftest import (
+    DEEP_CHAIN_SIZE,
+    GAMMA_B,
+    bundles_with_overrides,
+    chain_json,
+    random_gamma,
+    random_pipeline,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -506,6 +516,35 @@ def test_diamond_dag_infeasible_edges_rejected():
         pf.simulate_taxonomy(t, profiles, SimConfig(m=100, seed=0))
 
 
+#: X's coin divides out six coins outside P1's closure, whose product rounds
+#: differently in different orders
+_COIN_SCRIPT = """
+from pfmodel import Edge, validate_taxonomy
+from pfmodel.simulate import _coin_probability
+chain = ["R", "A1", "A2", "A3", "A4", "A5", "P2"]
+edges = [Edge(c, p, f) for p, c, f in zip(chain, chain[1:], (0.91, 0.87, 0.93, 0.89, 0.97, 0.83))]
+edges += [Edge("P1", "R", 0.9), Edge("X", "P1", 0.0123456789), Edge("X", "P2", 0.5)]
+t = validate_taxonomy([*chain, "P1", "X"], edges)
+q_of = {t.root: 1.0}
+for node in t.topological_order[1:]:
+    q_of[node] = _coin_probability(t, node, q_of)
+print(repr(q_of))
+"""
+
+
+def test_dag_coins_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pf.__file__)))
+    coins = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _COIN_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        coins.append(proc.stdout)
+    assert coins[0] == coins[1]
+
+
 # --- verify -------------------------------------------------------------------------
 
 
@@ -579,9 +618,11 @@ def chain_with_override():
     return pf.parse_inputs(json.dumps(taxonomy), json.dumps(profiles))
 
 
-@pytest.mark.parametrize("inputs", [golden_bundle, chain_with_override])
-def test_verify_discrepancies_are_those_of_omega_recursive(inputs):
-    bundle = inputs()
+@given(bundles_with_overrides())
+@example(golden_bundle())
+@example(chain_with_override())
+@settings(max_examples=150, deadline=None)
+def test_verify_discrepancies_are_those_of_omega_recursive(bundle):
     t, profiles = bundle.taxonomy, bundle.profiles
     got = {(c.pipeline.path, c.check): c.discrepancy
            for c in pf.verify_oracles(t, profiles, 1e-12, 6, 0, 42).checks}

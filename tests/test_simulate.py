@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
@@ -618,11 +618,7 @@ def chain_with_override():
     return pf.parse_inputs(json.dumps(taxonomy), json.dumps(profiles))
 
 
-@given(bundles_with_overrides())
-@example(golden_bundle())
-@example(chain_with_override())
-@settings(max_examples=150, deadline=None)
-def test_verify_discrepancies_are_those_of_omega_recursive(bundle):
+def assert_verify_discrepancies_are_those_of_omega_recursive(bundle):
     t, profiles = bundle.taxonomy, bundle.profiles
     got = {(c.pipeline.path, c.check): c.discrepancy
            for c in pf.verify_oracles(t, profiles, 1e-12, 6, 0, 42).checks}
@@ -631,6 +627,18 @@ def test_verify_discrepancies_are_those_of_omega_recursive(bundle):
         closed = pf.omega_closed(p, profiles)
         assert got[p.path, "closed_vs_recursive"] == closed.max_abs_diff(recursive), p.path
         assert got[p.path, "mass_sums_to_one"] == abs(recursive.total - 1.0), p.path
+
+
+@pytest.mark.parametrize("make_bundle", [golden_bundle, chain_with_override],
+                         ids=lambda f: f.__name__)
+def test_verify_discrepancies_are_those_of_omega_recursive(make_bundle):
+    assert_verify_discrepancies_are_those_of_omega_recursive(make_bundle())
+
+
+@given(bundles_with_overrides())
+@settings(max_examples=150, deadline=None)
+def test_verify_discrepancies_are_those_of_omega_recursive_with_random_overrides(bundle):
+    assert_verify_discrepancies_are_those_of_omega_recursive(bundle)
 
 
 @pytest.mark.parametrize("k", [1, 7, 30])

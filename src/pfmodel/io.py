@@ -223,6 +223,10 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
                              location=where)
         if cat == taxonomy.root:
             raise RootProfileForbiddenError(f"{where}: cannot override the root")
+        if cat != nodes[-1]:
+            prefix = "/".join(nodes[:nodes.index(cat) + 1])
+            raise ParseError(f"an override of {cat!r} is keyed by the path that ends at it, "
+                             f"{prefix!r}, not {path!r}", location=where)
         matrix, moved = _parse_row_matrix(raw, where)
         if (path, cat) in overrides:
             raise ParseError(f"duplicate override for {cat!r} in {path!r}", location=where)
@@ -443,11 +447,11 @@ def build_report(
 ) -> Report:
     """Analyze the bundle's pipelines, in enumeration order, into a :class:`Report`.
 
-    Pipelines arrive prefix-first, so each one whose parent prefix was
-    analyzed extends that profile by its last step.  A pipeline that
-    :meth:`ClassifierProfileSet.extends` refuses is folded from the root
-    instead; so are the root, and every pipeline whose parent is not in the
-    report (``leaf_only``, ``pipeline_path``).
+    Pipelines arrive prefix-first, and each one's classifier chain is its
+    parent's plus one step, so each one whose parent prefix was analyzed
+    extends that profile by its last step.  The root, and every pipeline
+    whose parent is not in the report (``leaf_only``, ``pipeline_path``),
+    are folded from the root.
     """
     if pipeline_path is None:
         pipelines = enumerate_pipelines(bundle.taxonomy, leaf_only=leaf_only)
@@ -456,8 +460,7 @@ def build_report(
     profiles = bundle.profiles
     analyzed: dict[tuple[str, ...], DepthProfile] = {}
     for p in pipelines:
-        parent = analyzed.get(p.nodes[:-1]) if profiles.extends(p) else None
-        analyzed[p.nodes] = _fold(p, profiles.gamma_chain(p), parent)
+        analyzed[p.nodes] = _fold(p, profiles.gamma_chain(p), analyzed.get(p.nodes[:-1]))
     return Report(taxonomy=bundle.taxonomy, renormalized=bundle.renormalized,
                   blocks=tuple(analyzed.values()))
 

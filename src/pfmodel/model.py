@@ -38,6 +38,7 @@ from typing import Mapping, Sequence, TypeVar
 from .errors import (
     MissingGammaError,
     OutOfRangeProbabilityError,
+    ParseError,
     RootProfileForbiddenError,
 )
 from .taxonomy import CategoryId, Pipeline
@@ -174,10 +175,11 @@ class ClassifierProfileSet:
     """Confusion profiles for the classifiers embedded in a taxonomy.
 
     ``base`` maps a category to its classifier's profile.  ``overrides``
-    maps ``(pipeline path, category)`` to a replacement used when that
-    category is evaluated in the context of that exact pipeline (the same
-    classifier may be tuned differently per pipeline).  The root never has
-    a profile: its behavior is fixed to the neutral classifier.
+    maps ``(path, category)``, where ``path`` ends at ``category``, to a
+    replacement used in ``path`` and in every pipeline that extends it: the
+    classifier decides once per arrival path, so every pipeline's chain is
+    its parent's plus one step.  The root never has a profile: its behavior
+    is fixed to the neutral classifier.
     """
 
     base: Mapping[CategoryId, NormalizedConfusionMatrix]
@@ -187,25 +189,27 @@ class ClassifierProfileSet:
     root: CategoryId | None = None
 
     def __post_init__(self):
-        if self.root is not None:
-            if self.root in self.base:
+        if self.root in self.base:
+            raise RootProfileForbiddenError(
+                f"root {self.root!r} has fixed neutral behavior; remove its profile"
+            )
+        for path, cat in self.overrides:
+            if cat == self.root:
                 raise RootProfileForbiddenError(
-                    f"root {self.root!r} has fixed neutral behavior; remove its profile"
+                    f"override for root {self.root!r} in pipeline {path!r} is forbidden"
                 )
-            for path, cat in self.overrides:
-                if cat == self.root:
-                    raise RootProfileForbiddenError(
-                        f"override for root {self.root!r} in pipeline {path!r} is forbidden"
-                    )
+            if path.rpartition("/")[2] != cat:
+                raise ParseError(f"override of {cat!r} keyed by {path!r}, which does not end at it")
 
     def resolve(self, pipeline: Pipeline, k: int) -> NormalizedConfusionMatrix:
         """Profile of step ``k`` of ``pipeline`` (k=0 is the neutral root)."""
         if k == 0:
             return MU
         cat = pipeline.nodes[k]
-        hit = self.overrides.get((pipeline.path, cat))
-        if hit is not None:
-            return hit
+        if cat in self._overridden:  # only then is the arrival path's key worth building
+            hit = self.overrides.get(("/".join(pipeline.nodes[:k + 1]), cat))
+            if hit is not None:
+                return hit
         return self.resolve_category(cat)
 
     def resolve_category(self, cat: CategoryId) -> NormalizedConfusionMatrix:
@@ -222,17 +226,8 @@ class ClassifierProfileSet:
         return tuple(self.resolve(pipeline, k) for k in range(1, len(pipeline.nodes)))
 
     @cached_property
-    def _overridden_paths(self) -> frozenset[str]:
-        return frozenset(path for path, _ in self.overrides)
-
-    def extends(self, pipeline: Pipeline) -> bool:
-        """Whether ``pipeline``'s chain is its parent prefix's chain plus one
-        step, so a fold along the parent carries on to ``pipeline``.  Overrides
-        are keyed by the full pipeline path, so this holds when neither the
-        pipeline's path nor its parent's carries one."""
-        parent_path = pipeline.path.rpartition("/")[0]
-        return (pipeline.path not in self._overridden_paths
-                and parent_path not in self._overridden_paths)
+    def _overridden(self) -> frozenset[CategoryId]:
+        return frozenset(cat for _, cat in self.overrides)
 
 
 def _gammas_for(

@@ -185,9 +185,9 @@ def _coin_probability(t: Taxonomy, node: CategoryId, q_of: Mapping[CategoryId, f
 @dataclass(frozen=True)
 class TaxonomySimOutcome:
     """Whole-taxonomy simulation: per-pipeline tallies and the joint matrix
-    each pipeline is expected to follow, resolved the same way the
-    simulation resolved its classifiers.  The truth is not kept;
-    :func:`taxonomy_memberships` regenerates it bit for bit."""
+    each pipeline is expected to follow, :func:`omega_closed`'s bit for bit.
+    The truth is not kept; :func:`taxonomy_memberships` regenerates it bit
+    for bit."""
 
     per_pipeline: Mapping[str, SimOutcome]
     models: Mapping[str, JointMatrix]
@@ -220,9 +220,10 @@ def simulate_taxonomy(
 
     Truth: the label sets of :func:`taxonomy_memberships`.  Decisions: every
     accepting classifier forwards to all children, so each rooted path
-    re-judges the document while its prefix kept accepting.  Classifier
-    profiles are resolved per rooted prefix, which is also how the
-    per-pipeline model matrices in ``models`` are built.
+    re-judges the document while its prefix kept accepting.  Each rooted
+    prefix's classifier decides once, for every pipeline that extends it, as
+    the profiles resolve it; the model matrices in ``models`` are built from
+    the same chains, so each is :func:`omega_closed`'s.
     """
     return _simulate_taxonomy(t, profiles, cfg, {})
 
@@ -368,13 +369,13 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
     exact enumeration on every pipeline of ``t`` and on ``samples`` random ones
     drawn from the stream keyed by ``seed``; a check passes within ``tol``.
 
-    Taxonomy pipelines come prefix-first, so the recurrence takes one
-    :func:`omega_step` per rooted prefix, from its parent prefix's value.  The
-    root, and a pipeline that :meth:`ClassifierProfileSet.extends` refuses,
-    are folded from the root by :func:`omega_recursive`, as the random
-    pipelines are.  Either way each value is :func:`omega_recursive`'s, bit
-    for bit.  The closed form and exact enumeration evaluate each pipeline on
-    its own.
+    Taxonomy pipelines come prefix-first, and each one's classifier chain is
+    its parent's plus one step, so the recurrence takes one
+    :func:`omega_step` per pipeline but the root, from its parent prefix's
+    value.  The root and the random pipelines are folded from the root by
+    :func:`omega_recursive`.  Either way each value is
+    :func:`omega_recursive`'s, bit for bit.  The closed form and exact
+    enumeration evaluate each pipeline on its own.
     """
     checks = []
 
@@ -395,10 +396,8 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
     for p in enumerate_pipelines(t):
         closed = omega_closed(p, profiles)  # raises where ``p`` lacks an f or a profile
         del live[p.depth:]
-        if live and profiles.extends(p):
-            recursive = omega_step(live[-1], p.fs[-1], profiles.resolve(p, p.depth))
-        else:
-            recursive = omega_recursive(p, profiles)
+        recursive = (omega_step(live[-1], p.fs[-1], profiles.resolve(p, p.depth)) if p.depth
+                     else omega_recursive(p, profiles))
         live.append(recursive)
         run_one("taxonomy", p, profiles, closed, recursive)
     rng = Generator(Philox(key=stream_key(seed, "verify")))

@@ -193,8 +193,8 @@ def validate_taxonomy(
 ) -> Taxonomy:
     """Check the poset invariants and return an immutable :class:`Taxonomy`.
 
-    Verifies: there are categories, their names are non-empty and hold no
-    '/', control character or line break, edges reference known
+    Verifies: there are categories, their names are unique, non-empty and
+    hold no '/', control character or line break, edges reference known
     categories, no duplicate or self-loop edges, every supplied f lies in
     [0, 1], exactly one category has no parent (the root, matching
     ``root`` when given), and Kahn's walk from it orders every category: a
@@ -204,7 +204,11 @@ def validate_taxonomy(
     cats = frozenset(names)
     if not cats:
         raise UnknownCategoryError("the category list is empty")
+    seen: set[CategoryId] = set()
     for c in names:
+        if c in seen:
+            raise UnknownCategoryError(f"duplicate category {c!r}")
+        seen.add(c)
         if not isinstance(c, str) or not c.strip():
             raise UnknownCategoryError(f"invalid category name {c!r}")
         if "/" in c:

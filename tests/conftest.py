@@ -13,7 +13,10 @@ from pfmodel import (
     Edge,
     NormalizedConfusionMatrix,
     Pipeline,
+    SimConfig,
     enumerate_pipelines,
+    omega_closed,
+    simulate_taxonomy,
     validate_taxonomy,
 )
 from pfmodel.io import InputBundle, fmt12
@@ -79,8 +82,8 @@ probabilities = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
 @st.composite
 def bundles_with_overrides(draw):
     """A small random DAG (up to two parents per node), profiles, and
-    overrides on random steps of random pipelines: last steps, earlier
-    steps, and paths that other pipelines extend."""
+    overrides at random steps of random pipelines, each keyed by the path
+    that ends at its step, which longer pipelines may extend."""
     n = draw(st.integers(1, 7))
     names = [f"c{i}" for i in range(n)]
     edges = []
@@ -99,9 +102,18 @@ def bundles_with_overrides(draw):
     if stepped:
         for _ in range(draw(st.integers(0, 4))):
             p = draw(st.sampled_from(stepped))
-            overrides[(p.path, p.nodes[draw(st.integers(1, p.depth))])] = gamma()
+            k = draw(st.integers(1, p.depth))
+            overrides[("/".join(p.nodes[:k + 1]), p.nodes[k])] = gamma()
     profiles = ClassifierProfileSet(base=base, overrides=overrides, root=names[0])
     return InputBundle(taxonomy=taxonomy, profiles=profiles)
+
+
+def assert_simulated_models_are_omega_closed(bundle: InputBundle) -> None:
+    """Whole-taxonomy simulation scores each pipeline against the matrix that
+    ``omega_closed`` (and so ``analyze``) gives it, bit for bit."""
+    models = simulate_taxonomy(bundle.taxonomy, bundle.profiles, SimConfig(m=1)).models
+    for p in enumerate_pipelines(bundle.taxonomy):
+        assert models[p.path] == omega_closed(p, bundle.profiles), p.path
 
 
 # --- the standard file-format example pair ------------------------------------

@@ -29,7 +29,8 @@ from pfmodel.cli import EXIT_FALSIFIED, EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, ma
 from pfmodel import io as pfio
 from pfmodel.io import fmt12
 
-from conftest import DEEP_CHAIN_SIZE, chain_json, reals_of_pretty_json
+from conftest import (DEEP_CHAIN_SIZE, assert_simulated_models_are_omega_closed, chain_json,
+                      reals_of_pretty_json)
 
 
 def run(argv, capsys):
@@ -253,12 +254,13 @@ DIGITS_5000 = "<5000 digits>"
     ("profiles", lambda d: d["classifiers"]["B"].pop("tp"), "profiles.classifiers.B"),
     ("profiles", lambda d: d["overrides"][0].update(category="A"), "profiles.overrides[0]"),
     ("profiles", lambda d: d["overrides"][0].update(pipeline="A/Z"), "profiles.overrides[0]"),
+    ("profiles", lambda d: d["overrides"][0].update(pipeline="A/B/D/E"), "profiles.overrides[0]"),
     ("taxonomy", lambda d: d["edges"][0].update(f=DIGITS_5000), "taxonomy"),
     ("profiles", lambda d: d["classifiers"]["B"].update(tp=DIGITS_5000), "profiles"),
 ], ids=["edges-int", "edge-child-list", "overrides-int", "override-pipeline-int",
         "edge-f-huge-int", "cell-huge-int", "edge-int", "categories-str", "root-int",
         "classifiers-list", "cell-missing", "override-root", "override-unknown-category",
-        "edge-f-5000-digits", "cell-5000-digits"])
+        "override-not-at-its-category", "edge-f-5000-digits", "cell-5000-digits"])
 def test_malformed_input_is_invalid_input(name, edit, location, tmp_path, capsys):
     files = {}
     for key in ("taxonomy", "profiles"):
@@ -541,14 +543,16 @@ def test_verify_catches_a_planted_fault(oracle, failing, monkeypatch, capsys):
     # agreement test; a 1e-9 relative fault in one pipeline must not pass
     if oracle == "omega_recursive":
         # verify steps A/B/D's recurrence value on from A/B's, so the fault
-        # goes into the one step that yields it
+        # goes into the one step that yields it, and A/B/D/E steps on from it
         bundle = parse_inputs((GOLDEN / "taxonomy.json").read_text(),
                               (GOLDEN / "profiles.json").read_text())
         value = simulate.omega_recursive(find_pipeline(bundle.taxonomy, "A/B/D"), bundle.profiles)
         monkeypatch.setattr(simulate, "omega_step", shift_step_into_tn(simulate.omega_step, value))
+        reached = ("A/B/D", "A/B/D/E")
     else:
         monkeypatch.setattr(simulate, oracle,
                             shift_fp_into_tn(getattr(simulate, oracle), "A/B/D"))
+        reached = ("A/B/D",)
     code, out, err = run(["verify", "--taxonomy", str(GOLDEN / "taxonomy.json"),
                           "--profiles", str(GOLDEN / "profiles.json"), "--samples", "0"],
                          capsys)
@@ -556,7 +560,7 @@ def test_verify_catches_a_planted_fault(oracle, failing, monkeypatch, capsys):
     assert err.count("\n") == 1 and " A/B/D " in err
     failed = {(c["pipeline"], c["check"]) for c in json.loads(out)["checks"]
               if not c["passed"]}
-    assert failed == {("A/B/D", check) for check in failing}
+    assert failed == {(path, check) for path in reached for check in failing}
 
 
 @pytest.mark.parametrize("k", [1, 30])
@@ -1010,7 +1014,8 @@ def confusion_row(draw) -> dict:
 def valid_tree_inputs(draw):
     """Taxonomy and profiles JSON of a random tree c0 > c1 > c2 > ... (each
     later node under a random earlier one), and a pipeline of depth >= 2
-    whose classifier is overridden at a non-final step."""
+    whose classifier is overridden at a non-final step, keyed by the path
+    that ends there."""
     n = draw(st.integers(3, 14))
     parent = [None, 0, 1] + [draw(st.integers(0, i - 1)) for i in range(3, n)]
     names = [f"c{i}" for i in range(n)]
@@ -1024,7 +1029,7 @@ def valid_tree_inputs(draw):
                 "edges": [{"child": names[i], "parent": names[parent[i]], "f": draw(_unit)}
                           for i in range(1, n)]}
     profiles = {"classifiers": {c: confusion_row(draw) for c in names[1:]},
-                "overrides": [{"pipeline": "/".join(nodes), "category": nodes[step],
+                "overrides": [{"pipeline": "/".join(nodes[:step + 1]), "category": nodes[step],
                                **confusion_row(draw)}]}
     return json.dumps(taxonomy), json.dumps(profiles), "/".join(nodes)
 
@@ -1092,3 +1097,10 @@ def test_valid_inputs_never_crash(inputs):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
             assert code in codes, (argv[0], code, err.getvalue())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(valid_dag_inputs())
+def test_simulated_models_are_omega_closed_on_valid_dags(inputs):
+    taxonomy_json, profiles_json, _ = inputs
+    assert_simulated_models_are_omega_closed(parse_inputs(taxonomy_json, profiles_json))

@@ -2,10 +2,10 @@
 through the CLI and through the library calls and writers behind it.
 
 The DAG in ``golden/`` has a category with two parents (D under B and C)
-and a classifier override on a step that is not the pipeline's last one
-(D inside A/B/D/E), next to one on a last step (D inside A/C/D): the cases
-where whole-taxonomy evaluation and per-pipeline profile resolution could
-drift apart.  The expected files are reference outputs; change them only
+and a different classifier override on each of D's arrival paths (A/B/D and
+A/C/D), which the pipelines A/B/D/E and A/C/D/E extend: the cases where
+whole-taxonomy evaluation and per-pipeline profile resolution could drift
+apart.  The expected files are reference outputs; change them only
 with a deliberate change of the output format or of the numbers.
 """
 

@@ -210,6 +210,13 @@ def test_override_validation():
     ])
     with pytest.raises(pf.ParseError):
         pf.parse_inputs(MINIMAL_TAXONOMY, json.dumps(wrong_member))
+    golden = Path(__file__).parent / "golden"
+    wrong_member = json.loads((golden / "profiles.json").read_text())
+    wrong_member["overrides"][0].update(pipeline="A/B/D/E", category="D")
+    with pytest.raises(pf.ParseError) as err:
+        pf.parse_inputs((golden / "taxonomy.json").read_text(), json.dumps(wrong_member))
+    assert str(err.value) == ("profiles.overrides[0]: an override of 'D' is keyed by the path "
+                              "that ends at it, 'A/B/D', not 'A/B/D/E'")
 
     duplicate = dict(base, overrides=[
         {"pipeline": "A/B", "category": "B", "tn": 0.5, "fp": 0.5, "fn": 0.5, "tp": 0.5},
@@ -550,15 +557,14 @@ def test_report_writes_each_prefix_row_once(monkeypatch):
     assert tsv_rows == n
 
 
-def test_report_writes_override_cut_rows_fresh(monkeypatch):
+def test_report_writes_each_row_of_the_golden_dag_once(monkeypatch):
     golden = Path(__file__).parent / "golden"
     bundle = pf.parse_inputs((golden / "taxonomy.json").read_text(),
                              (golden / "profiles.json").read_text())
     json_ks, tsv_rows = count_rendered_rows(build_report(bundle), monkeypatch)
-    # A, A/B, A/B/D add one row each; A/B/D/E carries an override, so all
-    # four of its rows are new; A/B/F and A/C add one; A/C/D carries one and
-    # A/C/D/E extends it, so both are folded, and written, from the root
-    assert json_ks == [0, 1, 2, 0, 1, 2, 3, 2, 1, 0, 1, 2, 0, 1, 2, 3]
+    # every pipeline, overridden ones (A/B/D, A/C/D) and their extensions
+    # included, adds its last row to its parent's
+    assert json_ks == [0, 1, 2, 3, 2, 1, 2, 3]
     assert tsv_rows == len(json_ks)
 
 

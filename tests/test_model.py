@@ -205,15 +205,22 @@ def test_accepted_positive_mass_never_grows():
 # --- profile resolution ----------------------------------------------------------------
 
 
-def test_override_applies_within_its_pipeline_only():
-    p = Pipeline(("A", "B"), (1.0, 0.5))
+def test_override_applies_along_its_path_and_every_extension():
     override = NormalizedConfusionMatrix(tn=0.5, fp=0.5, fn=0.5, tp=0.5)
     profiles = ClassifierProfileSet(
-        base={"B": GAMMA_B}, overrides={("A/B", "B"): override}, root="A"
+        base={"B": GAMMA_B, "C": GAMMA_B}, overrides={("A/C/B", "B"): override}, root="A"
     )
-    assert profiles.resolve(p, 1) == override
-    other = Pipeline(("A", "B", "C"), (1.0, 0.5, 0.5))
-    assert profiles.resolve(other, 1) == GAMMA_B
+    assert profiles.resolve(Pipeline(("A", "C", "B"), (1.0, 0.5, 0.5)), 2) == override
+    extended = Pipeline(("A", "C", "B", "D"), (1.0, 0.5, 0.5, 0.5))
+    assert profiles.resolve(extended, 2) == override
+    assert profiles.resolve(Pipeline(("A", "B"), (1.0, 0.5)), 1) == GAMMA_B  # another arrival path
+    assert profiles.resolve(extended, 1) == GAMMA_B
+
+
+def test_override_must_be_keyed_by_the_path_that_ends_at_its_category():
+    with pytest.raises(pf.ParseError) as err:
+        ClassifierProfileSet(base={"B": GAMMA_B}, overrides={("A/B/C", "B"): GAMMA_B}, root="A")
+    assert str(err.value) == "override of 'B' keyed by 'A/B/C', which does not end at it"
 
 
 def test_root_profile_rejected():

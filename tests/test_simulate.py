@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
@@ -32,6 +32,7 @@ from pfmodel.rng import uniforms
 from conftest import (
     DEEP_CHAIN_SIZE,
     GAMMA_B,
+    assert_simulated_models_are_omega_closed,
     bundles_with_overrides,
     chain_json,
     random_gamma,
@@ -415,6 +416,16 @@ def test_taxonomy_tallies_match_models(dag_sim_inputs):
         assert report.passed, (path, report.max_z)
 
 
+@given(bundles_with_overrides())
+@example(golden_bundle())
+@settings(max_examples=150, deadline=None)
+def test_taxonomy_models_are_omega_closed(bundle):
+    try:
+        assert_simulated_models_are_omega_closed(bundle)
+    except pf.OutOfRangeProbabilityError:
+        assume(False)  # edge probabilities that no membership coins realize
+
+
 def test_single_chain_taxonomy_matches_pipeline_mode(chain_abd):
     profiles = ClassifierProfileSet(
         base={
@@ -595,7 +606,7 @@ def test_verify_converts_each_f_chain_once_per_pipeline(monkeypatch):
     assert sorted(converted) == [0, 0, *range(depth + 1)]
 
 
-def test_verify_refolds_the_overridden_pipelines_of_the_golden_dag(monkeypatch):
+def test_verify_steps_every_pipeline_of_the_golden_dag_but_the_root(monkeypatch):
     bundle = golden_bundle()
     calls = count_steps(monkeypatch)
     folded = []
@@ -603,17 +614,16 @@ def test_verify_refolds_the_overridden_pipelines_of_the_golden_dag(monkeypatch):
     monkeypatch.setattr(simulate, "omega_recursive",
                         lambda p, profiles: folded.append(p.path) or recursive(p, profiles))
     pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 6, 0, 42)
-    # the root and the pipelines whose own path (A/B/D/E, A/C/D) or parent's
-    # path (A/C/D/E) carries an override fold from the root: 0 + 3 + 2 + 3
-    # steps; A/B, A/B/D, A/B/F and A/C take one step each from their parents
-    assert folded == ["A", "A/B/D/E", "A/C/D", "A/C/D/E"]
-    assert len(calls) == 12
+    # the overridden pipelines (A/B/D, A/C/D) and their extensions take one
+    # step from their parents, as the other pipelines do
+    assert folded == ["A"]
+    assert len(calls) == 7
 
 
 def chain_with_override():
-    """A 40-deep chain whose pipeline c0/../c20 overrides c10's classifier."""
+    """A 40-deep chain whose prefix c0/../c10 overrides c10's classifier."""
     taxonomy, profiles = chain_dicts(41)
-    profiles["overrides"] = [{"pipeline": chain_path(20), "category": "c10",
+    profiles["overrides"] = [{"pipeline": chain_path(10), "category": "c10",
                               "tn": 0.6, "fp": 0.4, "fn": 0.1, "tp": 0.9}]
     return pf.parse_inputs(json.dumps(taxonomy), json.dumps(profiles))
 

@@ -55,6 +55,11 @@ def test_duplicate_edge():
         pf.validate_taxonomy(["A", "B"], [Edge("B", "A"), Edge("B", "A", 0.5)])
 
 
+def test_duplicate_category():
+    with pytest.raises(pf.PFModelError, match=r"^duplicate category 'B'$"):
+        pf.validate_taxonomy(["A", "B", "C", "B", "C"], [Edge("B", "A", 0.5), Edge("C", "A")])
+
+
 def test_unknown_category_in_edge():
     with pytest.raises(pf.UnknownCategoryError):
         pf.validate_taxonomy(["A"], [Edge("B", "A")])

@@ -44,6 +44,7 @@ from .metrics import (
     MetricReport,
     Verdict,
     depth_profile,
+    factorize,
     pipeline_metrics,
     precision_constraint_check,
 )
@@ -59,7 +60,6 @@ from .model import (
     PrefixState,
     context_switch,
     expected_confusion,
-    factorize,
     homomorphism_map,
     omega_closed,
     omega_recursive,

@@ -231,6 +231,8 @@ def _cmd_simulate(args) -> int:
         raise PFModelError(f"--m must be at most {sys.maxsize // 8}, got {args.m}")
     if args.replications < 1:
         raise PFModelError(f"--replications must be at least 1, got {args.replications}")
+    if args.replications > 2**64:  # every replication takes its own 64-bit seed
+        raise PFModelError(f"--replications must be at most {2**64}, got {args.replications}")
     _require_finite_nonnegative("--z-threshold", args.z_threshold)
     _require_seed(args.seed, streams=args.replications)
     bundle = pfio.parse_inputs(_read(args.taxonomy), _read(args.profiles))

@@ -449,9 +449,10 @@ def build_report(
 
     Pipelines arrive prefix-first, and each one's classifier chain is its
     parent's plus one step, so each one whose parent prefix was analyzed
-    extends that profile by its last step.  The root, and every pipeline
-    whose parent is not in the report (``leaf_only``, ``pipeline_path``),
-    are folded from the root.
+    extends that profile by its last step, resolving only that step's
+    classifier.  The root, and every pipeline whose parent is not in the
+    report (``leaf_only``, ``pipeline_path``), are folded from the root.
+    Every block's factorization is read off its own fold.
     """
     if pipeline_path is None:
         pipelines = enumerate_pipelines(bundle.taxonomy, leaf_only=leaf_only)
@@ -460,7 +461,7 @@ def build_report(
     profiles = bundle.profiles
     analyzed: dict[tuple[str, ...], DepthProfile] = {}
     for p in pipelines:
-        analyzed[p.nodes] = _fold(p, profiles.gamma_chain(p), analyzed.get(p.nodes[:-1]))
+        analyzed[p.nodes] = _fold(p, profiles, analyzed.get(p.nodes[:-1]))
     return Report(taxonomy=bundle.taxonomy, renormalized=bundle.renormalized,
                   blocks=tuple(analyzed.values()))
 

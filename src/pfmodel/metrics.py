@@ -28,7 +28,6 @@ from .model import (
     JointMatrix,
     NormalizedConfusionMatrix,
     PrefixState,
-    _factorization,
     omega_step,
 )
 from .taxonomy import Pipeline
@@ -149,24 +148,38 @@ class DepthRow:
 class DepthProfile:
     """Per-prefix view of a pipeline: one :class:`DepthRow` per depth.
 
-    ``rows[k]`` is the prefix ending at depth ``k``.  ``state`` is the
-    running state after the last step, and ``factorization`` the whole
-    pipeline's prior/deterioration split.
+    ``rows[k]`` is the prefix ending at depth ``k``, and ``state`` the
+    running state after the last step.
     """
 
     pipeline: Pipeline
     rows: tuple[DepthRow, ...]
     state: PrefixState
-    factorization: Factorization
+
+    @property
+    def factorization(self) -> Factorization:
+        """The whole pipeline's prior/deterioration split.  ``phi.fp`` is the
+        last row's false-positive mass over the negative prior; the priors,
+        psi and ``eta``'s zero-fp fallback come from ``state``."""
+        state = self.state
+        prior_neg = 1.0 - state.prior_pos
+        if prior_neg == 0.0:
+            return Factorization(prior_pos=state.prior_pos, phi=state.intrinsic(), eta=None)
+
+        phi01 = min(self.rows[-1].omega.fp / prior_neg, 1.0)  # it can round just above 1
+        phi = NormalizedConfusionMatrix(tn=1.0 - phi01, fp=phi01, fn=1.0 - state.psi11,
+                                        tp=state.psi11)
+        eta = phi01 / state.psi01 if state.psi01 > 0.0 else state.leak / prior_neg
+        return Factorization(prior_pos=state.prior_pos, phi=phi, eta=eta)
 
 
 def _fold(
-    pipeline: Pipeline,
-    gammas: tuple[NormalizedConfusionMatrix, ...],
-    start: DepthProfile | None = None,
+    pipeline: Pipeline, profiles: ClassifierProfileSet, start: DepthProfile | None = None
 ) -> DepthProfile:
-    """Profile of ``pipeline``, whose steps have profiles ``gammas``, folded
-    from the root or on from ``start``, the profile of one of its prefixes.
+    """Profile of ``pipeline``, folded from the root or on from ``start``,
+    the profile of one of its prefixes.  Only the steps taken are resolved
+    in ``profiles``, so a pipeline folded on from its parent costs one
+    ``resolve``.
 
     Sanity-checks the recall chain on the way: the tp-rate product can
     never grow, and it shrinks strictly wherever a classifier's tp-rate is
@@ -180,7 +193,7 @@ def _fold(
         rows = list(start.rows)
         state = start.state
     for k in range(len(rows), len(fs)):
-        f_k, gamma_k = fs[k], gammas[k - 1]
+        f_k, gamma_k = fs[k], profiles.resolve(pipeline, k)
         advanced = state.advance(f_k, gamma_k)
         omega = omega_step(rows[-1].omega, f_k, gamma_k)
         rows.append(DepthRow(k, pipeline.fs[k], omega, pipeline_metrics(omega),
@@ -192,10 +205,14 @@ def _fold(
             if not advanced.psi11 < state.psi11:
                 raise AssertionError("recall chain failed to decrease at a lossy step")
         state = advanced
-    return DepthProfile(pipeline, tuple(rows), state, _factorization(state, fs, gammas))
+    return DepthProfile(pipeline, tuple(rows), state)
 
 
 def depth_profile(pipeline: Pipeline, profiles: ClassifierProfileSet) -> DepthProfile:
-    """Metrics and precision verdicts for every prefix of ``pipeline``, and
-    the factorization of the whole."""
-    return _fold(pipeline, profiles.gamma_chain(pipeline))
+    """Metrics and precision verdicts for every prefix of ``pipeline``."""
+    return _fold(pipeline, profiles)
+
+
+def factorize(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Factorization:
+    """Split a pipeline's joint mass into input priors and deterioration."""
+    return depth_profile(pipeline, profiles).factorization

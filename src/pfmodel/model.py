@@ -426,34 +426,6 @@ class PrefixState:
         )
 
 
-def factorize(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Factorization:
-    """Split a pipeline's joint mass into input priors and deterioration."""
-    fs = pipeline.require_fs()
-    gammas = profiles.gamma_chain(pipeline)
-    state = PrefixState.initial()
-    for f_k, gamma_k in zip(fs[1:], gammas):
-        state = state.advance(f_k, gamma_k)
-    return _factorization(state, fs, gammas)
-
-
-def _factorization(
-    state: PrefixState, fs: Sequence[float], gammas: Sequence[NormalizedConfusionMatrix]
-) -> Factorization:
-    """:func:`factorize` of the pipeline with chains ``fs``/``gammas``, whose
-    final :class:`PrefixState` is ``state``."""
-    prior_pos = state.prior_pos
-    prior_neg = 1.0 - prior_pos
-
-    if prior_neg == 0.0:
-        return Factorization(prior_pos=prior_pos, phi=state.intrinsic(), eta=None)
-
-    psi01, psi11 = state.psi01, state.psi11
-    phi01 = min(_closed_form(fs, gammas)[1] / prior_neg, 1.0)  # it can round just above 1
-    phi = NormalizedConfusionMatrix(tn=1.0 - phi01, fp=phi01, fn=1.0 - psi11, tp=psi11)
-    eta = phi01 / psi01 if psi01 > 0.0 else state.leak / prior_neg
-    return Factorization(prior_pos=prior_pos, phi=phi, eta=eta)
-
-
 def expected_confusion(m: int, omega: JointMatrix) -> Cells2x2:
     """Expected confusion-matrix counts for ``m`` inputs: m * omega.
 

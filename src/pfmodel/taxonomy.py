@@ -201,16 +201,15 @@ def validate_taxonomy(
     category it cannot order lies on or below a cycle.
     """
     names = list(categories)  # checked in the given order, so errors name the first
-    cats = frozenset(names)
-    if not cats:
+    if not names:
         raise UnknownCategoryError("the category list is empty")
     seen: set[CategoryId] = set()
     for c in names:
+        if not isinstance(c, str) or not c.strip():  # before hashing c
+            raise UnknownCategoryError(f"invalid category name {c!r}")
         if c in seen:
             raise UnknownCategoryError(f"duplicate category {c!r}")
         seen.add(c)
-        if not isinstance(c, str) or not c.strip():
-            raise UnknownCategoryError(f"invalid category name {c!r}")
         if "/" in c:
             raise UnknownCategoryError(
                 f"category name {c!r} may not contain '/' (reserved for pipeline paths)"
@@ -220,6 +219,7 @@ def validate_taxonomy(
                 f"category name {c!r} may not contain control characters or line breaks"
             )
 
+    cats = frozenset(names)
     norm_edges = list(edges)
 
     seen: set[tuple[CategoryId, CategoryId]] = set()

@@ -627,6 +627,8 @@ def test_verify_max_len_zero_without_samples(l2_files, capsys):
      "--seed must be at least 0 and at most 18446744073709551615, got -1"),
     (["simulate", "--m", "10", "--seed", "18446744073709551615", "--replications", "2"],
      "--seed must be at least 0 and at most 18446744073709551614, got 18446744073709551615"),
+    (["simulate", "--m", "10", "--replications", str(2**65)],
+     f"--replications must be at most {2**64}, got {2**65}"),
     (["sweep", "--pipeline", "A/B/C", "--target", "0.1", "--seed", "-1"],
      "--seed must be at least 0 and at most 18446744073709551615, got -1"),
     (["simulate", "--m", "0"], "--m must be at least 1, got 0"),
@@ -642,8 +644,8 @@ def test_verify_max_len_zero_without_samples(l2_files, capsys):
      f"--max-len must be at most {2**63 - 1} when --samples is above 0, got {2**63}"),
 ], ids=["tol-nan", "tol-neg", "tol-inf", "samples-neg", "max-len-0",
         "z-nan", "z-neg", "z-inf", "verify-seed-neg", "verify-seed-2**64",
-        "simulate-seed-neg", "simulate-seed-last-replication", "sweep-seed-neg",
-        "m-0", "n-0", "target-1.5", "target-nan", "m-1e20", "max-len-2**63"])
+        "simulate-seed-neg", "simulate-seed-last-replication", "replications-2**65",
+        "sweep-seed-neg", "m-0", "n-0", "target-1.5", "target-nan", "m-1e20", "max-len-2**63"])
 def test_bad_numeric_flags_are_invalid_input(l2_files, argv, message, fmt, capsys):
     taxonomy, profiles = l2_files
     code, out, err = run(

@@ -514,25 +514,47 @@ def test_report_takes_one_step_per_pipeline(monkeypatch):
     assert len(calls) == len(pipelines) - 1
 
 
-@pytest.mark.parametrize(
-    "options, resolved",
-    [({}, 8), ({"leaf_only": True}, 3), ({"pipeline_path": "A/B/D/E"}, 1)],
-)
-def test_report_resolves_each_chain_once(options, resolved, monkeypatch):
+def golden_bundle():
     golden = Path(__file__).parent / "golden"
-    bundle = pf.parse_inputs((golden / "taxonomy.json").read_text(),
-                             (golden / "profiles.json").read_text())
+    return pf.parse_inputs((golden / "taxonomy.json").read_text(),
+                           (golden / "profiles.json").read_text())
+
+
+@pytest.mark.parametrize("inputs, options, resolved", [
+    ("golden", {}, 7),
+    ("golden", {"leaf_only": True}, 8),
+    ("golden", {"pipeline_path": "A/B/D/E"}, 3),
+    ("chain", {}, 399),
+], ids=["golden", "golden-leaf-only", "golden-pipeline", "chain-400"])
+def test_report_resolves_each_step_once(inputs, options, resolved, monkeypatch):
+    """A pipeline folded on from its parent resolves its last step only; one
+    folded from the root resolves each of its steps."""
+    bundle = golden_bundle() if inputs == "golden" else pf.parse_inputs(*chain_json(400))
     calls = []
-    gamma_chain = pf.ClassifierProfileSet.gamma_chain
+    resolve = pf.ClassifierProfileSet.resolve
 
-    def counting_chain(self, pipeline):
-        calls.append(pipeline.path)
-        return gamma_chain(self, pipeline)
+    def counting_resolve(self, pipeline, k):
+        calls.append(k)
+        return resolve(self, pipeline, k)
 
-    monkeypatch.setattr(pf.ClassifierProfileSet, "gamma_chain", counting_chain)
-    report = build_report(bundle, **options)
-    assert calls == [b.pipeline.path for b in report.blocks]
+    monkeypatch.setattr(pf.ClassifierProfileSet, "resolve", counting_resolve)
+    build_report(bundle, **options)
     assert len(calls) == resolved
+
+
+@pytest.mark.parametrize("inputs", ["golden", "chain-122"])
+def test_report_factorization_reconstructs_the_reported_fp_mass(inputs):
+    """prior_neg * phi.fp gives back the block's own w01 within one rounding
+    of the division and one of the product."""
+    bundle = golden_bundle() if inputs == "golden" else pf.parse_inputs(*chain_json(122))
+    checked = 0
+    for block in build_report(bundle).blocks:
+        fact, w01 = block.factorization, block.rows[-1].omega.fp
+        if w01 < sys.float_info.min or fact.phi.fp >= 1.0:
+            continue
+        assert abs(fact.prior_neg * fact.phi.fp - w01) <= 2**-52 * w01, block.pipeline.path
+        checked += 1
+    assert checked > 0
 
 
 def count_rendered_rows(report, monkeypatch):

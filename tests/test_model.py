@@ -167,6 +167,15 @@ def test_omega_requires_all_gammas():
         pf.omega_recursive(p, profiles)
 
 
+@pytest.mark.parametrize("evaluate", [pf.depth_profile, pf.factorize,
+                                      pf.omega_recursive, pf.omega_closed])
+def test_a_missing_f_is_reported_before_a_missing_profile(evaluate):
+    p = Pipeline(("A", "B", "C"), (1.0, 0.5, None))
+    profiles = ClassifierProfileSet(base={"C": GAMMA_B}, root="A")
+    with pytest.raises(pf.MissingEdgeProbabilityError):
+        evaluate(p, profiles)
+
+
 def test_closed_equals_recursive_random():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -92,6 +92,12 @@ def test_bad_category_names():
         pf.validate_taxonomy(["A", "A/B"], [Edge("A/B", "A")])
 
 
+@pytest.mark.parametrize("name", [["x"], {"x": 1}], ids=["list", "dict"])
+def test_an_unhashable_category_name_is_invalid(name):
+    with pytest.raises(pf.UnknownCategoryError, match="^invalid category name"):
+        pf.validate_taxonomy([name], [])
+
+
 @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x85", "\u2028"],
                          ids=["tab", "lf", "cr", "nel", "line-separator"])
 def test_category_names_with_control_characters_or_line_breaks(char):

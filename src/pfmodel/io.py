@@ -24,7 +24,9 @@ each writing JSON or TSV, byte-identical for identical inputs.  Pipelines
 come in enumeration order (lexicographic on the category sequence, prefix
 first), keys in a fixed order, and reals with 12 significant digits.  A
 report's depth rows are rendered once each per call, however many pipelines
-share them.
+share them, and a block's ``fs``, ``omega`` and ``metrics`` are its rows'
+texts.  :func:`dump_json` is the one JSON layout: each record a writer
+repeats is written as one piece, from a template that it builds at import.
 
 A writer passes its text to a text sink piece by piece as it renders, so
 the whole text is never held in memory.  Called without a sink, it writes
@@ -35,10 +37,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from io import StringIO
-from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from itertools import chain, combinations
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence, TextIO)
 
 from .errors import (
     MissingGammaError,
@@ -59,7 +63,7 @@ from .taxonomy import (
 )
 
 if TYPE_CHECKING:  # importing the simulator loads numpy; writing needs neither
-    from .simulate import SimRun, Simulation, SweepResult, Verification
+    from .simulate import OracleCheck, SimRun, Simulation, SweepResult, SweepRow, Verification
 
 #: tolerance for accepting hand-typed confusion rows before renormalizing
 ROW_SUM_TOLERANCE = 1e-9
@@ -299,14 +303,21 @@ def _real(x: float) -> str:
     """
     if x != x or x in _INFINITIES:
         raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-    s = fmt12(x)
+    s = f"{x:.12g}"  # fmt12(x), without the call: a report holds millions of reals
     if "e" in s:
         return float.__repr__(float(s))
     return s if "." in s else s + ".0"
 
 
-class _Text(str):
-    """JSON text already written, which :func:`_write_json` copies as it is."""
+class _Text:
+    """JSON text already written, which :func:`_write_json` copies as it is.
+    A wrapper, not a ``str`` subclass, so that a record's text is not copied
+    to mark it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 def _write_json(o: Any, write: Callable[[str], Any], newline: str) -> None:
@@ -317,8 +328,7 @@ def _write_json(o: Any, write: Callable[[str], Any], newline: str) -> None:
     A :class:`_Text` fragment is written as it is: it is JSON text already
     written at this indent.  Objects and floats, the bulk of a report, are
     tested first; the other types are disjoint from them, so the order
-    changes no output.  Each float is written by :func:`_real`, and a
-    non-empty list or tuple of exact floats as one joined string.
+    changes no output.  Each float is written by :func:`_real`.
     """
     if isinstance(o, dict):
         if not o:
@@ -336,7 +346,7 @@ def _write_json(o: Any, write: Callable[[str], Any], newline: str) -> None:
     elif isinstance(o, float):
         write(_real(o))
     elif isinstance(o, _Text):
-        write(o)
+        write(o.text)
     elif isinstance(o, str):
         write(_encode_str(o))
     elif o is None:
@@ -349,9 +359,6 @@ def _write_json(o: Any, write: Callable[[str], Any], newline: str) -> None:
         write(int.__repr__(o))
     elif isinstance(o, (list, tuple, Iterator)):
         inner = newline + "  "
-        if o and isinstance(o, (list, tuple)) and all(type(v) is float for v in o):
-            write("[" + inner + ("," + inner).join(map(_real, o)) + newline + "]")
-            return
         sep = "[" + inner
         for value in o:
             write(sep)
@@ -383,6 +390,171 @@ def dump_json(payload: Any, out: TextIO | None = None) -> str | None:
     _write_json(payload, out.write, "\n")
     out.write("\n")
     return None
+
+
+def _json_at(o: Any, newline: str) -> str:
+    """The JSON text of ``o`` at the indent of ``newline``, as one string."""
+    parts: list[str] = []
+    _write_json(o, parts.append, newline)
+    return "".join(parts)
+
+
+# --- record templates ----------------------------------------------------------
+#
+# A record the writers repeat (a depth row, a report block, a verify check, a
+# simulate run, a sweep row) is written as one piece, by one ``str.format``
+# call on its template.  Each template is the text that _write_json writes
+# for a skeleton of the record whose leaves are slots, so its layout is
+# _write_json's own; a slot's value is the JSON text of one leaf.
+
+#: marks a slot's name in the text of a skeleton; JSON text never holds it
+#: raw, since _encode_str escapes it
+_MARK = "\0"
+_SLOT = re.compile(f"{_MARK}(\\w+){_MARK}(?:(,\n *){_MARK}\\1{_MARK})?")
+_LINE_START = re.compile("\n *")
+
+
+class _Slot(_Text):
+    """A named leaf of a record skeleton, copied by :func:`_write_json` as
+    text already written, which :class:`_Template` makes a field."""
+
+    __slots__ = ()
+
+    def __init__(self, name: str) -> None:
+        super().__init__(f"{_MARK}{name}{_MARK}")
+
+
+def _slots(*names: str) -> dict[str, _Slot]:
+    """An object skeleton whose every key is a slot of the same name."""
+    return {name: _Slot(name) for name in names}
+
+
+def _items(name: str) -> list[_Slot]:
+    """A skeleton of a non-empty array, one field for all its items: two
+    items, so that the template sees what separates them."""
+    return [_Slot(name), _Slot(name)]
+
+
+class _Template:
+    """A fixed-shape JSON record at the indent of ``newline``, filled in
+    by ``format(**texts)``.
+
+    Each slot of the skeleton becomes a field that takes its value's JSON
+    text, and each :func:`_items` array a field that takes its items'
+    texts joined by ``seps[name]``.  ``newlines[name]`` is the line break
+    and indent of the line a field starts on.  A ``flags`` slot takes a
+    list of names drawn in order from a fixed tuple; ``flags[name]`` maps
+    each such subset, as a tuple, to the text of its array at that slot.
+    """
+
+    def __init__(self, skeleton: dict, newline: str,
+                 flags: Mapping[str, Sequence[str]] | None = None) -> None:
+        text = _json_at(skeleton, newline).replace("{", "{{").replace("}", "}}")
+        self.newlines: dict[str, str] = {}
+        self.seps: dict[str, str] = {}
+
+        def field(m: re.Match) -> str:
+            name, sep = m.group(1, 2)
+            self.newlines[name] = _LINE_START.match(text, text.rfind("\n", 0, m.start()))[0]
+            if sep is not None:
+                self.seps[name] = sep
+            return f"{{{name}}}"
+
+        self.format: Callable[..., str] = _SLOT.sub(field, text).format
+        self.flags = {
+            name: {subset: _json_at(list(subset), self.newlines[name])
+                   for r in range(len(vocabulary) + 1)
+                   for subset in combinations(vocabulary, r)}
+            for name, vocabulary in (flags or {}).items()
+        }
+
+
+def _maybe(x: float | None) -> str:
+    """:func:`_real` text of a defined value, ``null`` for an undefined one."""
+    return "null" if x is None else _real(x)
+
+
+def _bool(x: bool) -> str:
+    return "true" if x else "false"
+
+
+def _number(x: float) -> str:
+    """The text of a number as given (an ``f``): :func:`_real` for a float,
+    what :func:`_write_json` writes for any other type."""
+    return _real(x) if type(x) is float else _json_at(x, "")
+
+
+_METRIC_FLAGS = ("precision_undefined", "recall_undefined", "f1_degenerate")
+_BLOCK_FLAGS = ("zero_negative_mass", "eta_infinite")
+_OMEGA_SLOTS = _slots("w00", "w01", "w10", "w11")
+_METRIC_SLOTS = {**_slots("tP", "tR", "tF1", "tA"), "flags": _Slot("metric_flags")}
+_METRIC_FLAG_SLOTS = {"metric_flags": _METRIC_FLAGS}
+
+
+def _matrix_slots(name: str) -> dict[str, _Slot]:
+    return {cell: _Slot(f"{name}_{cell}") for cell in ("tn", "fp", "fn", "tp")}
+
+
+#: where an item of a document's top-level array starts: its line break and indent
+_RECORD_NEWLINE = _Template({"records": _items("record")}, "\n").newlines["record"]
+
+_BLOCK = _Template({
+    **_slots("pipeline", "depth"),
+    "fs": _items("fs"),
+    "omega": _OMEGA_SLOTS,
+    "prior": {"neg": _Slot("prior_neg"), "pos": _Slot("prior_pos")},
+    "phi": _matrix_slots("phi"),
+    "psi": _matrix_slots("psi"),
+    **_slots("eta", "flags"),
+    "metrics": _METRIC_SLOTS,
+    "depth_profile": _items("rows"),
+}, _RECORD_NEWLINE, flags={"flags": _BLOCK_FLAGS, **_METRIC_FLAG_SLOTS})
+
+_ROW = _Template({
+    **_slots("k", "f"),
+    "omega": _OMEGA_SLOTS,
+    "metrics": _METRIC_SLOTS,
+    "precision_verdict": _Slot("verdict"),
+    "precision_bound": _Slot("bound"),
+}, _BLOCK.newlines["rows"], flags=_METRIC_FLAG_SLOTS)
+
+_CHECK = _Template(_slots("source", "pipeline", "depth", "check", "discrepancy", "passed"),
+                   _RECORD_NEWLINE)
+
+_RUN = _Template({
+    **_slots("replication", "seed", "pipeline", "m"),
+    "counts": _slots("tn", "fp", "fn", "tp"),
+    "model": _OMEGA_SLOTS,
+    **_slots("max_z", "passed"),
+}, _RECORD_NEWLINE)
+
+_SWEEP_ROW = _Template({"fs": _items("fs"), "omega": _OMEGA_SLOTS, "metrics": _METRIC_SLOTS},
+                       _RECORD_NEWLINE, flags=_METRIC_FLAG_SLOTS)
+
+
+def _omega_texts(omega: Cells2x2) -> dict[str, str]:
+    """A joint matrix's cells as the texts of its ``w00``..``w11`` slots."""
+    return {"w00": _real(omega.tn), "w01": _real(omega.fp),
+            "w10": _real(omega.fn), "w11": _real(omega.tp)}
+
+
+def _metric_texts(r: MetricReport) -> dict[str, str]:
+    """A report's metrics as the texts of their ``tP``..``tA`` slots."""
+    return {"tP": _maybe(r.precision), "tR": _maybe(r.recall), "tF1": _maybe(r.f1),
+            "tA": _real(r.accuracy)}
+
+
+def _metric_flags(r: MetricReport) -> tuple[str, ...]:
+    """The flags naming each undefined metric of a report, and an F1 that
+    is 0 because precision or recall is."""
+    flags: tuple[str, ...] = ()
+    if r.precision is None:
+        flags += ("precision_undefined",)
+    if r.recall is None:
+        flags += ("recall_undefined",)
+    if r.f1 is not None and (r.precision == 0.0 or r.recall == 0.0):
+        flags += ("f1_degenerate",)
+    return flags
 
 
 def serialize_taxonomy(t: Taxonomy) -> str:
@@ -466,33 +638,9 @@ def build_report(
                   blocks=tuple(analyzed.values()))
 
 
-def _omega_payload(omega: Cells2x2) -> dict:
-    """A joint matrix as its ``w00``..``w11`` JSON object."""
-    return {"w00": omega.tn, "w01": omega.fp, "w10": omega.fn, "w11": omega.tp}
-
-
 def _metric_cells(r: MetricReport) -> list[str]:
     """tP, tR, tF1 and tA as TSV cells, ``-`` where undefined."""
     return [_cell12(r.precision), _cell12(r.recall), _cell12(r.f1), fmt12(r.accuracy)]
-
-
-def _metrics_payload(r: MetricReport) -> dict:
-    """A report's metrics, with flags naming each undefined metric and an
-    F1 that is 0 because precision or recall is."""
-    flags = []
-    if r.precision is None:
-        flags.append("precision_undefined")
-    if r.recall is None:
-        flags.append("recall_undefined")
-    if r.f1 is not None and (r.precision == 0.0 or r.recall == 0.0):
-        flags.append("f1_degenerate")
-    return {
-        "tP": r.precision,
-        "tR": r.recall,
-        "tF1": r.f1,
-        "tA": r.accuracy,
-        "flags": flags,
-    }
 
 
 def _verdict_text(row: DepthRow) -> str:
@@ -504,32 +652,46 @@ def _verdict_text(row: DepthRow) -> str:
 
 
 def _depth_rows(
-    b: DepthProfile, memo: dict[int, str], render: Callable[[DepthRow], str]
-) -> Iterator[str]:
-    """Text of each depth row of a block, from ``render(row)``.  A prefix's
-    rows are shared by reference with every profile folded on from it, so
-    ``memo`` keys each text on its row's identity, and a shared row is
-    rendered once; the report keeps the rows alive, so no id is reused
-    while ``memo`` is."""
-    for row in b.rows:
+    rows: Iterable[DepthRow], memo: dict[int, Any], render: Callable[[DepthRow], Any]
+) -> Iterator[Any]:
+    """``render(row)`` of each of a block's depth rows.  A prefix's rows are
+    shared by reference with every profile folded on from it, so ``memo``
+    keys each result on its row's identity, and a shared row is rendered
+    once; the report keeps the rows alive, so no id is reused while
+    ``memo`` is."""
+    for row in rows:
         text = memo.get(id(row))
         if text is None:
             text = memo[id(row)] = render(row)
         yield text
 
 
-def _row_json(row: DepthRow) -> _Text:
+class _RowJSON(NamedTuple):
+    """A depth row's JSON object, the text of its ``f``, and the texts of
+    its omega and metrics slots with its metric flags, which a block whose
+    last row it is writes again."""
+
+    text: str
+    f: str
+    cells: dict[str, str]
+    flags: tuple[str, ...]
+
+
+def _row_json(row: DepthRow) -> _RowJSON:
     """A depth row's JSON object, at its indent in a block's ``depth_profile``."""
-    parts: list[str] = []
-    _write_json({
-        "k": row.k,
-        "f": row.f,
-        "omega": _omega_payload(row.omega),
-        "metrics": _metrics_payload(row.metrics),
-        "precision_verdict": _verdict_text(row),
-        "precision_bound": None if row.check is None else row.check.bound,
-    }, parts.append, "\n        ")
-    return _Text("".join(parts))
+    f = _number(row.f)
+    cells = {**_omega_texts(row.omega), **_metric_texts(row.metrics)}
+    flags = _metric_flags(row.metrics)
+    text = _ROW.format(
+        k=int.__repr__(row.k), f=f, **cells, metric_flags=_ROW.flags["metric_flags"][flags],
+        verdict=_encode_str(_verdict_text(row)),
+        bound="null" if row.check is None else _real(row.check.bound))
+    return _RowJSON(text, f, cells, flags)
+
+
+def _shared_row_json(row: DepthRow) -> tuple[str, str]:
+    """What a later block reads of a depth row's JSON: its text and its f's."""
+    return _row_json(row)[:2]
 
 
 def _row_tsv(row: DepthRow) -> str:
@@ -539,28 +701,34 @@ def _row_tsv(row: DepthRow) -> str:
                       fmt12(om.tp), *_metric_cells(row.metrics), _verdict_text(row)])
 
 
-def _block_payload(b: DepthProfile, memo: dict[int, str]) -> dict:
-    fact = b.factorization
-    flags = []
-    if fact.zero_negative_mass:
-        flags.append("zero_negative_mass")
-    if fact.eta is not None and math.isinf(fact.eta):
-        flags.append("eta_infinite")
-    eta = fact.eta
-    last = b.rows[-1]
-    return {
-        "pipeline": b.pipeline.path,
-        "depth": b.pipeline.depth,
-        "fs": b.pipeline.fs,
-        "omega": _omega_payload(last.omega),
-        "prior": {"neg": fact.prior_neg, "pos": fact.prior_pos},
-        "phi": _matrix_payload(fact.phi),
-        "psi": _matrix_payload(b.state.intrinsic()),
-        "eta": None if eta is None or not math.isfinite(eta) else eta,
-        "flags": flags,
-        "metrics": _metrics_payload(last.metrics),
-        "depth_profile": list(_depth_rows(b, memo, _row_json)),
-    }
+def _block_json(b: DepthProfile, memo: dict[int, tuple[str, str]]) -> _Text:
+    """A report block's JSON object.  Its ``fs`` list and ``depth_profile``
+    join its rows' texts, each rendered once per report (``memo``); its
+    omega and metrics are those of its last row, which is rendered here
+    for the block and kept in ``memo`` for the blocks that extend it."""
+    *shared, last_row = b.rows
+    rows = list(_depth_rows(shared, memo, _shared_row_json))
+    last = _row_json(last_row)
+    rows.append(last[:2])
+    memo[id(last_row)] = rows[-1]
+    fact, psi = b.factorization, b.state.intrinsic()
+    phi, eta = fact.phi, fact.eta
+    flags: tuple[str, ...] = ("zero_negative_mass",) if fact.zero_negative_mass else ()
+    if eta is not None and math.isinf(eta):
+        flags += ("eta_infinite",)
+    sep_rows, sep_fs = _BLOCK.seps["rows"], _BLOCK.seps["fs"]
+    return _Text(_BLOCK.format(
+        pipeline=_encode_str(b.pipeline.path), depth=int.__repr__(b.pipeline.depth),
+        fs=sep_fs.join([f for _, f in rows]),
+        **last.cells,
+        prior_neg=_real(fact.prior_neg), prior_pos=_real(fact.prior_pos),
+        phi_tn=_real(phi.tn), phi_fp=_real(phi.fp), phi_fn=_real(phi.fn), phi_tp=_real(phi.tp),
+        psi_tn=_real(psi.tn), psi_fp=_real(psi.fp), psi_fn=_real(psi.fn), psi_tp=_real(psi.tp),
+        eta="null" if eta is None or not math.isfinite(eta) else _real(eta),
+        flags=_BLOCK.flags["flags"][flags],
+        metric_flags=_BLOCK.flags["metric_flags"][last.flags],
+        rows=sep_rows.join([text for text, _ in rows]),
+    ))
 
 
 def write_report(report: Report, format: str = "json",
@@ -569,7 +737,7 @@ def write_report(report: Report, format: str = "json",
     into ``out`` as it goes, or, without a sink, as a returned string.
     Each distinct depth row is rendered once and its text written again in
     every pipeline that shares it."""
-    memo: dict[int, str] = {}
+    memo: dict[int, Any] = {}
     if format == "json":
         t = report.taxonomy
         payload = {
@@ -580,7 +748,7 @@ def write_report(report: Report, format: str = "json",
                 "pipeline_count": len(report.blocks),
                 "renormalized_classifiers": list(report.renormalized),
             },
-            "pipelines": (_block_payload(b, memo) for b in report.blocks),
+            "pipelines": (_block_json(b, memo) for b in report.blocks),
         }
         return dump_json(payload, out)
     if format == "tsv":
@@ -588,9 +756,16 @@ def write_report(report: Report, format: str = "json",
                 "tP", "tR", "tF1", "tA", "precision_verdict"]
         return tsv(cols, (
             [b.pipeline.path, text]
-            for b in report.blocks for text in _depth_rows(b, memo, _row_tsv)
+            for b in report.blocks for text in _depth_rows(b.rows, memo, _row_tsv)
         ), out)
     raise ValueError(f"unknown format {format!r}")
+
+
+def _check_json(c: OracleCheck) -> _Text:
+    return _Text(_CHECK.format(
+        source=_encode_str(c.source), pipeline=_encode_str(c.pipeline.path),
+        depth=int.__repr__(c.pipeline.depth), check=_encode_str(c.check),
+        discrepancy=_real(c.discrepancy), passed=_bool(c.passed)))
 
 
 def write_verification(v: Verification, format: str = "json",
@@ -600,9 +775,7 @@ def write_verification(v: Verification, format: str = "json",
     if format == "json":
         return dump_json({
             "tolerance": v.tolerance, "max_len": v.max_len, "samples": v.samples, "seed": v.seed,
-            "checks": ({"source": c.source, "pipeline": c.pipeline.path,
-                        "depth": c.pipeline.depth, "check": c.check,
-                        "discrepancy": c.discrepancy, "passed": c.passed} for c in v.checks),
+            "checks": (_check_json(c) for c in v.checks),
             "max_discrepancy": max(c.discrepancy for c in v.checks),
             "passed": v.passed,
         }, out)
@@ -626,17 +799,17 @@ def verification_failure(v: Verification) -> str:
             f" discrepancy {fmt12(worst.discrepancy)}")
 
 
-def _run_payload(run: SimRun) -> dict:
+def _run_json(run: SimRun) -> _Text:
     """A run's JSON object; an infinite ``max_z`` (a zero-variance cell that
     missed) is written as ``null``, as JSON has no infinity."""
-    max_z = run.deviation.max_z
-    return {
-        "replication": run.replication, "seed": run.seed,
-        "pipeline": run.outcome.pipeline, "m": run.outcome.m,
-        "counts": dict(zip(("tn", "fp", "fn", "tp"), run.outcome.counts)),
-        "model": _omega_payload(run.model),
-        "max_z": max_z if math.isfinite(max_z) else None, "passed": run.deviation.passed,
-    }
+    max_z, (tn, fp, fn, tp) = run.deviation.max_z, run.outcome.counts
+    return _Text(_RUN.format(
+        replication=int.__repr__(run.replication), seed=int.__repr__(run.seed),
+        pipeline=_encode_str(run.outcome.pipeline), m=int.__repr__(run.outcome.m),
+        tn=int.__repr__(tn), fp=int.__repr__(fp), fn=int.__repr__(fn), tp=int.__repr__(tp),
+        **_omega_texts(run.model),
+        max_z=_real(max_z) if math.isfinite(max_z) else "null",
+        passed=_bool(run.deviation.passed)))
 
 
 def write_simulation(s: Simulation, format: str = "json",
@@ -647,7 +820,7 @@ def write_simulation(s: Simulation, format: str = "json",
         return dump_json({
             "m": s.m, "seed": s.seed, "replications": s.replications,
             "z_threshold": s.z_threshold,
-            "runs": (_run_payload(run) for run in s.runs),
+            "runs": (_run_json(run) for run in s.runs),
             "passed": s.passed,
         }, out)
     if format == "tsv":
@@ -676,6 +849,13 @@ def simulation_failure(s: Simulation) -> str:
             f" expected {fmt12(m * cells[i].model)}, z {fmt12(cells[i].z)}")
 
 
+def _sweep_row_json(row: SweepRow) -> _Text:
+    return _Text(_SWEEP_ROW.format(
+        fs=_SWEEP_ROW.seps["fs"].join(map(_real, row.fs)),
+        **_omega_texts(row.omega), **_metric_texts(row.report),
+        metric_flags=_SWEEP_ROW.flags["metric_flags"][_metric_flags(row.report)]))
+
+
 def write_sweep(result: SweepResult, format: str = "json",
                 out: TextIO | None = None) -> str | None:
     """Render a ``sweep`` as canonical JSON or as TSV rows, then tP and tF1
@@ -686,8 +866,7 @@ def write_sweep(result: SweepResult, format: str = "json",
             "target": result.target,
             "n": len(result.rows),
             "seed": result.seed,
-            "rows": ({"fs": row.fs, "omega": _omega_payload(row.omega),
-                      "metrics": _metrics_payload(row.report)} for row in result.rows),
+            "rows": (_sweep_row_json(row) for row in result.rows),
             "spread": [
                 {"metric": s.metric, "min": s.minimum, "max": s.maximum, "mean": s.mean,
                  "undefined": s.undefined}

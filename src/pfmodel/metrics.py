@@ -178,22 +178,24 @@ def _fold(
 ) -> DepthProfile:
     """Profile of ``pipeline``, folded from the root or on from ``start``,
     the profile of one of its prefixes.  Only the steps taken are resolved
-    in ``profiles``, so a pipeline folded on from its parent costs one
-    ``resolve``.
+    in ``profiles``, and only their f values checked and converted, so a
+    pipeline folded on from its parent costs one ``resolve``.  Every f a
+    fold takes is checked before any profile is resolved.
 
     Sanity-checks the recall chain on the way: the tp-rate product can
     never grow, and it shrinks strictly wherever a classifier's tp-rate is
     below 1 (while recall is still positive).
     """
-    fs = pipeline.require_fs()
     if start is None:
         rows = [DepthRow(0, pipeline.fs[0], OMEGA_BASE, pipeline_metrics(OMEGA_BASE), None)]
         state = PrefixState.initial()
     else:
         rows = list(start.rows)
         state = start.state
-    for k in range(len(rows), len(fs)):
-        f_k, gamma_k = fs[k], profiles.resolve(pipeline, k)
+    first = len(rows)
+    fs = pipeline.require_fs(first)
+    for k in range(first, len(pipeline.fs)):
+        f_k, gamma_k = fs[k - first], profiles.resolve(pipeline, k)
         advanced = state.advance(f_k, gamma_k)
         omega = omega_step(rows[-1].omega, f_k, gamma_k)
         rows.append(DepthRow(k, pipeline.fs[k], omega, pipeline_metrics(omega),

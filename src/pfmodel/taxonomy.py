@@ -85,14 +85,16 @@ class Pipeline:
         """Slash-joined category names, the canonical serialized form."""
         return "/".join(self.nodes)
 
-    def require_fs(self) -> tuple[float, ...]:
-        """The f chain as plain floats, or raise if any edge lacks one."""
-        for k, f in enumerate(self.fs):
+    def require_fs(self, start: int = 0) -> tuple[float, ...]:
+        """The f chain from depth ``start`` on as plain floats, or raise if
+        any of those edges lacks one."""
+        fs = self.fs[start:]
+        for k, f in enumerate(fs, start):
             if f is None:
                 raise MissingEdgeProbabilityError(
                     f"pipeline {self.path}: edge into {self.nodes[k]!r} has no f"
                 )
-        return tuple(float(f) for f in self.fs)  # type: ignore[arg-type]
+        return tuple(float(f) for f in fs)  # type: ignore[arg-type]
 
     def prefix(self, k: int) -> "Pipeline":
         """The subpipeline ``c_0 ... c_k``."""

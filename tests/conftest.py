@@ -176,6 +176,17 @@ def reals_of_pretty_json(text: str) -> list[float]:
     return reals
 
 
+def inconsistent_dag_json() -> tuple[str, str]:
+    """Taxonomy and profiles JSON of a feasible DAG whose edge probabilities
+    disagree: D's coin is calibrated on the edge from B, so documents
+    realize f(D|C) = 0.5, not the edge's 0.0."""
+    edges = [("B", "A", 0.5), ("C", "A", 0.5), ("D", "B", 0.5), ("D", "C", 0.0)]
+    gamma = {"tn": 0.9, "fp": 0.1, "fn": 0.1, "tp": 0.9}
+    taxonomy = {"root": "A", "categories": ["A", "B", "C", "D"],
+                "edges": [{"child": c, "parent": p, "f": f} for c, p, f in edges]}
+    return json.dumps(taxonomy), json.dumps({"classifiers": {c: gamma for c in "BCD"}})
+
+
 #: categories of a chain deeper than a recursive walk of it could go
 DEEP_CHAIN_SIZE = 1_500
 

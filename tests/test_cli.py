@@ -30,7 +30,7 @@ from pfmodel import io as pfio
 from pfmodel.io import fmt12
 
 from conftest import (DEEP_CHAIN_SIZE, assert_simulated_models_are_omega_closed, chain_json,
-                      reals_of_pretty_json)
+                      inconsistent_dag_json, reals_of_pretty_json)
 
 
 def run(argv, capsys):
@@ -853,13 +853,11 @@ def test_simulate_coin_behind_a_parent_of_probability_zero(f_d_b, code, message,
 
 
 def inconsistent_dag_inputs(tmp_path):
-    """A feasible DAG whose edge probabilities disagree: D's coin is calibrated
-    on the edge from B, so documents realize f(D|C) = 0.5, not the edge's 0.0."""
-    gamma = {"tn": 0.9, "fp": 0.1, "fn": 0.1, "tp": 0.9}
-    return write_inputs(
-        tmp_path, [("B", "A", 0.5), ("C", "A", 0.5), ("D", "B", 0.5), ("D", "C", 0.0)],
-        {"B": gamma, "C": gamma, "D": gamma},
-    )
+    """Files of the DAG of :func:`conftest.inconsistent_dag_json`."""
+    taxonomy, profiles = tmp_path / "taxonomy.json", tmp_path / "profiles.json"
+    for path, text in zip((taxonomy, profiles), inconsistent_dag_json()):
+        path.write_text(text)
+    return str(taxonomy), str(profiles)
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])

@@ -24,6 +24,7 @@ from conftest import (
     L2_TAXONOMY_JSON,
     bundles_with_overrides,
     chain_json,
+    inconsistent_dag_json,
     random_gamma,
     random_tree,
     reals_of_pretty_json,
@@ -478,6 +479,50 @@ def test_report_json_is_pretty_printed_with_12_digit_reals(bundle):
     reals_of_pretty_json(write_report(build_report(bundle), "json"))
 
 
+def infinite_eta_bundle():
+    """A/B's classifier has fp = 0, and mass switched on the step to C still
+    leaks, so A/B/C's eta is infinite."""
+    return pf.parse_inputs(
+        json.dumps({"root": "A", "categories": ["A", "B", "C"],
+                    "edges": [{"child": "B", "parent": "A", "f": 0.5},
+                              {"child": "C", "parent": "B", "f": 0.5}]}),
+        json.dumps({"classifiers": {"B": {"tn": 1, "fp": 0, "fn": 0.2, "tp": 0.8},
+                                    "C": {"tn": 0.8, "fp": 0.2, "fn": 0.1, "tp": 0.9}}}))
+
+
+def golden_verification_at_zero_tolerance():
+    bundle = golden_bundle()
+    return pf.verify_oracles(bundle.taxonomy, bundle.profiles, 0.0, 6, 5, 42)
+
+
+def inconsistent_dag_simulation():
+    bundle = pf.parse_inputs(*inconsistent_dag_json())
+    return pf.run_simulation(bundle.taxonomy, bundle.profiles, 1000, 42, 1, 4.0)
+
+
+@pytest.mark.parametrize("text, fragments", [
+    (lambda: write_report(build_report(CORNER_BUNDLE), "json"),
+     ['"zero_negative_mass"', '"precision_undefined"', '"recall_undefined"',
+      '"f1_degenerate"', '"tP": null', '"precision_bound": null', '"precision_verdict": "-"']),
+    (lambda: write_report(build_report(infinite_eta_bundle()), "json"),
+     ['"eta": null', '"eta_infinite"']),
+    (lambda: pf.write_verification(golden_verification_at_zero_tolerance(), "json"),
+     ['"passed": false', '"passed": true']),
+    (lambda: pf.write_simulation(inconsistent_dag_simulation(), "json"),
+     ['"max_z": null', '"passed": false']),
+    (lambda: pf.write_sweep(pf.imbalance_sweep(pf.find_pipeline(CORNER_BUNDLE.taxonomy, "A/B/C"),
+                                               CORNER_BUNDLE.profiles, 0.3, 3, 42), "json"),
+     ['"min": null', '"undefined": 3', '"precision_undefined"']),
+], ids=["corner-report", "infinite-eta-report", "failing-verify", "inconsistent-simulate",
+        "undefined-spread-sweep"])
+def test_every_slot_variant_is_pretty_printed(text, fragments):
+    # each writer fills its template's slots with flag lists, nulls and
+    # falses at indents the goldens barely reach; each text holds its fragments
+    text = text()
+    reals_of_pretty_json(text)
+    assert all(fragment in text for fragment in fragments)
+
+
 def test_library_int_reals_are_written_as_floats():
     def bundle(one, zero):
         edges = [pf.Edge("B", "A", one), pf.Edge("C", "B", zero)]
@@ -577,6 +622,19 @@ def test_report_writes_each_prefix_row_once(monkeypatch):
     json_ks, tsv_rows = count_rendered_rows(report, monkeypatch)
     assert json_ks == list(range(n))
     assert tsv_rows == n
+
+
+def test_report_writes_a_fixed_number_of_reals_per_pipeline(monkeypatch):
+    # a block's fs list, omega and metrics are its rows' texts, so a
+    # pipeline costs the reals of its last row and of its factorization,
+    # however deep it is: 21 here; rendering every block's own fs, omega
+    # and metrics took 11,039 in all, 7,503 of them for the fs lists
+    n = 122
+    report = build_report(pf.parse_inputs(*chain_json(n)))
+    reals, real = [], pf.io._real
+    monkeypatch.setattr(pf.io, "_real", lambda x: reals.append(x) or real(x))
+    write_report(report, "json")
+    assert len(reals) <= 25 * n
 
 
 def test_report_writes_each_row_of_the_golden_dag_once(monkeypatch):

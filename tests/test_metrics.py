@@ -37,7 +37,7 @@ def test_precision_undefined_flagged():
     assert report.precision is None
     assert report.f1 is None
     assert report.recall == 0.0
-    assert pf.io._metrics_payload(report)["flags"] == ["precision_undefined"]
+    assert pf.io._metric_flags(report) == ("precision_undefined",)
 
 
 def test_recall_undefined_flagged():
@@ -45,14 +45,14 @@ def test_recall_undefined_flagged():
     report = pf.pipeline_metrics(JointMatrix(tn=0.9, fp=0.1, fn=0.0, tp=0.0))
     assert report.recall is None
     assert report.f1 is None
-    assert pf.io._metrics_payload(report)["flags"] == ["recall_undefined"]
+    assert pf.io._metric_flags(report) == ("recall_undefined",)
 
 
 def test_f1_degenerate_zero():
     report = pf.pipeline_metrics(JointMatrix(tn=0.5, fp=0.1, fn=0.4, tp=0.0))
     assert report.precision == 0.0 and report.recall == 0.0
     assert report.f1 == 0.0
-    assert pf.io._metrics_payload(report)["flags"] == ["f1_degenerate"]
+    assert pf.io._metric_flags(report) == ("f1_degenerate",)
 
 
 def test_f1_between_precision_and_recall():

@@ -606,6 +606,25 @@ def test_verify_converts_each_f_chain_once_per_pipeline(monkeypatch):
     assert sorted(converted) == [0, 0, *range(depth + 1)]
 
 
+def test_report_converts_each_f_once(monkeypatch):
+    # a pipeline folded on from its parent converts the f of its one new
+    # step; converting its whole chain took n(n+1)/2 = 80,200 values here
+    n = 400
+    bundle = pf.parse_inputs(*chain_json(n))
+    converted = []
+    require_fs = pf.Pipeline.require_fs
+
+    def counting(p, *start):
+        fs = require_fs(p, *start)
+        converted.append(len(fs))
+        return fs
+
+    monkeypatch.setattr(pf.Pipeline, "require_fs", counting)
+    pf.io.build_report(bundle)
+    # none for the root, whose f_0 is 1 by definition, and one per other pipeline
+    assert sum(converted) == n - 1
+
+
 def test_verify_steps_every_pipeline_of_the_golden_dag_but_the_root(monkeypatch):
     bundle = golden_bundle()
     calls = count_steps(monkeypatch)

@@ -26,7 +26,8 @@ first), keys in a fixed order, and reals with 12 significant digits.  A
 report's depth rows are rendered once each per call, however many pipelines
 share them, and a block's ``fs``, ``omega`` and ``metrics`` are its rows'
 texts.  :func:`dump_json` is the one JSON layout: each record a writer
-repeats is written as one piece, from a template that it builds at import.
+repeats is written as one piece, from a ``%``-format template that it builds
+at import.
 
 A writer passes its text to a text sink piece by piece as it renders, so
 the whole text is never held in memory.  Called without a sink, it writes
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from io import StringIO
 from itertools import chain, combinations
@@ -402,71 +402,41 @@ def _json_at(o: Any, newline: str) -> str:
 # --- record templates ----------------------------------------------------------
 #
 # A record the writers repeat (a depth row, a report block, a verify check, a
-# simulate run, a sweep row) is written as one piece, by one ``str.format``
-# call on its template.  Each template is the text that _write_json writes
-# for a skeleton of the record whose leaves are slots, so its layout is
-# _write_json's own; a slot's value is the JSON text of one leaf.
-
-#: marks a slot's name in the text of a skeleton; JSON text never holds it
-#: raw, since _encode_str escapes it
-_MARK = "\0"
-_SLOT = re.compile(f"{_MARK}(\\w+){_MARK}(?:(,\n *){_MARK}\\1{_MARK})?")
-_LINE_START = re.compile("\n *")
+# simulate run, a sweep row) is written as one piece, by one ``%``-format of
+# its template with a dict of texts.  Each template is the text that
+# _write_json writes for a skeleton of the record whose leaves are
+# ``%(name)s`` fields, so its layout is _write_json's own; JSON punctuation
+# and the records' keys hold no ``%``, so that text is a format string as it
+# is.  A field's value is the JSON text of one leaf.  An array of any length
+# is a one-item skeleton, whose field takes its items' texts joined by ","
+# and the line break and indent of the field's line.
 
 
-class _Slot(_Text):
-    """A named leaf of a record skeleton, copied by :func:`_write_json` as
-    text already written, which :class:`_Template` makes a field."""
-
-    __slots__ = ()
-
-    def __init__(self, name: str) -> None:
-        super().__init__(f"{_MARK}{name}{_MARK}")
+def _field(name: str) -> _Text:
+    """A leaf of a record skeleton: the ``%``-format field ``name``."""
+    return _Text(f"%({name})s")
 
 
-def _slots(*names: str) -> dict[str, _Slot]:
-    """An object skeleton whose every key is a slot of the same name."""
-    return {name: _Slot(name) for name in names}
+def _fields(*names: str) -> dict[str, _Text]:
+    """An object skeleton whose every key is a field of the same name."""
+    return {name: _field(name) for name in names}
 
 
-def _items(name: str) -> list[_Slot]:
-    """A skeleton of a non-empty array, one field for all its items: two
-    items, so that the template sees what separates them."""
-    return [_Slot(name), _Slot(name)]
+def _newline(template: str, name: str) -> str:
+    """The line break and indent of the line of ``template`` that field
+    ``name`` is on."""
+    line = template[template.rfind("\n", 0, template.index(f"%({name})s")) + 1:]
+    return "\n" + line[:len(line) - len(line.lstrip(" "))]
 
 
-class _Template:
-    """A fixed-shape JSON record at the indent of ``newline``, filled in
-    by ``format(**texts)``.
-
-    Each slot of the skeleton becomes a field that takes its value's JSON
-    text, and each :func:`_items` array a field that takes its items'
-    texts joined by ``seps[name]``.  ``newlines[name]`` is the line break
-    and indent of the line a field starts on.  A ``flags`` slot takes a
-    list of names drawn in order from a fixed tuple; ``flags[name]`` maps
-    each such subset, as a tuple, to the text of its array at that slot.
-    """
-
-    def __init__(self, skeleton: dict, newline: str,
-                 flags: Mapping[str, Sequence[str]] | None = None) -> None:
-        text = _json_at(skeleton, newline).replace("{", "{{").replace("}", "}}")
-        self.newlines: dict[str, str] = {}
-        self.seps: dict[str, str] = {}
-
-        def field(m: re.Match) -> str:
-            name, sep = m.group(1, 2)
-            self.newlines[name] = _LINE_START.match(text, text.rfind("\n", 0, m.start()))[0]
-            if sep is not None:
-                self.seps[name] = sep
-            return f"{{{name}}}"
-
-        self.format: Callable[..., str] = _SLOT.sub(field, text).format
-        self.flags = {
-            name: {subset: _json_at(list(subset), self.newlines[name])
-                   for r in range(len(vocabulary) + 1)
-                   for subset in combinations(vocabulary, r)}
-            for name, vocabulary in (flags or {}).items()
-        }
+def _flag_texts(template: str, name: str,
+                vocabulary: Sequence[str]) -> dict[tuple[str, ...], str]:
+    """The text of each flags list that field ``name`` of ``template``
+    takes, keyed by the list as a tuple: names drawn in order from
+    ``vocabulary``."""
+    newline = _newline(template, name)
+    return {subset: _json_at(list(subset), newline)
+            for r in range(len(vocabulary) + 1) for subset in combinations(vocabulary, r)}
 
 
 def _maybe(x: float | None) -> str:
@@ -478,68 +448,67 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _number(x: float) -> str:
-    """The text of a number as given (an ``f``): :func:`_real` for a float,
-    what :func:`_write_json` writes for any other type."""
-    return _real(x) if type(x) is float else _json_at(x, "")
-
-
 _METRIC_FLAGS = ("precision_undefined", "recall_undefined", "f1_degenerate")
-_BLOCK_FLAGS = ("zero_negative_mass", "eta_infinite")
-_OMEGA_SLOTS = _slots("w00", "w01", "w10", "w11")
-_METRIC_SLOTS = {**_slots("tP", "tR", "tF1", "tA"), "flags": _Slot("metric_flags")}
-_METRIC_FLAG_SLOTS = {"metric_flags": _METRIC_FLAGS}
+_OMEGA_FIELDS = _fields("w00", "w01", "w10", "w11")
+_METRIC_FIELDS = {**_fields("tP", "tR", "tF1", "tA"), "flags": _field("metric_flags")}
 
 
-def _matrix_slots(name: str) -> dict[str, _Slot]:
-    return {cell: _Slot(f"{name}_{cell}") for cell in ("tn", "fp", "fn", "tp")}
+def _matrix_fields(name: str) -> dict[str, _Text]:
+    return {cell: _field(f"{name}_{cell}") for cell in ("tn", "fp", "fn", "tp")}
 
 
 #: where an item of a document's top-level array starts: its line break and indent
-_RECORD_NEWLINE = _Template({"records": _items("record")}, "\n").newlines["record"]
+_RECORD_NEWLINE = _newline(_json_at({"records": [_field("record")]}, "\n"), "record")
 
-_BLOCK = _Template({
-    **_slots("pipeline", "depth"),
-    "fs": _items("fs"),
-    "omega": _OMEGA_SLOTS,
-    "prior": {"neg": _Slot("prior_neg"), "pos": _Slot("prior_pos")},
-    "phi": _matrix_slots("phi"),
-    "psi": _matrix_slots("psi"),
-    **_slots("eta", "flags"),
-    "metrics": _METRIC_SLOTS,
-    "depth_profile": _items("rows"),
-}, _RECORD_NEWLINE, flags={"flags": _BLOCK_FLAGS, **_METRIC_FLAG_SLOTS})
+_BLOCK = _json_at({
+    **_fields("pipeline", "depth"),
+    "fs": [_field("fs")],
+    "omega": _OMEGA_FIELDS,
+    "prior": {"neg": _field("prior_neg"), "pos": _field("prior_pos")},
+    "phi": _matrix_fields("phi"),
+    "psi": _matrix_fields("psi"),
+    **_fields("eta", "flags"),
+    "metrics": _METRIC_FIELDS,
+    "depth_profile": [_field("rows")],
+}, _RECORD_NEWLINE)
+_BLOCK_FS_SEP = "," + _newline(_BLOCK, "fs")
+_BLOCK_ROWS_SEP = "," + _newline(_BLOCK, "rows")
+_BLOCK_FLAGS = _flag_texts(_BLOCK, "flags", ("zero_negative_mass", "eta_infinite"))
+_BLOCK_METRIC_FLAGS = _flag_texts(_BLOCK, "metric_flags", _METRIC_FLAGS)
 
-_ROW = _Template({
-    **_slots("k", "f"),
-    "omega": _OMEGA_SLOTS,
-    "metrics": _METRIC_SLOTS,
-    "precision_verdict": _Slot("verdict"),
-    "precision_bound": _Slot("bound"),
-}, _BLOCK.newlines["rows"], flags=_METRIC_FLAG_SLOTS)
+_ROW = _json_at({
+    **_fields("k", "f"),
+    "omega": _OMEGA_FIELDS,
+    "metrics": _METRIC_FIELDS,
+    "precision_verdict": _field("verdict"),
+    "precision_bound": _field("bound"),
+}, _newline(_BLOCK, "rows"))
+_ROW_METRIC_FLAGS = _flag_texts(_ROW, "metric_flags", _METRIC_FLAGS)
 
-_CHECK = _Template(_slots("source", "pipeline", "depth", "check", "discrepancy", "passed"),
-                   _RECORD_NEWLINE)
+_CHECK = _json_at(_fields("source", "pipeline", "depth", "check", "discrepancy", "passed"),
+                  _RECORD_NEWLINE)
 
-_RUN = _Template({
-    **_slots("replication", "seed", "pipeline", "m"),
-    "counts": _slots("tn", "fp", "fn", "tp"),
-    "model": _OMEGA_SLOTS,
-    **_slots("max_z", "passed"),
+_RUN = _json_at({
+    **_fields("replication", "seed", "pipeline", "m"),
+    "counts": _fields("tn", "fp", "fn", "tp"),
+    "model": _OMEGA_FIELDS,
+    **_fields("max_z", "passed"),
 }, _RECORD_NEWLINE)
 
-_SWEEP_ROW = _Template({"fs": _items("fs"), "omega": _OMEGA_SLOTS, "metrics": _METRIC_SLOTS},
-                       _RECORD_NEWLINE, flags=_METRIC_FLAG_SLOTS)
+_SWEEP_ROW = _json_at({"fs": [_field("fs")], "omega": _OMEGA_FIELDS, "metrics": _METRIC_FIELDS},
+                      _RECORD_NEWLINE)
+_SWEEP_FS_SEP = "," + _newline(_SWEEP_ROW, "fs")
+_SWEEP_METRIC_FLAGS = _flag_texts(_SWEEP_ROW, "metric_flags", _METRIC_FLAGS)
 
 
 def _omega_texts(omega: Cells2x2) -> dict[str, str]:
-    """A joint matrix's cells as the texts of its ``w00``..``w11`` slots."""
+    """A joint matrix's cells as the texts of its ``w00``..``w11`` fields."""
     return {"w00": _real(omega.tn), "w01": _real(omega.fp),
             "w10": _real(omega.fn), "w11": _real(omega.tp)}
 
 
 def _metric_texts(r: MetricReport) -> dict[str, str]:
-    """A report's metrics as the texts of their ``tP``..``tA`` slots."""
+    """A report's metrics as the texts of their ``tP``..``tA`` fields."""
     return {"tP": _maybe(r.precision), "tR": _maybe(r.recall), "tF1": _maybe(r.f1),
             "tA": _real(r.accuracy)}
 
@@ -668,7 +637,7 @@ def _depth_rows(
 
 class _RowJSON(NamedTuple):
     """A depth row's JSON object, the text of its ``f``, and the texts of
-    its omega and metrics slots with its metric flags, which a block whose
+    its omega and metrics fields with its metric flags, which a block whose
     last row it is writes again."""
 
     text: str
@@ -679,13 +648,13 @@ class _RowJSON(NamedTuple):
 
 def _row_json(row: DepthRow) -> _RowJSON:
     """A depth row's JSON object, at its indent in a block's ``depth_profile``."""
-    f = _number(row.f)
+    f = _real(row.f)
     cells = {**_omega_texts(row.omega), **_metric_texts(row.metrics)}
     flags = _metric_flags(row.metrics)
-    text = _ROW.format(
-        k=int.__repr__(row.k), f=f, **cells, metric_flags=_ROW.flags["metric_flags"][flags],
-        verdict=_encode_str(_verdict_text(row)),
-        bound="null" if row.check is None else _real(row.check.bound))
+    text = _ROW % {
+        "k": int.__repr__(row.k), "f": f, **cells, "metric_flags": _ROW_METRIC_FLAGS[flags],
+        "verdict": _encode_str(_verdict_text(row)),
+        "bound": "null" if row.check is None else _real(row.check.bound)}
     return _RowJSON(text, f, cells, flags)
 
 
@@ -716,19 +685,20 @@ def _block_json(b: DepthProfile, memo: dict[int, tuple[str, str]]) -> _Text:
     flags: tuple[str, ...] = ("zero_negative_mass",) if fact.zero_negative_mass else ()
     if eta is not None and math.isinf(eta):
         flags += ("eta_infinite",)
-    sep_rows, sep_fs = _BLOCK.seps["rows"], _BLOCK.seps["fs"]
-    return _Text(_BLOCK.format(
-        pipeline=_encode_str(b.pipeline.path), depth=int.__repr__(b.pipeline.depth),
-        fs=sep_fs.join([f for _, f in rows]),
+    return _Text(_BLOCK % {
+        "pipeline": _encode_str(b.pipeline.path), "depth": int.__repr__(b.pipeline.depth),
+        "fs": _BLOCK_FS_SEP.join([f for _, f in rows]),
         **last.cells,
-        prior_neg=_real(fact.prior_neg), prior_pos=_real(fact.prior_pos),
-        phi_tn=_real(phi.tn), phi_fp=_real(phi.fp), phi_fn=_real(phi.fn), phi_tp=_real(phi.tp),
-        psi_tn=_real(psi.tn), psi_fp=_real(psi.fp), psi_fn=_real(psi.fn), psi_tp=_real(psi.tp),
-        eta="null" if eta is None or not math.isfinite(eta) else _real(eta),
-        flags=_BLOCK.flags["flags"][flags],
-        metric_flags=_BLOCK.flags["metric_flags"][last.flags],
-        rows=sep_rows.join([text for text, _ in rows]),
-    ))
+        "prior_neg": _real(fact.prior_neg), "prior_pos": _real(fact.prior_pos),
+        "phi_tn": _real(phi.tn), "phi_fp": _real(phi.fp),
+        "phi_fn": _real(phi.fn), "phi_tp": _real(phi.tp),
+        "psi_tn": _real(psi.tn), "psi_fp": _real(psi.fp),
+        "psi_fn": _real(psi.fn), "psi_tp": _real(psi.tp),
+        "eta": "null" if eta is None or not math.isfinite(eta) else _real(eta),
+        "flags": _BLOCK_FLAGS[flags],
+        "metric_flags": _BLOCK_METRIC_FLAGS[last.flags],
+        "rows": _BLOCK_ROWS_SEP.join([text for text, _ in rows]),
+    })
 
 
 def write_report(report: Report, format: str = "json",
@@ -762,10 +732,10 @@ def write_report(report: Report, format: str = "json",
 
 
 def _check_json(c: OracleCheck) -> _Text:
-    return _Text(_CHECK.format(
-        source=_encode_str(c.source), pipeline=_encode_str(c.pipeline.path),
-        depth=int.__repr__(c.pipeline.depth), check=_encode_str(c.check),
-        discrepancy=_real(c.discrepancy), passed=_bool(c.passed)))
+    return _Text(_CHECK % {
+        "source": _encode_str(c.source), "pipeline": _encode_str(c.pipeline.path),
+        "depth": int.__repr__(c.pipeline.depth), "check": _encode_str(c.check),
+        "discrepancy": _real(c.discrepancy), "passed": _bool(c.passed)})
 
 
 def write_verification(v: Verification, format: str = "json",
@@ -803,13 +773,14 @@ def _run_json(run: SimRun) -> _Text:
     """A run's JSON object; an infinite ``max_z`` (a zero-variance cell that
     missed) is written as ``null``, as JSON has no infinity."""
     max_z, (tn, fp, fn, tp) = run.deviation.max_z, run.outcome.counts
-    return _Text(_RUN.format(
-        replication=int.__repr__(run.replication), seed=int.__repr__(run.seed),
-        pipeline=_encode_str(run.outcome.pipeline), m=int.__repr__(run.outcome.m),
-        tn=int.__repr__(tn), fp=int.__repr__(fp), fn=int.__repr__(fn), tp=int.__repr__(tp),
+    return _Text(_RUN % {
+        "replication": int.__repr__(run.replication), "seed": int.__repr__(run.seed),
+        "pipeline": _encode_str(run.outcome.pipeline), "m": int.__repr__(run.outcome.m),
+        "tn": int.__repr__(tn), "fp": int.__repr__(fp),
+        "fn": int.__repr__(fn), "tp": int.__repr__(tp),
         **_omega_texts(run.model),
-        max_z=_real(max_z) if math.isfinite(max_z) else "null",
-        passed=_bool(run.deviation.passed)))
+        "max_z": _real(max_z) if math.isfinite(max_z) else "null",
+        "passed": _bool(run.deviation.passed)})
 
 
 def write_simulation(s: Simulation, format: str = "json",
@@ -850,10 +821,10 @@ def simulation_failure(s: Simulation) -> str:
 
 
 def _sweep_row_json(row: SweepRow) -> _Text:
-    return _Text(_SWEEP_ROW.format(
-        fs=_SWEEP_ROW.seps["fs"].join(map(_real, row.fs)),
+    return _Text(_SWEEP_ROW % {
+        "fs": _SWEEP_FS_SEP.join(map(_real, row.fs)),
         **_omega_texts(row.omega), **_metric_texts(row.report),
-        metric_flags=_SWEEP_ROW.flags["metric_flags"][_metric_flags(row.report)]))
+        "metric_flags": _SWEEP_METRIC_FLAGS[_metric_flags(row.report)]})
 
 
 def write_sweep(result: SweepResult, format: str = "json",

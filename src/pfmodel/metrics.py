@@ -130,7 +130,7 @@ def _constraint_check(
 class DepthRow:
     """The prefix of a pipeline that ends at depth ``k`` (0 = root only).
 
-    ``f`` is the pipeline's edge probability into depth ``k`` as given,
+    ``f`` is the pipeline's edge probability into depth ``k`` as a float,
     ``omega`` the prefix's joint mass and ``metrics`` its metrics.
     ``check`` is the precision verdict of the step into depth ``k``:
     ``None`` at k = 0, where no step is taken, and where the bound is
@@ -187,7 +187,7 @@ def _fold(
     below 1 (while recall is still positive).
     """
     if start is None:
-        rows = [DepthRow(0, pipeline.fs[0], OMEGA_BASE, pipeline_metrics(OMEGA_BASE), None)]
+        rows = [DepthRow(0, 1.0, OMEGA_BASE, pipeline_metrics(OMEGA_BASE), None)]
         state = PrefixState.initial()
     else:
         rows = list(start.rows)
@@ -198,7 +198,7 @@ def _fold(
         f_k, gamma_k = fs[k - first], profiles.resolve(pipeline, k)
         advanced = state.advance(f_k, gamma_k)
         omega = omega_step(rows[-1].omega, f_k, gamma_k)
-        rows.append(DepthRow(k, pipeline.fs[k], omega, pipeline_metrics(omega),
+        rows.append(DepthRow(k, f_k, omega, pipeline_metrics(omega),
                              _constraint_check(state, advanced, f_k, gamma_k)))
 
         if advanced.psi11 > state.psi11:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -537,6 +538,73 @@ def test_library_int_reals_are_written_as_floats():
     assert pf.io.serialize_taxonomy(ints.taxonomy) == pf.io.serialize_taxonomy(floats.taxonomy)
     assert pf.io.serialize_profiles(ints.profiles) == pf.io.serialize_profiles(floats.profiles)
     assert '"f": 1.0' in pf.io.serialize_taxonomy(ints.taxonomy)
+
+    # a pipeline built in the library keeps its int fs; its rows hold floats
+    def profile_report(bundle, one):
+        block = pf.depth_profile(pf.Pipeline(("A", "B"), (one, one)), bundle.profiles)
+        return write_report(pf.Report(bundle.taxonomy, (), (block,)))
+
+    int_text = profile_report(ints, 1)
+    assert int_text == profile_report(floats, 1.0)
+    assert '"f": 1.0' in int_text and '"f": 1,' not in int_text
+    assert all(type(row.f) is float
+               for row in pf.depth_profile(pf.Pipeline(("A", "B"), (1, 1)), ints.profiles).rows)
+
+
+#: category names that look like %- and str.format fields, a quote and a
+#: non-ASCII letter: a writer must copy each as its JSON text, never format it
+FORMAT_LIKE_NAMES = ("%(pipeline)s", "{rows}", "%s%%", 'say "hi"', "Zürich")
+
+
+def format_like_bundle():
+    a, b, c, d, e = FORMAT_LIKE_NAMES
+    gamma = {"tn": 0.9, "fp": 0.1, "fn": 0.2, "tp": 0.8}
+    return pf.parse_inputs(
+        json.dumps({"root": "R", "categories": ["R", *FORMAT_LIKE_NAMES],
+                    "edges": [{"child": a, "parent": "R", "f": 0.6},
+                              {"child": b, "parent": a, "f": 0.5},
+                              {"child": c, "parent": b, "f": 0.4},
+                              {"child": d, "parent": "R", "f": 0.3},
+                              {"child": e, "parent": d, "f": 0.2}]}),
+        json.dumps({"classifiers": {**{name: gamma for name in FORMAT_LIKE_NAMES},
+                                    c: {"tn": 0.7, "fp": 0.3 + 1e-12, "fn": 0.1, "tp": 0.9}},
+                    "overrides": [{"pipeline": f"R/{a}/{b}", "category": b,
+                                   "tn": 0.6, "fp": 0.4, "fn": 0.3, "tp": 0.7 - 1e-12}]}))
+
+
+def test_format_like_names_are_written_as_json_strings():
+    bundle = format_like_bundle()
+    a, b, c = FORMAT_LIKE_NAMES[:3]
+    assert bundle.renormalized == (c, f"R/{a}/{b}:{b}")
+    deepest = pf.find_pipeline(bundle.taxonomy, f"R/{a}/{b}/{c}")
+    documents = {
+        "report": pf.write_report(build_report(bundle), "json"),
+        "verify": pf.write_verification(
+            pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 6, 5, 42), "json"),
+        "simulate": pf.write_simulation(
+            pf.run_simulation(bundle.taxonomy, bundle.profiles, 200, 42, 1, 4.0), "json"),
+        "sweep": pf.write_sweep(pf.imbalance_sweep(deepest, bundle.profiles, 0.3, 3, 42), "json"),
+    }
+    for text in documents.values():
+        reals_of_pretty_json(text)
+    paths = {p.path for p in pf.enumerate_pipelines(bundle.taxonomy)}
+    report = json.loads(documents["report"])
+    assert report["taxonomy"]["categories"] == sorted(["R", *FORMAT_LIKE_NAMES])
+    assert report["taxonomy"]["renormalized_classifiers"] == list(bundle.renormalized)
+    assert {block["pipeline"] for block in report["pipelines"]} == paths
+    assert paths <= {check["pipeline"] for check in json.loads(documents["verify"])["checks"]}
+    assert {run["pipeline"] for run in json.loads(documents["simulate"])["runs"]} == paths
+    assert json.loads(documents["sweep"])["pipeline"] == deepest.path
+
+
+def test_record_templates_hold_no_percent_but_their_fields():
+    # a template is filled by `template % texts`, so a `%` outside its
+    # fields would be a format error or a silent substitution
+    templates = {name: value for name, value in vars(pf.io).items()
+                 if isinstance(value, str) and "%(" in value}
+    assert {"_BLOCK", "_ROW", "_CHECK", "_RUN", "_SWEEP_ROW"} <= set(templates)
+    for name, template in templates.items():
+        assert "%" not in re.sub(r"%\(\w+\)s", "", template), name
 
 
 def test_report_takes_one_step_per_pipeline(monkeypatch):

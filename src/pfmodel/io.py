@@ -299,14 +299,17 @@ def _real(x: float) -> str:
     A 12-digit text without an exponent already is that shortest text, less
     the ``.0`` that ``repr`` gives an integer value; an exponent form (values
     below 1e-4 or from 1e12 up, subnormals included) is parsed back and
-    written by ``repr``.
+    written by ``repr``.  The common case, a fraction without an exponent,
+    is tested first.
     """
+    s = f"{x:.12g}"  # fmt12(x), without the call: a report holds millions of reals
+    if "." in s and "e" not in s:
+        return s
     if x != x or x in _INFINITIES:
         raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-    s = f"{x:.12g}"  # fmt12(x), without the call: a report holds millions of reals
     if "e" in s:
         return float.__repr__(float(s))
-    return s if "." in s else s + ".0"
+    return s + ".0"
 
 
 class _Text:

@@ -45,6 +45,7 @@ from .taxonomy import CategoryId, Pipeline
 
 #: slack for probability range / normalization checks on constructed matrices
 _EPS = 1e-12
+_UNIT_MAX = 1.0 + _EPS
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +70,11 @@ class Cells2x2:
 
 def _check_unit_range(cells: Cells2x2) -> None:
     """Reject a cell outside [0, 1]; store an int cell as the float it equals."""
+    tn, fp, fn, tp = cells.tn, cells.fp, cells.fn, cells.tp
+    if (type(tn) is type(fp) is type(fn) is type(tp) is float
+            and -_EPS <= tn <= _UNIT_MAX and -_EPS <= fp <= _UNIT_MAX
+            and -_EPS <= fn <= _UNIT_MAX and -_EPS <= tp <= _UNIT_MAX):
+        return
     for name, v in zip(("tn", "fp", "fn", "tp"), cells.as_tuple()):
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise OutOfRangeProbabilityError(f"{name}={v!r} is not a finite number")
@@ -268,7 +274,12 @@ def omega_closed(pipeline: Pipeline, profiles: ClassifierProfileSet) -> JointMat
 def _closed_form(
     fs: Sequence[float], gammas: Sequence[NormalizedConfusionMatrix]
 ) -> tuple[float, float, float, float]:
-    """Unvalidated (tn, fp, fn, tp) of :func:`omega_closed`; step k has fs[k], gammas[k-1]."""
+    """Unvalidated (tn, fp, fn, tp) of :func:`omega_closed`; step k has fs[k], gammas[k-1].
+
+    Each fs[k] may also be a numpy column, one f per row, for as many chains
+    as it has rows: the cells are then columns too, each bit for bit the
+    float a row alone gives, and the classifier products are taken once.
+    """
     L = len(gammas)
 
     big_f = 1.0
@@ -286,7 +297,8 @@ def _closed_form(
 
     w11 = big_f * psi11
     w10 = big_f - w11
-    w00 = max((1.0 - big_f) - w01, 0.0)  # it can round just below 0
+    w00 = (1.0 - big_f) - w01
+    w00 = (w00 + abs(w00)) / 2  # max(w00, 0) of a float or an array: it can round just below 0
     return w00, w01, w10, w11
 
 

@@ -521,11 +521,14 @@ def imbalance_sweep(
 
     rng = Generator(Philox(key=stream_key(seed, "sweep", pipeline.path)))
     gammas = profiles.gamma_chain(pipeline)
+    # Python's scalar pow, not numpy's array power, which can differ in the last bit
+    chains = [(1.0,) + tuple(target_positive_rate**w for w in weights)
+              for weights in rng.dirichlet(np.ones(depth), size=n_distributions).tolist()]
+    # every row's cells in one pass: step k's f values are column k
+    columns = _closed_form(np.array(chains).T, gammas)
     rows = []
-    for _ in range(n_distributions):
-        weights = rng.dirichlet(np.ones(depth))
-        fs = (1.0,) + tuple(float(target_positive_rate**w) for w in weights)
-        omega = JointMatrix(*_closed_form(fs, gammas))
+    for fs, cells in zip(chains, zip(*(c.tolist() for c in columns))):
+        omega = JointMatrix(*cells)
         rows.append(SweepRow(fs=fs, omega=omega, report=pipeline_metrics(omega)))
 
     spreads = []

@@ -744,6 +744,28 @@ def test_simulate_taxonomy_builds_each_model_once(replications, monkeypatch, cap
     assert len(calls) == 8  # one per pipeline of the golden DAG
 
 
+@pytest.mark.parametrize("n", ["1", "20"])
+def test_sweep_evaluates_the_closed_form_once(n, monkeypatch, capsys):
+    closed_form = simulate._closed_form
+    calls = []
+
+    def counting_closed_form(fs, gammas):
+        calls.append(len(fs))
+        return closed_form(fs, gammas)
+
+    monkeypatch.setattr(simulate, "_closed_form", counting_closed_form)
+    code, out, _ = run(
+        ["sweep", "--taxonomy", str(GOLDEN / "taxonomy.json"),
+         "--profiles", str(GOLDEN / "profiles.json"), "--pipeline", "A/B/D/E",
+         "--target", "0.05", "--n", n, "--format", "tsv"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    rows = [line.split("\t")[0] for line in out.splitlines()[1:]]
+    assert rows[:int(n)] == [str(i) for i in range(int(n))]
+    assert calls == [4]  # one call, over a column per step of the 3-deep pipeline
+
+
 def test_simulate_deterministic_bytes(dag_files, tmp_path, capsys):
     taxonomy, profiles = dag_files
     out1 = tmp_path / "s1.json"

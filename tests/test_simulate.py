@@ -27,7 +27,7 @@ from pfmodel import (
     model,
     simulate,
 )
-from pfmodel.rng import uniforms
+from pfmodel.rng import stream_key, uniforms
 
 from conftest import (
     DEEP_CHAIN_SIZE,
@@ -829,3 +829,61 @@ def test_sweep_infeasible_inputs(l2_pipeline):
     short_profiles = ClassifierProfileSet(base={"B": GAMMA_B}, root="A")
     with pytest.raises(pf.InfeasibleTargetError):
         pf.imbalance_sweep(short, short_profiles, 0.1, 10, seed=0)
+
+
+#: a classifier that accepts everything: with it at every step,
+#: (1 - F) - w01 can round to just below 0, which the closed form clamps
+ACCEPT_ALL = NormalizedConfusionMatrix(tn=0.0, fp=1.0, fn=0.0, tp=1.0)
+
+
+def _bits(values):
+    """The exact bits of each float, -0.0 told apart from 0.0."""
+    return [float.hex(v) for v in values]
+
+
+def _per_row_sweep(p, profiles, target, n, seed):
+    """Each sweep row's fs and cells, one Dirichlet draw and one scalar
+    closed form per row: the sweep as it was before it drew and evaluated
+    all its rows at once."""
+    rng = np.random.Generator(np.random.Philox(key=stream_key(seed, "sweep", p.path)))
+    gammas = profiles.gamma_chain(p)
+    rows = []
+    for _ in range(n):
+        weights = rng.dirichlet(np.ones(p.depth))
+        fs = (1.0,) + tuple(float(target**w) for w in weights)
+        rows.append((_bits(fs), _bits(model._closed_form(fs, gammas))))
+    return rows
+
+
+def _assert_sweep_is_the_per_row_loop(p, profiles, target, n, seed):
+    result = pf.imbalance_sweep(p, profiles, target, n, seed=seed)
+    assert [(_bits(r.fs), _bits(r.omega.as_tuple())) for r in result.rows] == \
+        _per_row_sweep(p, profiles, target, n, seed)
+    return result
+
+
+@given(depth=st.integers(2, 40), n=st.integers(1, 50), target=st.floats(1e-300, 0.99),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sweep_is_bit_for_bit_the_per_row_loop(depth, n, target, seed):
+    p, profiles = random_pipeline(np.random.default_rng(seed), depth)
+    _assert_sweep_is_the_per_row_loop(p, profiles, target, n, seed)
+
+
+def test_sweep_clamps_each_accept_all_row_as_the_per_row_loop():
+    p = Pipeline(("A", "B", "C"), (1.0, 0.1, 0.5))
+    profiles = ClassifierProfileSet(base={"B": ACCEPT_ALL, "C": ACCEPT_ALL}, root="A")
+    result = _assert_sweep_is_the_per_row_loop(p, profiles, 0.1, 50, seed=0)
+    tns = [r.omega.tn for r in result.rows]
+    assert 0.0 in tns  # some row's tn rounded below 0 and was clamped
+    assert all(math.copysign(1.0, tn) == 1.0 for tn in tns)
+
+
+@given(depth=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), accept_all=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_of_one_row_columns_is_its_float_call(depth, seed, accept_all):
+    rng = np.random.default_rng(seed)
+    p, profiles = random_pipeline(rng, depth)
+    gammas = [ACCEPT_ALL] * depth if accept_all else profiles.gamma_chain(p)
+    columns = model._closed_form([np.array([f]) for f in p.fs], gammas)
+    assert _bits([c.item() for c in columns]) == _bits(model._closed_form(p.fs, gammas))

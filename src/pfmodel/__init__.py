@@ -86,39 +86,30 @@ from .taxonomy import (
 
 __version__ = "0.1.0"
 
-# The simulator needs numpy; resolving its names on first use keeps numpy
-# out of the commands that never simulate (``pipelines``, ``analyze``).
-_SIMULATE_NAMES = frozenset({
-    "DeviationReport",
-    "OracleCheck",
-    "SimConfig",
-    "SimOutcome",
-    "SimRun",
-    "Simulation",
-    "SweepResult",
-    "TaxonomySimOutcome",
-    "Verification",
-    "compare",
-    "enumerate_exact",
-    "imbalance_sweep",
-    "run_simulation",
-    "simulate_pipeline",
-    "simulate_taxonomy",
-    "taxonomy_memberships",
-    "verify_oracles",
-})
-#: the submodules that import numpy; loading ``simulate`` binds both
-_NUMPY_MODULES = frozenset({"rng", "simulate"})
+# Names resolved on first use, each from the submodule that defines it, so
+# that ``import pfmodel.cli`` loads neither ``simulate`` nor ``oracles``.
+# ``simulate`` needs numpy, and only the ``simulate`` and ``sweep``
+# subcommands load it; ``verify`` loads ``oracles``, which needs no numpy.
+_LAZY_NAMES = {
+    **dict.fromkeys(("DeviationReport", "SimConfig", "SimOutcome", "SimRun", "Simulation",
+                     "SweepResult", "TaxonomySimOutcome", "compare", "imbalance_sweep",
+                     "run_simulation", "simulate_pipeline", "simulate_taxonomy",
+                     "taxonomy_memberships"), "simulate"),
+    **dict.fromkeys(("OracleCheck", "Verification", "enumerate_exact", "verify_oracles"),
+                    "oracles"),
+}
+#: the submodules resolved on first use
+_LAZY_MODULES = frozenset({"oracles", "rng", "simulate"})
 
 
 def __getattr__(name: str):
-    if name in _SIMULATE_NAMES or name in _NUMPY_MODULES:
+    if name in _LAZY_NAMES or name in _LAZY_MODULES:
         import importlib
 
-        simulate = importlib.import_module(".simulate", __name__)
-        return getattr(simulate, name) if name in _SIMULATE_NAMES else globals()[name]
+        module = importlib.import_module("." + _LAZY_NAMES.get(name, name), __name__)
+        return getattr(module, name) if name in _LAZY_NAMES else module
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SIMULATE_NAMES | _NUMPY_MODULES)
+    return sorted(set(globals()) | set(_LAZY_NAMES) | _LAZY_MODULES)

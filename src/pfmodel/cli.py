@@ -38,9 +38,8 @@ from .errors import ParseError, PFModelError
 from .metrics import DEFAULT_Z_THRESHOLD
 from .taxonomy import enumerate_pipelines, find_pipeline
 
-# numpy, and with it the simulator and the random streams, is imported by
-# the handlers that draw random numbers, so ``pipelines`` and ``analyze``
-# never load it.
+# numpy, and with it the simulator, is imported by the handlers that
+# simulate or sweep, so ``pipelines``, ``analyze`` and ``verify`` never load it.
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -200,7 +199,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .simulate import verify_oracles
+    from .oracles import verify_oracles
 
     _require_finite_nonnegative("--tol", args.tol)
     if args.samples < 0:
@@ -209,7 +208,8 @@ def _cmd_verify(args) -> int:
         raise PFModelError(
             f"--max-len must be at least 1 when --samples is above 0, got {args.max_len}"
         )
-    if args.samples > 0 and args.max_len > 2**63 - 1:  # numpy draws depths as int64
+    # the int64 bound of the depths numpy once drew, kept so that exit codes do not change
+    if args.samples > 0 and args.max_len > 2**63 - 1:
         raise PFModelError(
             f"--max-len must be at most {2**63 - 1} when --samples is above 0,"
             f" got {args.max_len}"

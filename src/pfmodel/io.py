@@ -63,7 +63,8 @@ from .taxonomy import (
 )
 
 if TYPE_CHECKING:  # importing the simulator loads numpy; writing needs neither
-    from .simulate import OracleCheck, SimRun, Simulation, SweepResult, SweepRow, Verification
+    from .oracles import OracleCheck, Verification
+    from .simulate import SimRun, Simulation, SweepResult, SweepRow
 
 #: tolerance for accepting hand-typed confusion rows before renormalizing
 ROW_SUM_TOLERANCE = 1e-9

@@ -1,20 +1,16 @@
-"""Independent oracles for the analytic pipeline model.
+"""Monte-Carlo oracle for the analytic pipeline model, and the imbalance sweep.
 
-Two ways to check a predicted joint matrix without trusting the algebra
-that produced it:
-
-* :func:`enumerate_exact` sums the probability of every admissible
-  truth/decision trajectory of the event tree (truth can only narrow,
-  decisions can only stop); it shares no code with the matrix recurrence.
-* :func:`simulate_pipeline` / :func:`simulate_taxonomy` draw documents
-  from the generative process and tally what actually happens; the tally
-  is compared to the prediction cell by cell in binomial standard errors.
+:func:`simulate_pipeline` / :func:`simulate_taxonomy` draw documents from
+the generative process and tally what actually happens; the tally is
+compared to the prediction cell by cell in binomial standard errors.  The
+exact-enumeration oracle and the ``verify`` check, which need no numpy,
+live in :mod:`.oracles`.
 
 Simulation draws come from named counter-based streams (:mod:`.rng`), so
 outcomes are reproducible bit for bit from the seed alone.
 
-:func:`verify_oracles` and :func:`run_simulation` run the ``verify`` and
-``simulate`` checks and return frozen records, which :mod:`.io` writes.
+:func:`run_simulation` and :func:`imbalance_sweep` run the ``simulate`` and
+``sweep`` commands and return frozen records, which :mod:`.io` writes.
 """
 
 from __future__ import annotations
@@ -32,8 +28,7 @@ from .errors import (
     OutOfRangeProbabilityError,
 )
 from .metrics import DEFAULT_Z_THRESHOLD, MetricReport, pipeline_metrics
-from .model import (ClassifierProfileSet, JointMatrix, NormalizedConfusionMatrix,
-                    _closed_form, omega_closed, omega_recursive, omega_step)
+from .model import ClassifierProfileSet, JointMatrix, _closed_form, omega_closed
 from .rng import stream_key, uniforms
 from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
 
@@ -50,51 +45,6 @@ class SimConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-
-
-def enumerate_exact(pipeline: Pipeline, profiles: ClassifierProfileSet) -> JointMatrix:
-    """Joint outcome mass by exhaustive summation over the event tree.
-
-    Walks every (truth chain, decision chain) pair obeying the structural
-    implications -- an input outside a category is outside all its
-    descendants, a rejected input is never seen again -- multiplying the
-    per-step conditional probabilities: membership Bernoulli(f_k) while
-    still inside, decision from the current classifier's row while still
-    accepted.  Independent of the matrix recurrence by construction.
-    """
-    fs = pipeline.require_fs()
-    gammas = profiles.gamma_chain(pipeline)
-    last = len(gammas)
-    cells = [[0.0, 0.0], [0.0, 0.0]]
-
-    # Depth-first with an explicit stack, so any depth is walkable.  Branches
-    # are pushed in reverse and pop in (x, c) order, so each cell sums its
-    # leaves in one fixed, lexicographic order.  A history outside and rejected
-    # stays so with probability 1, so it ends at once (quadratic in depth).
-    stack = [(1, 1, 1, 1.0)]
-    while stack:
-        k, x_prev, c_prev, prob = stack.pop()
-        if prob == 0.0:
-            continue
-        if k > last or (x_prev == 0 and c_prev == 0):
-            cells[x_prev][c_prev] += prob
-            continue
-        f, g = fs[k], gammas[k - 1]
-        for x in (1, 0):
-            if x_prev == 0 and x == 1:
-                continue  # truth can only narrow
-            p_x = 1.0 if x_prev == 0 else (f if x == 1 else 1.0 - f)
-            for c in (1, 0):
-                if c_prev == 0 and c == 1:
-                    continue  # once rejected, rejected forever
-                if c_prev == 0:
-                    p_c = 1.0
-                else:
-                    row = (g.fn, g.tp) if x == 1 else (g.tn, g.fp)
-                    p_c = row[c]
-                stack.append((k + 1, x, c, prob * p_x * p_c))
-
-    return JointMatrix(tn=cells[0][0], fp=cells[0][1], fn=cells[1][0], tp=cells[1][1])
 
 
 def _tally(x: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
@@ -325,88 +275,6 @@ def compare(
             z = 0.0 if dev == 0.0 else math.inf
         cells.append(CellDeviation(cell=name, model=pred, sigma=sigma, z=z))
     return DeviationReport(cells=tuple(cells), threshold=z_threshold)
-
-
-@dataclass(frozen=True, slots=True)
-class OracleCheck:
-    """One check of :func:`verify_oracles`: two evaluations' largest cell
-    difference, or the mass's distance from 1."""
-
-    source: str
-    pipeline: Pipeline
-    check: str
-    discrepancy: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class Verification:
-    """Every oracle check of a ``verify`` run, with the settings it ran under."""
-
-    tolerance: float
-    max_len: int
-    samples: int
-    seed: int
-    checks: tuple[OracleCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _random_pipeline(rng: Generator, max_len: int) -> tuple[Pipeline, ClassifierProfileSet]:
-    depth = int(rng.integers(1, max_len + 1))
-    nodes = tuple(f"n{i}" for i in range(depth + 1))
-    fs = (1.0, *rng.random(depth).tolist())
-    base = {node: NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
-            for node, (fp, tp) in zip(nodes[1:], rng.random((depth, 2)).tolist())}
-    return Pipeline(nodes, fs), ClassifierProfileSet(base=base, root=nodes[0])
-
-
-def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_len: int,
-                   samples: int, seed: int) -> Verification:
-    """Cross-check the closed form, the recurrence and, up to depth ``max_len``,
-    exact enumeration on every pipeline of ``t`` and on ``samples`` random ones
-    drawn from the stream keyed by ``seed``; a check passes within ``tol``.
-
-    Taxonomy pipelines come prefix-first, and each one's classifier chain is
-    its parent's plus one step, so the recurrence takes one
-    :func:`omega_step` per pipeline but the root, from its parent prefix's
-    value.  The root and the random pipelines are folded from the root by
-    :func:`omega_recursive`.  Either way each value is
-    :func:`omega_recursive`'s, bit for bit.  The closed form and exact
-    enumeration evaluate each pipeline on its own.
-    """
-    checks = []
-
-    def run_one(source: str, pipeline: Pipeline, profiles: ClassifierProfileSet,
-                closed: JointMatrix, recursive: JointMatrix) -> None:
-        rows = [("closed_vs_recursive", closed.max_abs_diff(recursive)),
-                ("mass_sums_to_one", abs(recursive.total - 1.0))]
-        if pipeline.depth <= max_len:
-            exact = enumerate_exact(pipeline, profiles)
-            rows.append(("exact_vs_recursive", exact.max_abs_diff(recursive)))
-            rows.append(("exact_vs_closed", exact.max_abs_diff(closed)))
-        checks.extend(OracleCheck(source, pipeline, check, diff, diff <= tol)
-                      for check, diff in rows)
-
-    # ``live[k]`` holds the recurrence value of the live prefix at depth k,
-    # so finished subtrees free theirs
-    live: list[JointMatrix] = []
-    for p in enumerate_pipelines(t):
-        closed = omega_closed(p, profiles)  # raises where ``p`` lacks an f or a profile
-        del live[p.depth:]
-        recursive = (omega_step(live[-1], p.fs[-1], profiles.resolve(p, p.depth)) if p.depth
-                     else omega_recursive(p, profiles))
-        live.append(recursive)
-        run_one("taxonomy", p, profiles, closed, recursive)
-    rng = Generator(Philox(key=stream_key(seed, "verify")))
-    for i in range(samples):
-        pipeline, sample_profiles = _random_pipeline(rng, max_len)
-        run_one(f"random[{i}]", pipeline, sample_profiles,
-                omega_closed(pipeline, sample_profiles),
-                omega_recursive(pipeline, sample_profiles))
-    return Verification(tol, max_len, samples, seed, tuple(checks))
 
 
 # Slotted, like the records it holds: a run keeps one of each per pipeline.

@@ -21,6 +21,7 @@ from pfmodel import (
     depth_profile,
     enumerate_pipelines,
     find_pipeline,
+    oracles,
     parse_inputs,
     parse_taxonomy,
     simulate,
@@ -546,12 +547,12 @@ def test_verify_catches_a_planted_fault(oracle, failing, monkeypatch, capsys):
         # goes into the one step that yields it, and A/B/D/E steps on from it
         bundle = parse_inputs((GOLDEN / "taxonomy.json").read_text(),
                               (GOLDEN / "profiles.json").read_text())
-        value = simulate.omega_recursive(find_pipeline(bundle.taxonomy, "A/B/D"), bundle.profiles)
-        monkeypatch.setattr(simulate, "omega_step", shift_step_into_tn(simulate.omega_step, value))
+        value = oracles.omega_recursive(find_pipeline(bundle.taxonomy, "A/B/D"), bundle.profiles)
+        monkeypatch.setattr(oracles, "omega_step", shift_step_into_tn(oracles.omega_step, value))
         reached = ("A/B/D", "A/B/D/E")
     else:
-        monkeypatch.setattr(simulate, oracle,
-                            shift_fp_into_tn(getattr(simulate, oracle), "A/B/D"))
+        monkeypatch.setattr(oracles, oracle,
+                            shift_fp_into_tn(getattr(oracles, oracle), "A/B/D"))
         reached = ("A/B/D",)
     code, out, err = run(["verify", "--taxonomy", str(GOLDEN / "taxonomy.json"),
                           "--profiles", str(GOLDEN / "profiles.json"), "--samples", "0"],

@@ -26,7 +26,7 @@ EXPORTED = (
     "context_switch", "covering_char", "depth_profile", "enumerate_exact",
     "enumerate_pipelines", "errors", "expected_confusion", "factorize", "find_pipeline",
     "homomorphism_map", "imbalance_sweep", "io", "metrics", "model", "omega_closed",
-    "omega_recursive", "omega_step", "oplus", "parse_inputs", "parse_profiles",
+    "omega_recursive", "omega_step", "oplus", "oracles", "parse_inputs", "parse_profiles",
     "parse_taxonomy", "pipeline_leq", "pipeline_metrics", "precision_constraint_check",
     "psi", "relative_sets", "relevance", "rng", "run_simulation", "serialize_profiles",
     "serialize_taxonomy", "simulate", "simulate_pipeline", "simulate_taxonomy", "taxonomy",
@@ -82,12 +82,38 @@ def test_dir_lists_every_exported_name():
     ["pipelines"],
     ["analyze", "--format", "json"],
     ["analyze", "--format", "tsv"],
-], ids=["import", "pipelines", "analyze-json", "analyze-tsv"])
+    ["verify", "--format", "json"],
+    ["verify", "--format", "tsv"],
+    ["verify", "--samples", "0"],
+    ["verify", "--max-len", "1"],
+], ids=["import", "pipelines", "analyze-json", "analyze-tsv", "verify-json", "verify-tsv",
+        "verify-no-samples", "verify-max-len-1"])
 def test_cli_without_simulation_does_not_import_numpy(dag_files, argv):
     taxonomy, profiles = dag_files
     if argv:
         argv = [argv[0], "--taxonomy", taxonomy, *argv[1:]]
-        if argv[0] == "analyze":
+        if argv[0] != "pipelines":
             argv += ["--profiles", profiles]
     proc = _python(_NUMPY_FREE_SCRIPT, *argv)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", [
+    # what ``import pfmodel.cli`` loads is what every subcommand pays to start
+    """
+import sys
+import pfmodel.cli
+loaded = sorted(m for m in sys.modules if m.startswith("pfmodel"))
+assert loaded == ["pfmodel", "pfmodel.cli", "pfmodel.errors", "pfmodel.io", "pfmodel.metrics",
+                  "pfmodel.model", "pfmodel.taxonomy"], loaded
+""",
+    """
+import sys
+import pfmodel
+pfmodel.verify_oracles, pfmodel.enumerate_exact
+assert "numpy" not in sys.modules, "numpy was imported"
+""",
+], ids=["cli-loads-no-oracles", "oracles-load-no-numpy"])
+def test_lazy_names_load_only_their_own_modules(script):
+    proc = _python(script)
     assert proc.returncode == 0, proc.stderr

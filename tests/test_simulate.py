@@ -25,9 +25,9 @@ from pfmodel import (
     Pipeline,
     SimConfig,
     model,
-    simulate,
+    oracles,
 )
-from pfmodel.rng import stream_key, uniforms
+from pfmodel.rng import PhiloxStream, stream_key, uniforms
 
 from conftest import (
     DEEP_CHAIN_SIZE,
@@ -204,6 +204,36 @@ def test_streams_differ_by_tag_and_seed():
 def test_uniforms_reject_a_negative_count_or_start(count, start):
     with pytest.raises(ValueError, match="must be non-negative"):
         uniforms(42, ("x",), count, start=start)
+
+
+def test_pure_philox_draws_numpy_generators_values():
+    # verify draws its random pipelines from PhiloxStream, so it must store
+    # each key as numpy does, rounded through float64 for about half of all
+    # keys, and draw numpy's values at every bound: no draw for one value,
+    # 32-bit Lemire draws from buffered half-words (the leftover half outlives
+    # the random() calls in between), the rejection loop (a span of 2**31 + 1
+    # rejects about half of all draws), 2**32 exactly, and 64-bit Lemire draws
+    spans = (1, 2, 7, 100, 2**31 + 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63 - 1, 2**64)
+    rounded = 0
+    for i in range(2000):
+        key = stream_key(i, "verify")
+        ours, theirs = PhiloxStream(key), np.random.Generator(np.random.Philox(key=key))
+        stored = tuple(int(word) for word in theirs.bit_generator.state["state"]["key"])
+        assert ours.key == stored
+        rounded += stored != tuple(key)
+        for j in range(len(spans)):
+            span = spans[(i + j) % len(spans)]
+            low = 1 if span < 2**63 else -2**63
+            assert ours.integers(low, low + span) == theirs.integers(low, low + span)
+            if (i + j) % 3 == 0:
+                assert ours.random() == theirs.random()
+    assert 900 < rounded < 1100
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (1, 0), (0, 2**64 + 1)])
+def test_pure_philox_rejects_an_empty_or_too_wide_range(low, high):
+    with pytest.raises(ValueError, match="high - low must be in"):
+        PhiloxStream([1, 2]).integers(low, high)
 
 
 @pytest.mark.parametrize("m, seed, message", [
@@ -579,7 +609,7 @@ def count_steps(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(model, "omega_step", counting)
-    monkeypatch.setattr(simulate, "omega_step", counting)
+    monkeypatch.setattr(oracles, "omega_step", counting)
     return calls
 
 
@@ -629,8 +659,8 @@ def test_verify_steps_every_pipeline_of_the_golden_dag_but_the_root(monkeypatch)
     bundle = golden_bundle()
     calls = count_steps(monkeypatch)
     folded = []
-    recursive = simulate.omega_recursive
-    monkeypatch.setattr(simulate, "omega_recursive",
+    recursive = oracles.omega_recursive
+    monkeypatch.setattr(oracles, "omega_recursive",
                         lambda p, profiles: folded.append(p.path) or recursive(p, profiles))
     pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 6, 0, 42)
     # the overridden pipelines (A/B/D, A/C/D) and their extensions take one

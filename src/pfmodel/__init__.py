@@ -8,7 +8,6 @@ exact-enumeration and Monte-Carlo oracles.
 
 from .errors import (
     CycleDetectedError,
-    DegenerateBoundError,
     DuplicateEdgeError,
     InfeasibleTargetError,
     MissingEdgeProbabilityError,
@@ -19,7 +18,6 @@ from .errors import (
     PFModelError,
     RootProfileForbiddenError,
     UnknownCategoryError,
-    UnknownInstanceError,
 )
 from .io import (
     InputBundle,
@@ -28,8 +26,6 @@ from .io import (
     parse_inputs,
     parse_profiles,
     parse_taxonomy,
-    serialize_profiles,
-    serialize_taxonomy,
     write_pipelines,
     write_report,
     write_simulation,
@@ -46,7 +42,6 @@ from .metrics import (
     depth_profile,
     factorize,
     pipeline_metrics,
-    precision_constraint_check,
 )
 from .model import (
     MU,
@@ -59,7 +54,6 @@ from .model import (
     NormalizedConfusionMatrix,
     PrefixState,
     context_switch,
-    expected_confusion,
     homomorphism_map,
     omega_closed,
     omega_recursive,
@@ -69,19 +63,13 @@ from .model import (
 )
 from .taxonomy import (
     Edge,
-    InstanceLabeling,
     Pipeline,
     Taxonomy,
-    category_domain,
     check_label_consistency,
-    covering_char,
     enumerate_pipelines,
     find_pipeline,
-    pipeline_leq,
     relative_sets,
-    relevance,
     validate_taxonomy,
-    wfs_char,
 )
 
 __version__ = "0.1.0"

@@ -33,10 +33,6 @@ class UnknownCategoryError(PFModelError, KeyError):
     """A category name does not exist in the taxonomy."""
 
 
-class UnknownInstanceError(PFModelError, KeyError):
-    """An instance id does not exist in the labeling."""
-
-
 # --- probabilistic data ------------------------------------------------------
 
 class OutOfRangeProbabilityError(PFModelError, ValueError):
@@ -44,7 +40,7 @@ class OutOfRangeProbabilityError(PFModelError, ValueError):
 
 
 class MissingEdgeProbabilityError(PFModelError):
-    """A probabilistic query touched a covering edge that carries no f value."""
+    """A computation needs the f of a covering edge that carries none."""
 
 
 class MissingGammaError(PFModelError, KeyError):
@@ -55,12 +51,7 @@ class RootProfileForbiddenError(PFModelError):
     """A confusion profile was supplied for the root, whose behavior is fixed."""
 
 
-# --- analysis ----------------------------------------------------------------
-
-class DegenerateBoundError(PFModelError):
-    """The precision-constraint bound is undefined (no accumulated
-    false-positive leakage, e.g. all f = 1 so far)."""
-
+# --- imbalance sweep ---------------------------------------------------------
 
 class InfeasibleTargetError(PFModelError, ValueError):
     """An imbalance sweep target cannot be realized on the given pipeline."""

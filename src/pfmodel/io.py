@@ -530,38 +530,6 @@ def _metric_flags(r: MetricReport) -> tuple[str, ...]:
     return flags
 
 
-def serialize_taxonomy(t: Taxonomy) -> str:
-    """Taxonomy back to its JSON input format (sorted, 12 significant digits)."""
-    payload = {
-        "root": t.root,
-        "categories": sorted(t.categories),
-        "edges": [
-            {"child": e.child, "parent": e.parent}
-            if e.f is None
-            else {"child": e.child, "parent": e.parent, "f": e.f}
-            for e in sorted(t.edges, key=lambda e: (e.child, e.parent))
-        ],
-    }
-    return dump_json(payload)
-
-
-def _matrix_payload(m: NormalizedConfusionMatrix) -> dict:
-    return {"tn": m.tn, "fp": m.fp, "fn": m.fn, "tp": m.tp}
-
-
-def serialize_profiles(p: ClassifierProfileSet) -> str:
-    """Profile set back to its JSON input format."""
-    payload: dict[str, Any] = {
-        "classifiers": {name: _matrix_payload(p.base[name]) for name in sorted(p.base)}
-    }
-    if p.overrides:
-        payload["overrides"] = [
-            {"pipeline": path, "category": cat, **_matrix_payload(p.overrides[(path, cat)])}
-            for path, cat in sorted(p.overrides)
-        ]
-    return dump_json(payload)
-
-
 def write_pipelines(pipelines: Iterable[Pipeline], out: TextIO | None = None) -> str | None:
     """One slash-joined path per line, in the order given, into ``out``, or,
     without a sink, as a returned string."""

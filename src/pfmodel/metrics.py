@@ -20,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBoundError
 from .model import (
     OMEGA_BASE,
     ClassifierProfileSet,
@@ -91,33 +90,21 @@ class ConstraintCheck:
     bound: float
 
 
-def precision_constraint_check(
-    state: PrefixState, f_k: float, gamma_k: NormalizedConfusionMatrix
-) -> ConstraintCheck:
-    """Decide whether appending this classifier can lower precision.
+def _constraint_check(
+    state: PrefixState, advanced: PrefixState, f_k: float, gamma_k: NormalizedConfusionMatrix
+) -> ConstraintCheck | None:
+    """Decide whether the step from ``state`` to ``advanced``, on an edge
+    ``f_k`` to classifier ``gamma_k``, can lower precision.
 
     Precision does not decrease exactly when the new fp-rate stays below
 
         (leak / leak') * f_k * tp-rate
 
-    with ``leak'`` the accumulated leakage including the new step.  Raises
-    :class:`DegenerateBoundError` when ``leak'`` is zero (no negative mass
-    has ever been produced, so precision is pinned at 1) or non-finite.
+    with ``leak'`` the accumulated leakage including the new step.  Returns
+    ``None`` where the bound is undefined: ``leak'`` is zero (no negative
+    mass has ever been produced, so precision is pinned at 1, e.g. all
+    f = 1 so far) or non-finite.
     """
-    advanced = state.advance(f_k, gamma_k)
-    check = _constraint_check(state, advanced, f_k, gamma_k)
-    if check is None:
-        raise DegenerateBoundError(
-            f"precision bound undefined: accumulated leakage is {advanced.leak}"
-        )
-    return check
-
-
-def _constraint_check(
-    state: PrefixState, advanced: PrefixState, f_k: float, gamma_k: NormalizedConfusionMatrix
-) -> ConstraintCheck | None:
-    """:func:`precision_constraint_check` with the advanced state given, or
-    ``None`` where the bound is undefined."""
     leak_next = advanced.leak
     if leak_next == 0.0 or not math.isfinite(leak_next):
         return None

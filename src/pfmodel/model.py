@@ -436,13 +436,3 @@ class PrefixState:
         return IntrinsicMatrix(
             tn=1.0 - self.psi01, fp=self.psi01, fn=1.0 - self.psi11, tp=self.psi11
         )
-
-
-def expected_confusion(m: int, omega: JointMatrix) -> Cells2x2:
-    """Expected confusion-matrix counts for ``m`` inputs: m * omega.
-
-    Counts are expectations and stay real-valued; no rounding.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return Cells2x2(tn=m * omega.tn, fp=m * omega.fp, fn=m * omega.fn, tp=m * omega.tp)

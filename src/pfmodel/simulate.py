@@ -105,13 +105,18 @@ def _coin_probability(t: Taxonomy, node: CategoryId, q_of: Mapping[CategoryId, f
     parent below it): its f = p(node | parent) equals the node's own coin
     times the coins ``q_of`` of every ancestor outside the parent's closure;
     divide those out to get the coin.  Exact for any DAG whose edge
-    probabilities are mutually consistent (trees trivially are).
+    probabilities are mutually consistent (trees trivially are).  A node
+    with one parent has no ancestor outside that parent's closure, so its
+    coin is its edge's f, and no closure is built for it.
     """
     parents = t.parents_of(node)
-    minimal = [p for p in parents if not any(p in t.ancestors_of(q) for q in parents)]
+    minimal = parents if len(parents) == 1 else [
+        p for p in parents if not any(p in t.ancestors_of(q) for q in parents)]
     edge = t.edge(node, min(minimal))
     if edge.f is None:
         raise MissingEdgeProbabilityError(f"edge {node!r}<{edge.parent!r} has no f")
+    if len(parents) == 1:
+        return edge.f
     parent_closure = {edge.parent} | t.ancestors_of(edge.parent)
     divisor = 1.0
     for a in sorted(t.ancestors_of(node) - parent_closure):  # a set iterates in str-hash order

@@ -4,11 +4,9 @@ A taxonomy is a rooted DAG of categories whose covering edges optionally
 carry a conditional probability ``f`` (the probability that an instance of
 the parent also belongs to the child).  All analysis in this package runs
 on *pipelines*: rooted paths through the taxonomy, together with the chain
-of edge probabilities collected along the way.
-
-Structure queries come in two modes: *crisp* (set membership, 0/1) and
-*probabilistic* (edge probabilities multiplied along chains).  Probabilistic
-queries fail loudly on edges without ``f`` instead of assuming a default.
+of edge probabilities collected along the way.  An edge may lack ``f``:
+structure queries and enumeration still work, and anything that needs the
+missing f raises instead of assuming a default.
 
 Taxonomies and pipelines are immutable after validation and safe to share
 across threads.
@@ -19,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .errors import (
     CycleDetectedError,
@@ -28,7 +26,6 @@ from .errors import (
     MultipleRootsError,
     OutOfRangeProbabilityError,
     UnknownCategoryError,
-    UnknownInstanceError,
 )
 
 CategoryId = str
@@ -43,8 +40,7 @@ class Edge:
     """A covering edge ``child < parent`` with optional conditional probability.
 
     ``f`` estimates p(child | parent): the fraction of the parent's domain
-    that also belongs to the child.  ``None`` means "not supplied"; crisp
-    structure queries still work, probabilistic ones raise.
+    that also belongs to the child.  ``None`` means "not supplied".
     """
 
     child: CategoryId
@@ -277,44 +273,6 @@ def relative_sets(
     return ancestors, frozenset(offspring), frozenset(t.children_of(r))
 
 
-def covering_char(
-    t: Taxonomy, b: CategoryId, a: CategoryId, probabilistic: bool = False
-) -> float:
-    """Characteristic function of the covering relation ``b < a`` (immediate).
-
-    Crisp mode returns 1.0 iff (b, a) is a covering edge, else 0.0.
-    Probabilistic mode returns the edge's f and raises if the edge exists
-    but carries none.
-    """
-    edge = t.edge(b, a)
-    if edge is None:
-        return 0.0
-    if not probabilistic:
-        return 1.0
-    if edge.f is None:
-        raise MissingEdgeProbabilityError(f"edge {b!r}<{a!r} has no f")
-    return float(edge.f)
-
-
-def wfs_char(t: Taxonomy, s: Sequence[CategoryId], probabilistic: bool = False) -> float:
-    """Characteristic function of well-formed strings.
-
-    The empty string and every single category score 1; longer strings
-    score the product of the covering characteristic over consecutive
-    pairs.  Crisp mode therefore yields 1 iff the string is well-formed;
-    probabilistic mode yields the probability of traversing the whole
-    chain when every embedded classifier acts as an oracle.
-    """
-    for c in s:
-        t._require(c)
-    value = 1.0
-    for prev, cur in zip(s, s[1:]):
-        if t.edge(cur, prev) is None:
-            return 0.0  # ill-formed: short-circuit before touching any f
-        value *= covering_char(t, cur, prev, probabilistic=probabilistic)
-    return value
-
-
 def enumerate_pipelines(t: Taxonomy, leaf_only: bool = False) -> tuple[Pipeline, ...]:
     """All rooted well-formed strings of the taxonomy, prefixes included.
 
@@ -344,11 +302,6 @@ def find_pipeline(t: Taxonomy, path: str, leaf_only: bool = False) -> Pipeline:
     return Pipeline(nodes, (1.0,) + tuple(e.f for e in edges))
 
 
-def pipeline_leq(p1: Pipeline, p2: Pipeline) -> bool:
-    """Pipeline partial order: ``p1 <= p2`` iff p2 extends p1."""
-    return p2.nodes[: len(p1.nodes)] == p1.nodes
-
-
 def check_label_consistency(
     t: Taxonomy, labels: Iterable[CategoryId]
 ) -> tuple[bool, frozenset[CategoryId]]:
@@ -364,49 +317,3 @@ def check_label_consistency(
     for c in label_set:
         missing |= t.ancestors_of(c) - label_set
     return (not missing, frozenset(missing))
-
-
-@dataclass(frozen=True)
-class InstanceLabeling:
-    """Ground-truth assignment of instances to their deepest true categories.
-
-    ``instances`` maps an instance id to the set of categories it is a
-    direct instance of; membership in every ancestor is implied.
-    """
-
-    instances: Mapping[str, frozenset[CategoryId]]
-
-    def validate(self, t: Taxonomy) -> None:
-        for i, cats in self.instances.items():
-            for c in cats:
-                if c not in t.categories:
-                    raise UnknownCategoryError(f"instance {i!r}: unknown category {c!r}")
-
-
-def category_domain(t: Taxonomy, labeling: InstanceLabeling, c: CategoryId) -> frozenset[str]:
-    """Instance ids belonging to ``c`` directly or through any offspring."""
-    t._require(c)
-    _, offspring, _ = relative_sets(t, c)
-    members = {c} | offspring
-    return frozenset(i for i, cats in labeling.instances.items() if cats & members)
-
-
-def relevance(
-    t: Taxonomy,
-    labeling: InstanceLabeling,
-    instance: str,
-    b: CategoryId,
-    a: CategoryId,
-) -> bool:
-    """Whether ``instance`` is relevant for category ``b`` with respect to ``a``.
-
-    The relevance set of (b, a) is the whole domain of ``a`` when ``b <= a``
-    in the taxonomy order, and empty otherwise.
-    """
-    t._require(b)
-    t._require(a)
-    if instance not in labeling.instances:
-        raise UnknownInstanceError(f"unknown instance {instance!r}")
-    if b != a and a not in t.ancestors_of(b):
-        return False
-    return instance in category_domain(t, labeling, a)

@@ -85,22 +85,22 @@ def test_accuracy_is_trace_and_factorized_form():
 
 def test_constraint_bound_l2_fixture(l2_pipeline):
     p, profiles = l2_pipeline
-    state = pf.PrefixState.initial().advance(0.8, GAMMA_A)
-    check = pf.precision_constraint_check(state, 0.5, GAMMA_A)
+    dp = pf.depth_profile(p, profiles)
+    check = dp.rows[2].check
     # leak 0.2 -> 3.4, bound (0.2 / 3.4) * 0.5 * 0.8
     assert check.bound == pytest.approx(0.2 / 3.4 * 0.4, abs=1e-12)
     assert check.verdict is Verdict.DECREASING  # fp-rate 0.1 > bound
     # and the verdict matches the actual precision drop 0.9697 -> 0.8828
-    dp = pf.depth_profile(p, profiles)
     assert dp.rows[1].metrics.precision == pytest.approx(0.64 / 0.66, abs=1e-12)
     assert dp.rows[2].metrics.precision == pytest.approx(0.256 / 0.290, abs=1e-12)
     assert dp.rows[2].metrics.precision < dp.rows[1].metrics.precision
 
 
 def test_constraint_zero_fp_never_decreases():
-    state = pf.PrefixState.initial().advance(0.8, GAMMA_A)
     gamma = pf.NormalizedConfusionMatrix(tn=1.0, fp=0.0, fn=0.2, tp=0.8)
-    check = pf.precision_constraint_check(state, 0.5, gamma)
+    p = Pipeline(("A", "B", "C"), (1.0, 0.8, 0.5))
+    profiles = ClassifierProfileSet(base={"B": GAMMA_A, "C": gamma}, root="A")
+    check = pf.depth_profile(p, profiles).rows[2].check
     assert check.verdict is Verdict.NON_DECREASING
 
 
@@ -119,10 +119,11 @@ def test_leak_strictly_grows():
 
 
 def test_degenerate_bound_all_f_one():
-    state = pf.PrefixState.initial().advance(1.0, GAMMA_A)
-    assert state.leak == 0.0
-    with pytest.raises(pf.DegenerateBoundError):
-        pf.precision_constraint_check(state, 1.0, GAMMA_A)
+    p = Pipeline(("A", "B", "C"), (1.0, 1.0, 1.0))
+    profiles = ClassifierProfileSet(base={"B": GAMMA_A, "C": GAMMA_A}, root="A")
+    dp = pf.depth_profile(p, profiles)
+    assert dp.rows[1].omega.fp == 0.0 and dp.state.leak == 0.0
+    assert [row.check for row in dp.rows] == [None, None, None]
 
 
 def test_verdict_matches_precision_sign():

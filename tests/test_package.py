@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,25 +15,21 @@ import pfmodel
 #: every public name of ``pfmodel``, those it resolves on first use included
 EXPORTED = (
     "Cells2x2", "ClassifierProfileSet", "ConstraintCheck", "CycleDetectedError",
-    "DEFAULT_Z_THRESHOLD", "DegenerateBoundError", "DepthProfile", "DepthRow",
-    "DeviationReport", "DuplicateEdgeError", "Edge", "Factorization", "InfeasibleTargetError",
-    "InputBundle", "InstanceLabeling", "IntrinsicMatrix", "JointMatrix", "MU", "MetricReport",
-    "MissingEdgeProbabilityError", "MissingGammaError", "MultipleRootsError",
-    "NormalizedConfusionMatrix", "OMEGA_BASE", "OracleCheck", "OutOfRangeProbabilityError",
-    "PFModelError", "ParseError", "Pipeline", "PrefixState", "Report",
-    "RootProfileForbiddenError", "SimConfig", "SimOutcome", "SimRun", "Simulation",
-    "SweepResult", "Taxonomy", "TaxonomySimOutcome", "UnknownCategoryError",
-    "UnknownInstanceError", "Verdict", "Verification",
-    "build_report", "category_domain", "check_label_consistency", "compare",
-    "context_switch", "covering_char", "depth_profile", "enumerate_exact",
-    "enumerate_pipelines", "errors", "expected_confusion", "factorize", "find_pipeline",
-    "homomorphism_map", "imbalance_sweep", "io", "metrics", "model", "omega_closed",
-    "omega_recursive", "omega_step", "oplus", "oracles", "parse_inputs", "parse_profiles",
-    "parse_taxonomy", "pipeline_leq", "pipeline_metrics", "precision_constraint_check",
-    "psi", "relative_sets", "relevance", "rng", "run_simulation", "serialize_profiles",
-    "serialize_taxonomy", "simulate", "simulate_pipeline", "simulate_taxonomy", "taxonomy",
-    "taxonomy_memberships", "validate_taxonomy", "verify_oracles", "wfs_char", "write_pipelines", "write_report",
-    "write_simulation", "write_sweep", "write_verification",
+    "DEFAULT_Z_THRESHOLD", "DepthProfile", "DepthRow", "DeviationReport", "DuplicateEdgeError",
+    "Edge", "Factorization", "InfeasibleTargetError", "InputBundle", "IntrinsicMatrix",
+    "JointMatrix", "MU", "MetricReport", "MissingEdgeProbabilityError", "MissingGammaError",
+    "MultipleRootsError", "NormalizedConfusionMatrix", "OMEGA_BASE", "OracleCheck",
+    "OutOfRangeProbabilityError", "PFModelError", "ParseError", "Pipeline", "PrefixState",
+    "Report", "RootProfileForbiddenError", "SimConfig", "SimOutcome", "SimRun", "Simulation",
+    "SweepResult", "Taxonomy", "TaxonomySimOutcome", "UnknownCategoryError", "Verdict",
+    "Verification", "build_report", "check_label_consistency", "compare", "context_switch",
+    "depth_profile", "enumerate_exact", "enumerate_pipelines", "errors", "factorize",
+    "find_pipeline", "homomorphism_map", "imbalance_sweep", "io", "metrics", "model",
+    "omega_closed", "omega_recursive", "omega_step", "oplus", "oracles", "parse_inputs",
+    "parse_profiles", "parse_taxonomy", "pipeline_metrics", "psi", "relative_sets", "rng",
+    "run_simulation", "simulate", "simulate_pipeline", "simulate_taxonomy", "taxonomy",
+    "taxonomy_memberships", "validate_taxonomy", "verify_oracles", "write_pipelines",
+    "write_report", "write_simulation", "write_sweep", "write_verification",
 )
 
 # Runs in a fresh interpreter: first listing, then resolving every name.
@@ -72,9 +70,34 @@ def test_every_exported_name_resolves_in_a_fresh_interpreter():
 
 
 def test_dir_lists_every_exported_name():
-    listed = dir(pfmodel)
+    # in a fresh interpreter, where no test has imported ``pfmodel.cli``
+    proc = _python("import pfmodel; print(*dir(pfmodel))")
+    assert proc.returncode == 0, proc.stderr
+    listed = proc.stdout.split()
     assert listed == sorted(listed)
-    assert not set(EXPORTED) - set(listed)
+    assert [name for name in listed if not name.startswith("_")] == sorted(EXPORTED)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports its names to export them
+    modules = sorted(Path(pfmodel.__file__).parent.glob("*.py"))
+    unused = {path.name: _unused_imports(path) for path in modules
+              if path.name != "__init__.py"}
+    assert len(unused) > 5
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 @pytest.mark.parametrize("argv", [

@@ -586,6 +586,25 @@ def test_dag_coins_do_not_depend_on_the_hash_seed():
     assert coins[0] == coins[1]
 
 
+@pytest.mark.parametrize("inputs, closure_built", [
+    ("chain", False),
+    ("tree", False),
+    ("golden", True),
+], ids=["chain", "tree", "golden-dag"])
+def test_only_a_dag_builds_the_ancestor_closure(inputs, closure_built):
+    # a node with one parent takes its edge's f as its coin
+    if inputs == "chain":
+        bundle = pf.parse_inputs(*chain_json(300))
+        t, profiles = bundle.taxonomy, bundle.profiles
+    elif inputs == "tree":
+        t, profiles = four_ary_tree(3)
+    else:
+        bundle = golden_bundle()
+        t, profiles = bundle.taxonomy, bundle.profiles
+    pf.simulate_taxonomy(t, profiles, SimConfig(m=16, seed=0))
+    assert ("_ancestors" in t.__dict__) == closure_built
+
+
 # --- verify -------------------------------------------------------------------------
 
 

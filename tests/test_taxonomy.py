@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields
 
 import numpy as np
@@ -155,56 +154,6 @@ def test_unknown_category(chain_abd):
         pf.relative_sets(chain_abd, "Z")
 
 
-# --- covering characteristic ----------------------------------------------------
-
-
-def test_covering_char_crisp(dag_example):
-    assert pf.covering_char(dag_example, "B", "A") == 1.0
-    assert pf.covering_char(dag_example, "D", "A") == 0.0  # not immediate neighbors
-    for x in dag_example.categories:
-        assert pf.covering_char(dag_example, x, x) == 0.0
-
-
-def test_covering_char_probabilistic(chain_abd):
-    assert pf.covering_char(chain_abd, "B", "A", probabilistic=True) == 0.8
-
-
-def test_covering_char_missing_f():
-    t = pf.validate_taxonomy(["A", "B"], [Edge("B", "A")])
-    assert pf.covering_char(t, "B", "A") == 1.0
-    with pytest.raises(pf.MissingEdgeProbabilityError):
-        pf.covering_char(t, "B", "A", probabilistic=True)
-
-
-# --- well-formed strings --------------------------------------------------------
-
-
-def test_wfs_char_empty_and_single(chain_abd):
-    assert pf.wfs_char(chain_abd, []) == 1.0
-    assert pf.wfs_char(chain_abd, ["B"]) == 1.0
-
-
-def test_wfs_char_crisp_chain(chain_abd):
-    assert pf.wfs_char(chain_abd, ["A", "B", "D"]) == 1.0
-    assert pf.wfs_char(chain_abd, ["A", "D"]) == 0.0
-
-
-def test_wfs_char_probabilistic_is_edge_product(chain_abd):
-    # oracle: multiply the edge probabilities one by one
-    expected = 1.0
-    for child, parent in (("B", "A"), ("D", "B")):
-        expected *= pf.covering_char(chain_abd, child, parent, probabilistic=True)
-    assert expected == pytest.approx(0.4, abs=1e-15)
-    assert pf.wfs_char(chain_abd, ["A", "B", "D"], probabilistic=True) == pytest.approx(
-        expected, abs=1e-15
-    )
-
-
-def test_wfs_char_unknown_member(chain_abd):
-    with pytest.raises(pf.UnknownCategoryError):
-        pf.wfs_char(chain_abd, ["A", "Z"])
-
-
 # --- pipeline enumeration -------------------------------------------------------
 
 
@@ -256,7 +205,8 @@ def test_enumeration_prefix_closed_and_well_formed():
         assert [p.nodes for p in pipelines] == sorted(p.nodes for p in pipelines)
         paths = {p.nodes for p in pipelines}
         for p in pipelines:
-            assert pf.wfs_char(t, p.nodes) == 1.0
+            for parent, child in zip(p.nodes, p.nodes[1:]):
+                assert t.edge(child, parent) is not None
             for k in range(p.depth + 1):
                 assert p.nodes[: k + 1] in paths
 
@@ -274,37 +224,8 @@ def test_traversal_probability_is_prefix_product():
     for _ in range(20):
         t = random_tree(rng, int(rng.integers(1, 12)))
         for p in pf.enumerate_pipelines(t):
-            fs = p.require_fs()
-            for k in range(p.depth + 1):
-                product = math.prod(fs[: k + 1])
-                traversal = pf.wfs_char(t, p.nodes[: k + 1], probabilistic=True)
-                assert traversal == pytest.approx(product, abs=1e-12)
-
-
-# --- pipeline order -------------------------------------------------------------
-
-
-def test_pipeline_leq_examples(dag_example):
-    by_path = {p.path: p for p in pf.enumerate_pipelines(dag_example)}
-    assert pf.pipeline_leq(by_path["A/B"], by_path["A/B/C"])
-    assert pf.pipeline_leq(by_path["A"], by_path["A/B/C"])
-    assert pf.pipeline_leq(by_path["A/B/C"], by_path["A/B/C"])  # reflexive
-    assert not pf.pipeline_leq(by_path["A/C"], by_path["A/B/D"])
-
-
-def test_pipeline_leq_is_partial_order():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        t = random_tree(rng, int(rng.integers(1, 9)))
-        ps = pf.enumerate_pipelines(t)
-        for p1 in ps:
-            assert pf.pipeline_leq(p1, p1)
-            for p2 in ps:
-                if pf.pipeline_leq(p1, p2) and pf.pipeline_leq(p2, p1):
-                    assert p1 == p2
-                for p3 in ps:
-                    if pf.pipeline_leq(p1, p2) and pf.pipeline_leq(p2, p3):
-                        assert pf.pipeline_leq(p1, p3)
+            for k in range(1, p.depth + 1):
+                assert p.fs[k] == t.edge(p.nodes[k], p.nodes[k - 1]).f
 
 
 def test_pipeline_type_invariants():
@@ -359,37 +280,3 @@ def test_consistency_iff_ancestor_closed(data):
     ok, missing = pf.check_label_consistency(t, subset)
     assert ok == (closure == subset)
     assert missing == closure - subset
-
-
-# --- relevance --------------------------------------------------------------------
-
-
-def test_relevance_reflexive(chain_abd):
-    labeling = pf.InstanceLabeling({"i1": frozenset({"B"})})
-    assert pf.relevance(chain_abd, labeling, "i1", "B", "B")
-
-
-def test_relevance_unrelated_categories_empty(dag_example):
-    labeling = pf.InstanceLabeling({"i1": frozenset({"C"})})
-    # D is not below C, so the relevance set is empty for every instance
-    assert not pf.relevance(dag_example, labeling, "i1", "D", "C")
-
-
-def test_relevance_through_domain_closure(chain_abd):
-    # oracle: dom(B) includes instances of offspring, so a D-labeled
-    # instance is relevant for D with respect to B
-    labeling = pf.InstanceLabeling({"i1": frozenset({"D"})})
-    assert pf.category_domain(chain_abd, labeling, "B") == {"i1"}
-    assert pf.relevance(chain_abd, labeling, "i1", "D", "B")
-
-
-def test_relevance_unknown_instance(chain_abd):
-    labeling = pf.InstanceLabeling({"i1": frozenset({"D"})})
-    with pytest.raises(pf.UnknownInstanceError):
-        pf.relevance(chain_abd, labeling, "zz", "D", "B")
-
-
-def test_labeling_validate(chain_abd):
-    bad = pf.InstanceLabeling({"i1": frozenset({"Z"})})
-    with pytest.raises(pf.UnknownCategoryError):
-        bad.validate(chain_abd)

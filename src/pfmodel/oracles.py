@@ -15,9 +15,10 @@ Philox stream (:class:`.rng.PhiloxStream`), so this module, like everything
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .model import (ClassifierProfileSet, JointMatrix, NormalizedConfusionMatrix,
-                    omega_closed, omega_recursive, omega_step)
+from .model import (ClassifierProfileSet, JointMatrix, NormalizedConfusionMatrix, _closed_form,
+                    omega_recursive, omega_step)
 from .rng import PhiloxStream, stream_key
 from .taxonomy import Pipeline, Taxonomy, enumerate_pipelines
 
@@ -30,41 +31,89 @@ def enumerate_exact(pipeline: Pipeline, profiles: ClassifierProfileSet) -> Joint
     descendants, a rejected input is never seen again -- multiplying the
     per-step conditional probabilities: membership Bernoulli(f_k) while
     still inside, decision from the current classifier's row while still
-    accepted.  Independent of the matrix recurrence by construction.
+    accepted.  Independent of the matrix recurrence by construction.  This
+    is the one-chain case of the walk :func:`verify_oracles` takes over a
+    taxonomy's prefix tree.
     """
     fs = pipeline.require_fs()
-    gammas = profiles.gamma_chain(pipeline)
-    last = len(gammas)
-    cells = [[0.0, 0.0], [0.0, 0.0]]
+    return _exact_matrix(pipeline, *_walk(fs, profiles.gamma_chain(pipeline)))
 
-    # Depth-first with an explicit stack, so any depth is walkable.  Branches
-    # are pushed in reverse and pop in (x, c) order, so each cell sums its
-    # leaves in one fixed, lexicographic order.  A history outside and rejected
-    # stays so with probability 1, so it ends at once (quadratic in depth).
-    stack = [(1, 1, 1, 1.0)]
-    while stack:
-        k, x_prev, c_prev, prob = stack.pop()
-        if prob == 0.0:
-            continue
-        if k > last or (x_prev == 0 and c_prev == 0):
-            cells[x_prev][c_prev] += prob
-            continue
-        f, g = fs[k], gammas[k - 1]
-        for x in (1, 0):
-            if x_prev == 0 and x == 1:
-                continue  # truth can only narrow
-            p_x = 1.0 if x_prev == 0 else (f if x == 1 else 1.0 - f)
-            for c in (1, 0):
-                if c_prev == 0 and c == 1:
-                    continue  # once rejected, rejected forever
-                if c_prev == 0:
-                    p_c = 1.0
-                else:
-                    row = (g.fn, g.tp) if x == 1 else (g.tn, g.fp)
-                    p_c = row[c]
-                stack.append((k + 1, x, c, prob * p_x * p_c))
 
-    return JointMatrix(tn=cells[0][0], fp=cells[0][1], fn=cells[1][0], tp=cells[1][1])
+# The live histories of a prefix of depth L are ``(inside, left, rejected)``:
+# the mass of the one history inside and accepted at every step; ``left[j-1]``,
+# that of the history which left the category at step j while accepted and has
+# been accepted since; ``rejected[j-1]``, that of the history rejected at step
+# j while inside and inside since.  A history outside and rejected stays so
+# with probability 1, so it ends as a term of tn.  ``terms[k-1]`` is
+# ``(a, b, c)``, the tn terms born from step k's histories: ``a`` left and was
+# rejected at step k, ``b[i]`` left at step k and was rejected at step k+1+i,
+# ``c[i]`` was rejected at step k and left at step k+1+i.  Each leaf is the
+# product, in the same order, that a depth-first walk of the event tree takes,
+# and each cell sums its leaves in that walk's order.  A history of mass 0,
+# which such a walk would skip, adds +0.0, which leaves every sum as it is.
+
+def _extend(histories: tuple, terms: list, f: float,
+            g: NormalizedConfusionMatrix) -> tuple:
+    """The live histories one step below ``histories`` (step f, g).
+
+    ``terms`` is shared along the live path of a depth-first walk: it is cut
+    back to the depth of ``histories`` and then extended in place.
+    """
+    inside, left, rejected = histories
+    depth = len(left)
+    if len(terms) > depth:  # a finished subtree's terms
+        del terms[depth:]
+        for k, (_, b, c) in enumerate(terms, 1):
+            del b[depth - k:], c[depth - k:]
+    nf = 1.0 - f
+    for (_, b, c), out, kept in zip(terms, left, rejected):
+        b.append(out * g.tn)
+        c.append(kept * nf)
+    stay, leave = inside * f, inside * nf
+    terms.append((leave * g.tn, [], []))
+    return (stay * g.tp, [out * g.fp for out in left] + [leave * g.fp],
+            [kept * f for kept in rejected] + [stay * g.fn])
+
+
+def _walk(fs: Sequence[float], chain: Sequence[NormalizedConfusionMatrix]) -> tuple[tuple, list]:
+    """The live histories and tn terms of one chain, step fs[k] and chain[k-1]."""
+    histories, terms = (1.0, [], []), []
+    for f, g in zip(fs[1:], chain):
+        histories = _extend(histories, terms, f, g)
+    return histories, terms
+
+
+def _exact_matrix(pipeline: Pipeline, histories: tuple, terms: list) -> JointMatrix:
+    """Exact enumeration's joint matrix of ``pipeline`` from its live
+    histories and the tn terms along its path.
+
+    Every exact value ``verify`` takes passes through here with its
+    pipeline, as every closed-form value passes through
+    :func:`_closed_matrix`, so a fault planted in one pipeline's value has
+    one place to go.  Sums are explicit loops, left to right, as the walk
+    reaches the leaves: ``sum`` compensates float sums from Python 3.12 on.
+    The one tp leaf is added to 0.0 too, so a mass of -0.0 reads +0.0.
+    """
+    inside, left, rejected = histories
+    tn = fp = fn = 0.0
+    for a, b, c in terms:
+        tn += a
+        for v in b:
+            tn += v
+        for v in c:
+            tn += v
+    for v in left:
+        fp += v
+    for v in rejected:
+        fn += v
+    return JointMatrix(tn=tn, fp=fp, fn=fn, tp=0.0 + inside)
+
+
+def _closed_matrix(pipeline: Pipeline, fs: Sequence[float],
+                   chain: Sequence[NormalizedConfusionMatrix]) -> JointMatrix:
+    """The closed form's joint matrix of ``pipeline``, given its f chain and
+    classifier chain: :func:`omega_closed` without their lookup."""
+    return JointMatrix(*_closed_form(fs, chain))
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,41 +162,60 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
     exact enumeration on every pipeline of ``t`` and on ``samples`` random ones
     drawn from the stream keyed by ``seed``; a check passes within ``tol``.
 
-    Taxonomy pipelines come prefix-first, and each one's classifier chain is
-    its parent's plus one step, so the recurrence takes one
-    :func:`omega_step` per pipeline but the root, from its parent prefix's
-    value.  The root and the random pipelines are folded from the root by
-    :func:`omega_recursive`.  Either way each value is
-    :func:`omega_recursive`'s, bit for bit.  The closed form and exact
-    enumeration evaluate each pipeline on its own.
+    Taxonomy pipelines come prefix-first, so the walk visits the prefix tree
+    once, and each pipeline extends its parent prefix by one step: its f
+    chain by one converted f, its classifier chain by one resolved profile,
+    its recurrence value by one :func:`omega_step` and, up to ``max_len``,
+    its live event-tree histories by one step of exact enumeration.  The
+    chains are input lookups; each oracle's algebra stays its own, and each
+    value is, bit for bit, what :func:`omega_closed`, :func:`omega_recursive`
+    and :func:`enumerate_exact` give the pipeline alone.  The root and the
+    random pipelines are evaluated from the root.
     """
     checks = []
 
-    def run_one(source: str, pipeline: Pipeline, profiles: ClassifierProfileSet,
-                closed: JointMatrix, recursive: JointMatrix) -> None:
+    def run_one(source: str, pipeline: Pipeline, closed: JointMatrix, recursive: JointMatrix,
+                exact: JointMatrix | None) -> None:
         rows = [("closed_vs_recursive", closed.max_abs_diff(recursive)),
                 ("mass_sums_to_one", abs(recursive.total - 1.0))]
-        if pipeline.depth <= max_len:
-            exact = enumerate_exact(pipeline, profiles)
+        if exact is not None:
             rows.append(("exact_vs_recursive", exact.max_abs_diff(recursive)))
             rows.append(("exact_vs_closed", exact.max_abs_diff(closed)))
         checks.extend(OracleCheck(source, pipeline, check, diff, diff <= tol)
                       for check, diff in rows)
 
-    # ``live[k]`` holds the recurrence value of the live prefix at depth k,
-    # so finished subtrees free theirs
-    live: list[JointMatrix] = []
+    # ``fs`` and ``chain`` hold the live prefix's f and classifier chains,
+    # ``live[k]`` the recurrence value and live histories (``None`` deeper
+    # than ``max_len``) of its prefix at depth k, and ``terms`` the tn terms
+    # along it; a pipeline cuts them back to its parent, so finished subtrees
+    # free theirs
+    fs: list[float] = []
+    chain: list[NormalizedConfusionMatrix] = []
+    live: list[tuple[JointMatrix, tuple | None]] = []
+    terms: list = []
     for p in enumerate_pipelines(t):
-        closed = omega_closed(p, profiles)  # raises where ``p`` lacks an f or a profile
-        del live[p.depth:]
-        recursive = (omega_step(live[-1], p.fs[-1], profiles.resolve(p, p.depth)) if p.depth
-                     else omega_recursive(p, profiles))
-        live.append(recursive)
-        run_one("taxonomy", p, profiles, closed, recursive)
+        if p.depth:
+            del fs[p.depth:], chain[p.depth - 1:], live[p.depth:]
+            recursive, histories = live[-1]
+            fs += p.require_fs(p.depth)  # the new f is checked before its profile is resolved
+            g = profiles.resolve(p, p.depth)
+            chain.append(g)
+            closed = _closed_matrix(p, fs, chain)
+            recursive = omega_step(recursive, fs[-1], g)
+            histories = _extend(histories, terms, fs[-1], g) if p.depth <= max_len else None
+        else:
+            fs += p.require_fs()
+            closed = _closed_matrix(p, fs, chain)
+            recursive = omega_recursive(p, profiles)
+            histories = (1.0, [], []) if max_len >= 0 else None
+        live.append((recursive, histories))
+        run_one("taxonomy", p, closed, recursive,
+                _exact_matrix(p, histories, terms) if histories else None)
     rng = PhiloxStream(stream_key(seed, "verify"))
     for i in range(samples):
         pipeline, sample_profiles = _random_pipeline(rng, max_len)
-        run_one(f"random[{i}]", pipeline, sample_profiles,
-                omega_closed(pipeline, sample_profiles),
-                omega_recursive(pipeline, sample_profiles))
+        sample_fs, sample_chain = pipeline.require_fs(), sample_profiles.gamma_chain(pipeline)
+        run_one(f"random[{i}]", pipeline, _closed_matrix(pipeline, sample_fs, sample_chain),
+                omega_recursive(pipeline, sample_profiles),
+                _exact_matrix(pipeline, *_walk(sample_fs, sample_chain)))
     return Verification(tol, max_len, samples, seed, tuple(checks))

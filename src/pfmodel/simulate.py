@@ -362,6 +362,15 @@ class SweepResult:
     spreads: tuple[SweepSpread, ...]
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The mean of ``values``, summed left to right: from Python 3.12 on,
+    ``sum`` compensates float sums, which can move the last bit."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def imbalance_sweep(
     pipeline: Pipeline,
     profiles: ClassifierProfileSet,
@@ -413,7 +422,7 @@ def imbalance_sweep(
                 metric=metric,
                 minimum=min(defined, default=None),
                 maximum=max(defined, default=None),
-                mean=sum(defined) / len(defined) if defined else None,
+                mean=_mean(defined) if defined else None,
                 undefined=len(values) - len(defined),
             )
         )

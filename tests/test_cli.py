@@ -520,10 +520,14 @@ def shifted(w, rel=1e-9):
 
 def shift_fp_into_tn(oracle, path):
     """``oracle``, except that on pipeline ``path`` its value is shifted."""
-    def planted(pipeline, profiles):
-        w = oracle(pipeline, profiles)
+    def planted(pipeline, *args):
+        w = oracle(pipeline, *args)
         return shifted(w) if pipeline.path == path else w
     return planted
+
+
+#: the function through which verify takes each oracle's value of one pipeline
+ORACLE_VALUE = {"omega_closed": "_closed_matrix", "enumerate_exact": "_exact_matrix"}
 
 
 def shift_step_into_tn(step, value):
@@ -551,8 +555,8 @@ def test_verify_catches_a_planted_fault(oracle, failing, monkeypatch, capsys):
         monkeypatch.setattr(oracles, "omega_step", shift_step_into_tn(oracles.omega_step, value))
         reached = ("A/B/D", "A/B/D/E")
     else:
-        monkeypatch.setattr(oracles, oracle,
-                            shift_fp_into_tn(getattr(oracles, oracle), "A/B/D"))
+        value = ORACLE_VALUE[oracle]
+        monkeypatch.setattr(oracles, value, shift_fp_into_tn(getattr(oracles, value), "A/B/D"))
         reached = ("A/B/D",)
     code, out, err = run(["verify", "--taxonomy", str(GOLDEN / "taxonomy.json"),
                           "--profiles", str(GOLDEN / "profiles.json"), "--samples", "0"],

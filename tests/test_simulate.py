@@ -26,6 +26,7 @@ from pfmodel import (
     SimConfig,
     model,
     oracles,
+    simulate,
 )
 from pfmodel.rng import PhiloxStream, stream_key, uniforms
 
@@ -147,34 +148,33 @@ def test_exact_walk_sums_like_the_recursion(steps):
 
 
 def test_exact_walk_is_quadratic_in_depth(monkeypatch):
-    # every history the walk expands reads its step's profile once and
-    # pushes one to four entries, so the reads count the pushes up to a
-    # factor of 4; they must quadruple, not grow eightfold, per doubling
-    reads = []
+    # each step carries every live history of the prefix before it one step
+    # on, 2k + 1 of them at depth k; the histories carried must quadruple,
+    # not grow eightfold, per doubling
+    carried = []
+    extend = oracles._extend
 
-    class CountingChain(tuple):
-        def __getitem__(self, i):
-            reads.append(i)
-            return tuple.__getitem__(self, i)
+    def counting(histories, *args):
+        carried.append(1 + len(histories[1]) + len(histories[2]))
+        return extend(histories, *args)
 
-    gamma_chain = ClassifierProfileSet.gamma_chain
-    monkeypatch.setattr(ClassifierProfileSet, "gamma_chain",
-                        lambda self, p: CountingChain(gamma_chain(self, p)))
+    monkeypatch.setattr(oracles, "_extend", counting)
     half = NormalizedConfusionMatrix(tn=0.5, fp=0.5, fn=0.5, tp=0.5)
     counts = []
     for depth in (50, 100, 200):
         nodes = tuple(f"c{i}" for i in range(depth + 1))
         profiles = ClassifierProfileSet(base={c: half for c in nodes[1:]}, root=nodes[0])
-        reads.clear()
+        carried.clear()
         pf.enumerate_exact(Pipeline(nodes, (1.0,) + (0.5,) * depth), profiles)
-        counts.append(len(reads))
+        assert len(carried) == depth
+        counts.append(sum(carried))
     assert counts[1] <= 4.5 * counts[0]
     assert counts[2] <= 4.5 * counts[1]
 
 
 def test_exact_walks_a_1500_step_pipeline():
-    # f = 1 and tp = 1 prune every branch but one at each step, so the walk
-    # is linear here; its general cost is quadratic in depth
+    # f = 1 and tp = 1 leave one history of nonzero mass at each step; the
+    # others are carried at mass 0 and leave every cell as it is
     nodes = tuple(f"c{i}" for i in range(1501))
     sure = NormalizedConfusionMatrix(tn=0.7, fp=0.3, fn=0.0, tp=1.0)
     profiles = ClassifierProfileSet(base={c: sure for c in nodes[1:]}, root=nodes[0])
@@ -641,18 +641,23 @@ def test_verify_steps_each_chain_prefix_once(monkeypatch):
 
 
 def test_verify_converts_each_f_chain_once_per_pipeline(monkeypatch):
-    # the closed form converts each pipeline's whole f chain; a step reads
-    # its last edge alone, where the whole chain was converted again
+    # each pipeline extends its parent's f chain by its last edge's f, so
+    # every f is converted once; the closed form converted each pipeline's
+    # whole chain, 45,451 values here
     depth = 300
     bundle = pf.parse_inputs(*chain_json(depth + 1))
     converted = []
     require_fs = pf.Pipeline.require_fs
-    monkeypatch.setattr(pf.Pipeline, "require_fs",
-                        lambda p: converted.append(p.depth) or require_fs(p))
+
+    def counting(p, *start):
+        fs = require_fs(p, *start)
+        converted.append((p.depth, len(fs)))
+        return fs
+
+    monkeypatch.setattr(pf.Pipeline, "require_fs", counting)
     pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, 0, 0, 42)
-    # one per pipeline in omega_closed, and the root's in omega_recursive and
-    # in exact enumeration (depth 0 <= max_len 0)
-    assert sorted(converted) == [0, 0, *range(depth + 1)]
+    # the root's f_0 twice: for the walk, and in omega_recursive's fold
+    assert converted == [(0, 1), (0, 1), *((k, 1) for k in range(1, depth + 1))]
 
 
 def test_report_converts_each_f_once(monkeypatch):
@@ -696,27 +701,50 @@ def chain_with_override():
     return pf.parse_inputs(json.dumps(taxonomy), json.dumps(profiles))
 
 
-def assert_verify_discrepancies_are_those_of_omega_recursive(bundle):
+def assert_verify_discrepancies_are_those_of_omega_recursive(bundle, max_len):
+    # verify extends each pipeline's chains and histories from its parent's;
+    # every check must be that of the oracles evaluated on the pipeline alone
     t, profiles = bundle.taxonomy, bundle.profiles
     got = {(c.pipeline.path, c.check): c.discrepancy
-           for c in pf.verify_oracles(t, profiles, 1e-12, 6, 0, 42).checks}
-    for p in pf.enumerate_pipelines(t):
+           for c in pf.verify_oracles(t, profiles, 1e-12, max_len, 0, 42).checks}
+    pipelines = pf.enumerate_pipelines(t)
+    for p in pipelines:
         recursive = pf.omega_recursive(p, profiles)
         closed = pf.omega_closed(p, profiles)
         assert got[p.path, "closed_vs_recursive"] == closed.max_abs_diff(recursive), p.path
         assert got[p.path, "mass_sums_to_one"] == abs(recursive.total - 1.0), p.path
+        if p.depth <= max_len:
+            exact = pf.enumerate_exact(p, profiles)
+            assert got[p.path, "exact_vs_recursive"] == exact.max_abs_diff(recursive), p.path
+            assert got[p.path, "exact_vs_closed"] == exact.max_abs_diff(closed), p.path
+    shallow = sum(p.depth <= max_len for p in pipelines)
+    assert len(got) == 2 * len(pipelines) + 2 * shallow
 
 
 @pytest.mark.parametrize("make_bundle", [golden_bundle, chain_with_override],
                          ids=lambda f: f.__name__)
 def test_verify_discrepancies_are_those_of_omega_recursive(make_bundle):
-    assert_verify_discrepancies_are_those_of_omega_recursive(make_bundle())
+    bundle = make_bundle()
+    for max_len in (2, 6, 40):  # the chain overrides its step 10
+        assert_verify_discrepancies_are_those_of_omega_recursive(bundle, max_len)
 
 
-@given(bundles_with_overrides())
+@given(bundles_with_overrides(), st.integers(-1, 6))
 @settings(max_examples=150, deadline=None)
-def test_verify_discrepancies_are_those_of_omega_recursive_with_random_overrides(bundle):
-    assert_verify_discrepancies_are_those_of_omega_recursive(bundle)
+def test_verify_discrepancies_are_those_of_omega_recursive_with_random_overrides(bundle, max_len):
+    assert_verify_discrepancies_are_those_of_omega_recursive(bundle, max_len)
+
+
+def test_verify_extends_the_histories_of_each_prefix_once(monkeypatch):
+    depth = 300
+    bundle = pf.parse_inputs(*chain_json(depth + 1))
+    extended = []
+    extend = oracles._extend
+    monkeypatch.setattr(oracles, "_extend",
+                        lambda *args: extended.append(args[0]) or extend(*args))
+    verification = pf.verify_oracles(bundle.taxonomy, bundle.profiles, 1e-12, depth, 0, 42)
+    assert len(extended) == depth  # enumerating each from the root took 45,150
+    assert sum(c.check == "exact_vs_closed" for c in verification.checks) == depth + 1
 
 
 @pytest.mark.parametrize("k", [1, 7, 30])
@@ -857,6 +885,12 @@ def test_sweep_single_trivial_row(l2_pipeline):
     assert len(result.rows) == 1
     spread = {s.metric: s for s in result.spreads}
     assert spread["precision"].minimum == spread["precision"].maximum
+
+
+def test_sweep_mean_sums_left_to_right():
+    # a compensated sum (math.fsum, or sum from Python 3.12 on) gives 1.0
+    # here, so the mean would differ by Python version
+    assert simulate._mean([0.1] * 10) == 0.9999999999999999 / 10
 
 
 def test_sweep_is_deterministic(l2_pipeline):

@@ -25,9 +25,9 @@ come in enumeration order (lexicographic on the category sequence, prefix
 first), keys in a fixed order, and reals with 12 significant digits.  A
 report's depth rows are rendered once each per call, however many pipelines
 share them, and a block's ``fs``, ``omega`` and ``metrics`` are its rows'
-texts.  :func:`dump_json` is the one JSON layout: each record a writer
-repeats is written as one piece, from a ``%``-format template that it builds
-at import.
+texts.  Every JSON document and record is written from a ``%``-format
+template that ``json.dumps(indent=2)`` lays out at import, so the layout is
+the stdlib pretty-printer's, and :func:`_real` writes every real.
 
 A writer passes its text to a text sink piece by piece as it renders, so
 the whole text is never held in memory.  Called without a sink, it writes
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from io import StringIO
 from itertools import chain, combinations
@@ -64,7 +65,7 @@ from .taxonomy import (
 
 if TYPE_CHECKING:  # importing the simulator loads numpy; writing needs neither
     from .oracles import OracleCheck, Verification
-    from .simulate import SimRun, Simulation, SweepResult, SweepRow
+    from .simulate import SimRun, Simulation, SweepResult, SweepRow, SweepSpread
 
 #: tolerance for accepting hand-typed confusion rows before renormalizing
 ROW_SUM_TOLERANCE = 1e-9
@@ -313,115 +314,43 @@ def _real(x: float) -> str:
     return s + ".0"
 
 
-class _Text:
-    """JSON text already written, which :func:`_write_json` copies as it is.
-    A wrapper, not a ``str`` subclass, so that a record's text is not copied
-    to mark it."""
+# --- templates -----------------------------------------------------------------
+#
+# Every JSON document, and every record the writers repeat (a depth row, a
+# report block, a verify check, a simulate run, a sweep row, a sweep spread),
+# is written by one ``%``-format of its template with a dict of texts.  A
+# template is ``json.dumps(skeleton, indent=2)`` of a skeleton whose leaves
+# are marked strings, ``"\x00name"``, each turned into the field
+# ``%(name)s``; JSON punctuation and the keys hold no ``%``, so the rest of
+# that text is a format string as it is.  A field's value is the JSON text of
+# one leaf at its indent: a real by :func:`_real`, a string by
+# :func:`_encode_str`, a list of strings by ``json.dumps``.  An array of any
+# length in a record is a one-item skeleton, whose field takes its items'
+# texts joined by "," and the line break and indent of the field's line.  A
+# document's record array is a field at which its template is split: the
+# writer streams the records into the sink between the pieces.
 
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-
-def _write_json(o: Any, write: Callable[[str], Any], newline: str) -> None:
-    """Pass the JSON text of ``o`` to ``write``, in fragments, as
-    ``json.dumps(indent=2)`` writes it; ``newline`` is a line break plus the
-    indent of o's own line.
-
-    A :class:`_Text` fragment is written as it is: it is JSON text already
-    written at this indent.  Objects and floats, the bulk of a report, are
-    tested first; the other types are disjoint from them, so the order
-    changes no output.  Each float is written by :func:`_real`.
-    """
-    if isinstance(o, dict):
-        if not o:
-            write("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in o.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            write(sep + _encode_str(key) + ": ")
-            _write_json(value, write, inner)
-            sep = "," + inner
-        write(newline + "}")
-    elif isinstance(o, float):
-        write(_real(o))
-    elif isinstance(o, _Text):
-        write(o.text)
-    elif isinstance(o, str):
-        write(_encode_str(o))
-    elif o is None:
-        write("null")
-    elif o is True:
-        write("true")
-    elif o is False:
-        write("false")
-    elif isinstance(o, int):
-        write(int.__repr__(o))
-    elif isinstance(o, (list, tuple, Iterator)):
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in o:
-            write(sep)
-            _write_json(value, write, inner)
-            sep = "," + inner
-        write("[]" if sep[0] == "[" else newline + "]")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def dump_json(payload: Any, out: TextIO | None = None) -> str | None:
-    """Canonical JSON text: fixed key order as constructed, trailing newline.
-
-    The bytes are those of ``json.dumps(payload, indent=2, allow_nan=False)``
-    plus a newline, each float first rounded by :func:`fmt12`: two-space
-    indent, ASCII-escaped strings, and ``ValueError`` on NaN or infinity.
-    A float's text is its 12-digit text, with ``.0`` added to an integer
-    value, or, where that text has an exponent, ``repr`` of its value.
-    Dict keys must be strings.
-
-    The text is written into ``out`` fragment by fragment as it is
-    rendered; without a sink it is returned as a string.  An iterator (a
-    generator, say) is written as an array, consumed one item at a time, so
-    with a sink a caller can stream a large array without building it or
-    its text.
-    """
-    if out is None:
-        return _text(dump_json, payload)
-    _write_json(payload, out.write, "\n")
-    out.write("\n")
-    return None
+#: a marked leaf as ``json.dumps`` writes it, which escapes the mark
+_MARKED_LEAF = re.compile(r'"\\u0000(\w+)"')
 
 
 def _json_at(o: Any, newline: str) -> str:
-    """The JSON text of ``o`` at the indent of ``newline``, as one string."""
-    parts: list[str] = []
-    _write_json(o, parts.append, newline)
-    return "".join(parts)
+    """``json.dumps(o, indent=2)`` on a line that ``newline``, a line break
+    and the line's indent, starts."""
+    return json.dumps(o, indent=2).replace("\n", newline)
 
 
-# --- record templates ----------------------------------------------------------
-#
-# A record the writers repeat (a depth row, a report block, a verify check, a
-# simulate run, a sweep row) is written as one piece, by one ``%``-format of
-# its template with a dict of texts.  Each template is the text that
-# _write_json writes for a skeleton of the record whose leaves are
-# ``%(name)s`` fields, so its layout is _write_json's own; JSON punctuation
-# and the records' keys hold no ``%``, so that text is a format string as it
-# is.  A field's value is the JSON text of one leaf.  An array of any length
-# is a one-item skeleton, whose field takes its items' texts joined by ","
-# and the line break and indent of the field's line.
+def _template(skeleton: Any, newline: str = "\n") -> str:
+    """The ``%``-format template of ``skeleton`` on a line that ``newline`` starts."""
+    return _MARKED_LEAF.sub(r"%(\1)s", _json_at(skeleton, newline))
 
 
-def _field(name: str) -> _Text:
-    """A leaf of a record skeleton: the ``%``-format field ``name``."""
-    return _Text(f"%({name})s")
+def _field(name: str) -> str:
+    """A leaf of a skeleton: the ``%``-format field ``name``."""
+    return "\x00" + name
 
 
-def _fields(*names: str) -> dict[str, _Text]:
+def _fields(*names: str) -> dict[str, str]:
     """An object skeleton whose every key is a field of the same name."""
     return {name: _field(name) for name in names}
 
@@ -439,8 +368,36 @@ def _flag_texts(template: str, name: str,
     takes, keyed by the list as a tuple: names drawn in order from
     ``vocabulary``."""
     newline = _newline(template, name)
-    return {subset: _json_at(list(subset), newline)
+    return {subset: _json_at(subset, newline)
             for r in range(len(vocabulary) + 1) for subset in combinations(vocabulary, r)}
+
+
+def _pieces(template: str, *arrays: str) -> list[str]:
+    """A document's template, newline-terminated, split at the fields of
+    its record ``arrays``: the pieces that a writer fills and writes around
+    the records it streams."""
+    return re.split("|".join(rf"%\({name}\)s" for name in arrays), template + "\n")
+
+
+#: where a record of a document's record array starts: its line break and indent
+_RECORD_NEWLINE = _newline(_template({"records": [_field("record")]}), "record")
+
+
+def _write_document(out: TextIO, pieces: Sequence[str], texts: Mapping[str, str],
+                    *arrays: Iterable[str]) -> None:
+    """Write a document into ``out``: its pieces filled from ``texts``, and
+    between each two pieces a record array, each record's text at its
+    indent, laid out as ``json.dumps(indent=2)`` lays out an array."""
+    write = out.write
+    for piece, records in zip(pieces, arrays):
+        write(piece % texts)
+        sep = "[" + _RECORD_NEWLINE
+        for text in records:
+            write(sep)
+            write(text)
+            sep = "," + _RECORD_NEWLINE
+        write("[]" if sep[0] == "[" else _RECORD_NEWLINE[:-2] + "]")
+    write(pieces[-1] % texts)
 
 
 def _maybe(x: float | None) -> str:
@@ -457,14 +414,20 @@ _OMEGA_FIELDS = _fields("w00", "w01", "w10", "w11")
 _METRIC_FIELDS = {**_fields("tP", "tR", "tF1", "tA"), "flags": _field("metric_flags")}
 
 
-def _matrix_fields(name: str) -> dict[str, _Text]:
+def _matrix_fields(name: str) -> dict[str, str]:
     return {cell: _field(f"{name}_{cell}") for cell in ("tn", "fp", "fn", "tp")}
 
 
-#: where an item of a document's top-level array starts: its line break and indent
-_RECORD_NEWLINE = _newline(_json_at({"records": [_field("record")]}, "\n"), "record")
+_REPORT = _template({
+    "taxonomy": _fields("root", "categories", "edge_count", "pipeline_count",
+                        "renormalized_classifiers"),
+    "pipelines": _field("pipelines"),
+})
+#: the line break and indent of the report's lists of category names
+_REPORT_NAMES_NEWLINE = _newline(_REPORT, "categories")
+_REPORT_PIECES = _pieces(_REPORT, "pipelines")
 
-_BLOCK = _json_at({
+_BLOCK = _template({
     **_fields("pipeline", "depth"),
     "fs": [_field("fs")],
     "omega": _OMEGA_FIELDS,
@@ -480,7 +443,7 @@ _BLOCK_ROWS_SEP = "," + _newline(_BLOCK, "rows")
 _BLOCK_FLAGS = _flag_texts(_BLOCK, "flags", ("zero_negative_mass", "eta_infinite"))
 _BLOCK_METRIC_FLAGS = _flag_texts(_BLOCK, "metric_flags", _METRIC_FLAGS)
 
-_ROW = _json_at({
+_ROW = _template({
     **_fields("k", "f"),
     "omega": _OMEGA_FIELDS,
     "metrics": _METRIC_FIELDS,
@@ -489,20 +452,27 @@ _ROW = _json_at({
 }, _newline(_BLOCK, "rows"))
 _ROW_METRIC_FLAGS = _flag_texts(_ROW, "metric_flags", _METRIC_FLAGS)
 
-_CHECK = _json_at(_fields("source", "pipeline", "depth", "check", "discrepancy", "passed"),
-                  _RECORD_NEWLINE)
+_VERIFY_PIECES = _pieces(_template(_fields(
+    "tolerance", "max_len", "samples", "seed", "checks", "max_discrepancy", "passed")), "checks")
+_CHECK = _template(_fields("source", "pipeline", "depth", "check", "discrepancy", "passed"),
+                   _RECORD_NEWLINE)
 
-_RUN = _json_at({
+_SIMULATE_PIECES = _pieces(_template(_fields(
+    "m", "seed", "replications", "z_threshold", "runs", "passed")), "runs")
+_RUN = _template({
     **_fields("replication", "seed", "pipeline", "m"),
     "counts": _fields("tn", "fp", "fn", "tp"),
     "model": _OMEGA_FIELDS,
     **_fields("max_z", "passed"),
 }, _RECORD_NEWLINE)
 
-_SWEEP_ROW = _json_at({"fs": [_field("fs")], "omega": _OMEGA_FIELDS, "metrics": _METRIC_FIELDS},
-                      _RECORD_NEWLINE)
+_SWEEP_PIECES = _pieces(_template(_fields(
+    "pipeline", "target", "n", "seed", "rows", "spread")), "rows", "spread")
+_SWEEP_ROW = _template({"fs": [_field("fs")], "omega": _OMEGA_FIELDS, "metrics": _METRIC_FIELDS},
+                       _RECORD_NEWLINE)
 _SWEEP_FS_SEP = "," + _newline(_SWEEP_ROW, "fs")
 _SWEEP_METRIC_FLAGS = _flag_texts(_SWEEP_ROW, "metric_flags", _METRIC_FLAGS)
+_SPREAD = _template(_fields("metric", "min", "max", "mean", "undefined"), _RECORD_NEWLINE)
 
 
 def _omega_texts(omega: Cells2x2) -> dict[str, str]:
@@ -642,7 +612,7 @@ def _row_tsv(row: DepthRow) -> str:
                       fmt12(om.tp), *_metric_cells(row.metrics), _verdict_text(row)])
 
 
-def _block_json(b: DepthProfile, memo: dict[int, tuple[str, str]]) -> _Text:
+def _block_json(b: DepthProfile, memo: dict[int, tuple[str, str]]) -> str:
     """A report block's JSON object.  Its ``fs`` list and ``depth_profile``
     join its rows' texts, each rendered once per report (``memo``); its
     omega and metrics are those of its last row, which is rendered here
@@ -657,7 +627,7 @@ def _block_json(b: DepthProfile, memo: dict[int, tuple[str, str]]) -> _Text:
     flags: tuple[str, ...] = ("zero_negative_mass",) if fact.zero_negative_mass else ()
     if eta is not None and math.isinf(eta):
         flags += ("eta_infinite",)
-    return _Text(_BLOCK % {
+    return _BLOCK % {
         "pipeline": _encode_str(b.pipeline.path), "depth": int.__repr__(b.pipeline.depth),
         "fs": _BLOCK_FS_SEP.join([f for _, f in rows]),
         **last.cells,
@@ -670,7 +640,7 @@ def _block_json(b: DepthProfile, memo: dict[int, tuple[str, str]]) -> _Text:
         "flags": _BLOCK_FLAGS[flags],
         "metric_flags": _BLOCK_METRIC_FLAGS[last.flags],
         "rows": _BLOCK_ROWS_SEP.join([text for text, _ in rows]),
-    })
+    }
 
 
 def write_report(report: Report, format: str = "json",
@@ -679,20 +649,18 @@ def write_report(report: Report, format: str = "json",
     into ``out`` as it goes, or, without a sink, as a returned string.
     Each distinct depth row is rendered once and its text written again in
     every pipeline that shares it."""
+    if out is None:
+        return _text(write_report, report, format)
     memo: dict[int, Any] = {}
     if format == "json":
         t = report.taxonomy
-        payload = {
-            "taxonomy": {
-                "root": t.root,
-                "categories": sorted(t.categories),
-                "edge_count": len(t.edges),
-                "pipeline_count": len(report.blocks),
-                "renormalized_classifiers": list(report.renormalized),
-            },
-            "pipelines": (_block_json(b, memo) for b in report.blocks),
-        }
-        return dump_json(payload, out)
+        return _write_document(out, _REPORT_PIECES, {
+            "root": _encode_str(t.root),
+            "categories": _json_at(sorted(t.categories), _REPORT_NAMES_NEWLINE),
+            "edge_count": int.__repr__(len(t.edges)),
+            "pipeline_count": int.__repr__(len(report.blocks)),
+            "renormalized_classifiers": _json_at(report.renormalized, _REPORT_NAMES_NEWLINE),
+        }, (_block_json(b, memo) for b in report.blocks))
     if format == "tsv":
         cols = ["pipeline", "k", "f_k", "w00", "w01", "w10", "w11",
                 "tP", "tR", "tF1", "tA", "precision_verdict"]
@@ -703,24 +671,26 @@ def write_report(report: Report, format: str = "json",
     raise ValueError(f"unknown format {format!r}")
 
 
-def _check_json(c: OracleCheck) -> _Text:
-    return _Text(_CHECK % {
+def _check_json(c: OracleCheck) -> str:
+    return _CHECK % {
         "source": _encode_str(c.source), "pipeline": _encode_str(c.pipeline.path),
         "depth": int.__repr__(c.pipeline.depth), "check": _encode_str(c.check),
-        "discrepancy": _real(c.discrepancy), "passed": _bool(c.passed)})
+        "discrepancy": _real(c.discrepancy), "passed": _bool(c.passed)}
 
 
 def write_verification(v: Verification, format: str = "json",
                        out: TextIO | None = None) -> str | None:
     """Render a ``verify`` run as canonical JSON or as one TSV row per check,
     into ``out``, or, without a sink, as a returned string."""
+    if out is None:
+        return _text(write_verification, v, format)
     if format == "json":
-        return dump_json({
-            "tolerance": v.tolerance, "max_len": v.max_len, "samples": v.samples, "seed": v.seed,
-            "checks": (_check_json(c) for c in v.checks),
-            "max_discrepancy": max(c.discrepancy for c in v.checks),
-            "passed": v.passed,
-        }, out)
+        return _write_document(out, _VERIFY_PIECES, {
+            "tolerance": _real(v.tolerance), "max_len": int.__repr__(v.max_len),
+            "samples": int.__repr__(v.samples), "seed": int.__repr__(v.seed),
+            "max_discrepancy": _real(max(c.discrepancy for c in v.checks)),
+            "passed": _bool(v.passed),
+        }, map(_check_json, v.checks))
     if format == "tsv":
         cols = ["source", "pipeline", "depth", "check", "discrepancy", "passed"]
         return tsv(cols, (
@@ -741,31 +711,32 @@ def verification_failure(v: Verification) -> str:
             f" discrepancy {fmt12(worst.discrepancy)}")
 
 
-def _run_json(run: SimRun) -> _Text:
+def _run_json(run: SimRun) -> str:
     """A run's JSON object; an infinite ``max_z`` (a zero-variance cell that
     missed) is written as ``null``, as JSON has no infinity."""
     max_z, (tn, fp, fn, tp) = run.deviation.max_z, run.outcome.counts
-    return _Text(_RUN % {
+    return _RUN % {
         "replication": int.__repr__(run.replication), "seed": int.__repr__(run.seed),
         "pipeline": _encode_str(run.outcome.pipeline), "m": int.__repr__(run.outcome.m),
         "tn": int.__repr__(tn), "fp": int.__repr__(fp),
         "fn": int.__repr__(fn), "tp": int.__repr__(tp),
         **_omega_texts(run.model),
         "max_z": _real(max_z) if math.isfinite(max_z) else "null",
-        "passed": _bool(run.deviation.passed)})
+        "passed": _bool(run.deviation.passed)}
 
 
 def write_simulation(s: Simulation, format: str = "json",
                      out: TextIO | None = None) -> str | None:
     """Render a ``simulate`` run as canonical JSON or as one TSV row per run,
     into ``out``, or, without a sink, as a returned string."""
+    if out is None:
+        return _text(write_simulation, s, format)
     if format == "json":
-        return dump_json({
-            "m": s.m, "seed": s.seed, "replications": s.replications,
-            "z_threshold": s.z_threshold,
-            "runs": (_run_json(run) for run in s.runs),
-            "passed": s.passed,
-        }, out)
+        return _write_document(out, _SIMULATE_PIECES, {
+            "m": int.__repr__(s.m), "seed": int.__repr__(s.seed),
+            "replications": int.__repr__(s.replications), "z_threshold": _real(s.z_threshold),
+            "passed": _bool(s.passed),
+        }, map(_run_json, s.runs))
     if format == "tsv":
         cols = ["replication", "seed", "pipeline", "m",
                 "tn", "fp", "fn", "tp", "max_z", "passed"]
@@ -792,30 +763,30 @@ def simulation_failure(s: Simulation) -> str:
             f" expected {fmt12(m * cells[i].model)}, z {fmt12(cells[i].z)}")
 
 
-def _sweep_row_json(row: SweepRow) -> _Text:
-    return _Text(_SWEEP_ROW % {
+def _sweep_row_json(row: SweepRow) -> str:
+    return _SWEEP_ROW % {
         "fs": _SWEEP_FS_SEP.join(map(_real, row.fs)),
         **_omega_texts(row.omega), **_metric_texts(row.report),
-        "metric_flags": _SWEEP_METRIC_FLAGS[_metric_flags(row.report)]})
+        "metric_flags": _SWEEP_METRIC_FLAGS[_metric_flags(row.report)]}
+
+
+def _spread_json(s: SweepSpread) -> str:
+    return _SPREAD % {"metric": _encode_str(s.metric), "min": _maybe(s.minimum),
+                      "max": _maybe(s.maximum), "mean": _maybe(s.mean),
+                      "undefined": int.__repr__(s.undefined)}
 
 
 def write_sweep(result: SweepResult, format: str = "json",
                 out: TextIO | None = None) -> str | None:
     """Render a ``sweep`` as canonical JSON or as TSV rows, then tP and tF1
     spreads, into ``out``, or, without a sink, as a returned string."""
+    if out is None:
+        return _text(write_sweep, result, format)
     if format == "json":
-        return dump_json({
-            "pipeline": result.pipeline,
-            "target": result.target,
-            "n": len(result.rows),
-            "seed": result.seed,
-            "rows": (_sweep_row_json(row) for row in result.rows),
-            "spread": [
-                {"metric": s.metric, "min": s.minimum, "max": s.maximum, "mean": s.mean,
-                 "undefined": s.undefined}
-                for s in result.spreads
-            ],
-        }, out)
+        return _write_document(out, _SWEEP_PIECES, {
+            "pipeline": _encode_str(result.pipeline), "target": _real(result.target),
+            "n": int.__repr__(len(result.rows)), "seed": int.__repr__(result.seed),
+        }, map(_sweep_row_json, result.rows), map(_spread_json, result.spreads))
     if format == "tsv":
         depth = len(result.rows[0].fs) - 1
         cols = (["index"] + [f"f_{k}" for k in range(1, depth + 1)]

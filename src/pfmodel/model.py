@@ -252,9 +252,13 @@ def _gammas_for(
 
 def omega_recursive(pipeline: Pipeline, profiles: ClassifierProfileSet) -> JointMatrix:
     """Joint outcome mass of a pipeline, by folding the step recurrence."""
-    fs = pipeline.require_fs()
+    return _recurrence(pipeline.require_fs(), profiles.gamma_chain(pipeline))
+
+
+def _recurrence(fs: Sequence[float], gammas: Sequence[NormalizedConfusionMatrix]) -> JointMatrix:
+    """Unvalidated :func:`omega_recursive`; step k has fs[k], gammas[k-1]."""
     omega = OMEGA_BASE
-    for f_k, gamma_k in zip(fs[1:], profiles.gamma_chain(pipeline)):
+    for f_k, gamma_k in zip(fs[1:], gammas):
         omega = omega_step(omega, f_k, gamma_k)
     return omega
 
@@ -302,32 +306,20 @@ def _closed_form(
     return w00, w01, w10, w11
 
 
-def psi(
-    s: Pipeline | Sequence[CategoryId],
-    profiles: ClassifierProfileSet,
-    mode: str = "closed",
-) -> IntrinsicMatrix:
+def psi(s: Pipeline | Sequence[CategoryId], profiles: ClassifierProfileSet) -> IntrinsicMatrix:
     """Intrinsic profile of a category string or pipeline.
 
     Needs no edge probabilities: it reflects only the embedded classifiers.
-    ``closed`` multiplies the accepted-column rates directly and fills rows
-    by normalization; ``recursive`` folds :func:`oplus` from :data:`MU`.
-    Both agree within 1e-12; the empty string maps to :data:`MU`.
+    It multiplies the accepted-column rates directly and fills rows by
+    normalization, within 1e-12 of the :func:`oplus` composition that
+    :func:`homomorphism_map` evaluates; the empty string maps to :data:`MU`.
     """
-    gammas = _gammas_for(s, profiles)
-    if mode == "recursive":
-        acc: IntrinsicMatrix = MU
-        for g in gammas:
-            acc = oplus(acc, g)
-        return acc
-    if mode == "closed":
-        p01 = 1.0
-        p11 = 1.0
-        for g in gammas:
-            p01 *= g.fp
-            p11 *= g.tp
-        return IntrinsicMatrix(tn=1.0 - p01, fp=p01, fn=1.0 - p11, tp=p11)
-    raise ValueError(f"unknown mode {mode!r}")
+    p01 = 1.0
+    p11 = 1.0
+    for g in _gammas_for(s, profiles):
+        p01 *= g.fp
+        p11 *= g.tp
+    return IntrinsicMatrix(tn=1.0 - p01, fp=p01, fn=1.0 - p11, tp=p11)
 
 
 def homomorphism_map(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (ClassifierProfileSet, JointMatrix, NormalizedConfusionMatrix, _closed_form,
-                    omega_recursive, omega_step)
+                    _recurrence, omega_recursive, omega_step)
 from .rng import PhiloxStream, stream_key
 from .taxonomy import Pipeline, Taxonomy, enumerate_pipelines
 
@@ -143,17 +143,17 @@ class Verification:
         return all(c.passed for c in self.checks)
 
 
-def _random_pipeline(rng: PhiloxStream, max_len: int) -> tuple[Pipeline, ClassifierProfileSet]:
-    """A chain of 1 to ``max_len`` steps: its depth, then its fs, then each
-    step's (fp, tp) pair, drawn in that order."""
+def _random_pipeline(rng: PhiloxStream,
+                     max_len: int) -> tuple[Pipeline, tuple[NormalizedConfusionMatrix, ...]]:
+    """A chain of 1 to ``max_len`` steps and its classifier chain: its
+    depth, then its fs, then each step's (fp, tp) pair, drawn in that order."""
     depth = rng.integers(1, max_len + 1)
-    nodes = tuple(f"n{i}" for i in range(depth + 1))
     fs = (1.0, *(rng.random() for _ in range(depth)))
-    base = {}
-    for node in nodes[1:]:
+    chain = []
+    for _ in range(depth):
         fp, tp = rng.random(), rng.random()
-        base[node] = NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp)
-    return Pipeline(nodes, fs), ClassifierProfileSet(base=base, root=nodes[0])
+        chain.append(NormalizedConfusionMatrix(tn=1.0 - fp, fp=fp, fn=1.0 - tp, tp=tp))
+    return Pipeline(tuple(f"n{i}" for i in range(depth + 1)), fs), tuple(chain)
 
 
 def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_len: int,
@@ -213,9 +213,9 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
                 _exact_matrix(p, histories, terms) if histories else None)
     rng = PhiloxStream(stream_key(seed, "verify"))
     for i in range(samples):
-        pipeline, sample_profiles = _random_pipeline(rng, max_len)
-        sample_fs, sample_chain = pipeline.require_fs(), sample_profiles.gamma_chain(pipeline)
+        pipeline, sample_chain = _random_pipeline(rng, max_len)
+        sample_fs = pipeline.require_fs()
         run_one(f"random[{i}]", pipeline, _closed_matrix(pipeline, sample_fs, sample_chain),
-                omega_recursive(pipeline, sample_profiles),
+                _recurrence(sample_fs, sample_chain),
                 _exact_matrix(pipeline, *_walk(sample_fs, sample_chain)))
     return Verification(tol, max_len, samples, seed, tuple(checks))

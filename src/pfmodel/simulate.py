@@ -245,10 +245,7 @@ class DeviationReport:
 
 
 def compare(
-    model: JointMatrix,
-    outcome: SimOutcome | Sequence[int],
-    m: int | None = None,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
+    model: JointMatrix, outcome: SimOutcome, z_threshold: float = DEFAULT_Z_THRESHOLD
 ) -> DeviationReport:
     """Score a tally against its predicted joint matrix.
 
@@ -257,15 +254,9 @@ def compare(
     scores 0 when it matches exactly and infinity otherwise.  A prediction
     that rounding left just outside [0, 1] is scored clamped into it.
     """
-    if isinstance(outcome, SimOutcome):
-        counts = outcome.counts
-        m = outcome.m
-    else:
-        counts = tuple(outcome)
-        if m is None:
-            raise ValueError("m is required when passing raw counts")
+    m = outcome.m
     cells = []
-    for name, pred, count in zip(("tn", "fp", "fn", "tp"), model.as_tuple(), counts):
+    for name, pred, count in zip(("tn", "fp", "fn", "tp"), model.as_tuple(), outcome.counts):
         pred = min(max(pred, 0.0), 1.0)
         emp = count / m
         dev = abs(emp - pred)
@@ -380,8 +371,8 @@ def imbalance_sweep(
 ) -> SweepResult:
     """Metrics of one pipeline under many input distributions of equal imbalance.
 
-    Samples edge-probability chains whose product is exactly the target
-    positive rate, by splitting its logarithm with Dirichlet weights:
+    Samples edge-probability chains whose product is the target positive
+    rate up to rounding, by splitting its logarithm with Dirichlet weights:
     f_j = target^(w_j), so every chain lands the same share of positives on
     the last category while distributing the attrition differently.  Recall
     is identical across rows; precision and F1 spread out.  ``seed`` keys

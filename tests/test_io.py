@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pfmodel as pf
-from pfmodel.io import _real, build_report, dump_json, fmt12, write_report
+from pfmodel.io import _real, build_report, fmt12, write_report
 
 from conftest import (
     DAG_PROFILES_JSON,
@@ -314,12 +314,6 @@ def test_text_writers_write_to_a_sink_what_they_return():
     assert written(pf.write_pipelines, ()) == pf.write_pipelines(()) == "\n"
     rows = [["A", "1"], ["B", "2"]]
     assert written(pf.io.tsv, ["x", "y"], rows) == pf.io.tsv(["x", "y"], rows) == "x\ty\nA\t1\nB\t2\n"
-
-    def payload():  # an iterator payload is consumed by each write
-        return {"rows": ({"k": k, "v": [0.5 * k, "x"]} for k in range(3)), "empty": iter(())}
-
-    assert written(dump_json, payload()) == dump_json(payload())
-    assert written(dump_json, iter([1.5, None])) == dump_json([1.5, None]) == "[\n  1.5,\n  null\n]\n"
 
 
 class CountingSink:
@@ -741,61 +735,15 @@ def test_number_formatting_helpers():
     assert pf.io._cell12(0.1) == "0.1"
 
 
-# --- the JSON writer --------------------------------------------------------------
-
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308])
-    | st.text()
-    | st.sampled_from(["", "\u00e9\u4e2d\U0001f600", "\x00\x1f\t\n\"\\/", "\u2028\x7f"])
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=40,
-)
-
-
-class _Float(float):
-    pass
-
-
-# arrays that must not take the all-float branch, and the empty one
-@given(json_values)
-@example((1.0, 2))
-@example((1.0, True))
-@example((1.0, None))
-@example((_Float(0.5), 1.0))
-@example(())
-@settings(max_examples=150, deadline=None)
-def test_dump_json_matches_the_stdlib_pretty_printer(value):
-    def rounded(v):
-        if isinstance(v, float):
-            return float(fmt12(v))
-        if isinstance(v, (list, tuple)):
-            return [rounded(x) for x in v]
-        if isinstance(v, dict):
-            return {k: rounded(x) for k, x in v.items()}
-        return v
-
-    assert dump_json(value) == json.dumps(rounded(value), indent=2, allow_nan=False) + "\n"
+# --- reals -----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_dump_json_rejects_non_finite_floats_like_the_stdlib(x):
-    for value in ({"a": [1.0, x]}, {"a": (1.0, x)}, {"a": [1.0, "s", x]}):
-        with pytest.raises(ValueError) as ours:
-            dump_json(value)
-        with pytest.raises(ValueError) as stdlib:
-            json.dumps(value, indent=2, allow_nan=False)
-        assert str(ours.value) == str(stdlib.value)
+def test_real_rejects_non_finite_floats_like_the_stdlib(x):
     with pytest.raises(ValueError) as real:
         _real(x)
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps([x], indent=2, allow_nan=False)
     assert str(real.value) == str(stdlib.value)
 
 
@@ -824,20 +772,3 @@ def test_real_text_is_the_shortest_text_of_the_12_digit_rounding(x):
 @settings(max_examples=150, deadline=None)
 def test_real_text_matches_the_12_digit_round_trip(x):
     assert _real(x) == float.__repr__(float(fmt12(x)))
-
-
-@pytest.mark.parametrize("value", [{1, 2}, b"x", object(), {1: 2.0}, {"a": [{None: 1}]}])
-def test_dump_json_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        dump_json(value)
-
-
-def test_dump_json_writes_iterators_as_arrays():
-    expected = {"empty": [], "rows": [{"k": 0}, {"k": 1}], "nested": [[1.5, "x"]]}
-    streamed = {
-        "empty": (k for k in ()),
-        "rows": ({"k": k} for k in range(2)),
-        "nested": iter([iter([1.5, "x"])]),
-    }
-    assert dump_json(streamed) == json.dumps(expected, indent=2) + "\n"
-    assert dump_json(k for k in ()) == "[]\n"

@@ -251,13 +251,13 @@ def test_root_always_resolves_to_mu():
 def test_psi_empty_string_is_mu():
     profiles = ClassifierProfileSet(base={}, root=None)
     assert pf.psi([], profiles) == MU
-    assert pf.psi([], profiles, mode="recursive") == MU
+    assert pf.homomorphism_map([], profiles) == MU
 
 
 def test_psi_single_equals_gamma():
     profiles = ClassifierProfileSet(base={"B": GAMMA_B})
     assert pf.psi(["B"], profiles).max_abs_diff(GAMMA_B) <= 1e-12
-    assert pf.psi(["B"], profiles, mode="recursive") == GAMMA_B
+    assert pf.homomorphism_map(["B"], profiles) == GAMMA_B
 
 
 def test_psi_two_classifier_products():
@@ -267,34 +267,14 @@ def test_psi_two_classifier_products():
     assert out.tp == pytest.approx(0.64, abs=1e-15)  # 0.8 * 0.8
     # the root resolves to the neutral profile, so leading with it changes nothing
     led, bare = ["A", "B", "C"], ["B", "C"]
-    for mode in ("closed", "recursive"):
-        assert pf.psi(led, profiles, mode=mode) == pf.psi(bare, profiles, mode=mode)
+    assert pf.psi(led, profiles) == pf.psi(bare, profiles)
     assert pf.homomorphism_map(led, profiles) == pf.homomorphism_map(bare, profiles)
-
-
-def test_psi_modes_agree():
-    rng = np.random.default_rng(19)
-    profiles = ClassifierProfileSet(
-        base={f"x{i}": random_gamma(rng) for i in range(12)}
-    )
-    names = [f"x{i}" for i in range(12)]
-    for _ in range(50):
-        s = [names[i] for i in rng.integers(0, 12, size=int(rng.integers(0, 9)))]
-        closed = pf.psi(s, profiles)
-        rec = pf.psi(s, profiles, mode="recursive")
-        assert closed.max_abs_diff(rec) <= 1e-12
 
 
 def test_psi_of_pipeline_ignores_fs(l2_pipeline):
     p, profiles = l2_pipeline
     no_fs = Pipeline(p.nodes, (1.0, None, None))
     assert pf.psi(no_fs, profiles) == pf.psi(p, profiles)
-
-
-def test_psi_unknown_mode(l2_pipeline):
-    p, profiles = l2_pipeline
-    with pytest.raises(ValueError):
-        pf.psi(p, profiles, mode="magic")
 
 
 # --- homomorphism -----------------------------------------------------------------------
@@ -307,7 +287,7 @@ def test_homomorphism_two_letter_string():
 
 def test_homomorphism_neutral_extension():
     profiles = ClassifierProfileSet(base={"B": GAMMA_A})
-    extended = pf.oplus(pf.psi(["B"], profiles, mode="recursive"), MU)
+    extended = pf.oplus(pf.homomorphism_map(["B"], profiles), MU)
     assert pf.homomorphism_map(["B"], profiles) == extended == GAMMA_A
 
 

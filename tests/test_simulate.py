@@ -780,32 +780,32 @@ def test_verify_raises_where_a_category_lacks_its_profile(k):
 
 def test_compare_exact_counts_zero_z():
     model = pf.JointMatrix(tn=0.4, fp=0.1, fn=0.05, tp=0.45)
-    report = pf.compare(model, (40, 10, 5, 45), m=100)
+    report = pf.compare(model, pf.SimOutcome("x", 100, (40, 10, 5, 45)))
     assert report.max_z == 0.0 and report.passed
 
 
 def test_compare_flags_ten_sigma_cell():
     # m=1600, p=0.2 gives sigma exactly 0.01; shift 160 counts = 10 sigma
     model = pf.JointMatrix(tn=0.2, fp=0.2, fn=0.2, tp=0.4)
-    report = pf.compare(model, (480, 320, 320, 480), m=1600)
+    report = pf.compare(model, pf.SimOutcome("x", 1600, (480, 320, 320, 480)))
     assert report.max_z == pytest.approx(10.0, abs=1e-9)
     assert not report.passed
 
 
 def test_compare_zero_variance_cells():
     model = pf.JointMatrix(tn=0.0, fp=0.0, fn=0.0, tp=1.0)
-    assert pf.compare(model, (0, 0, 0, 100), m=100).max_z == 0.0
-    assert pf.compare(model, (1, 0, 0, 99), m=100).max_z == math.inf
+    assert pf.compare(model, pf.SimOutcome("x", 100, (0, 0, 0, 100))).max_z == 0.0
+    assert pf.compare(model, pf.SimOutcome("x", 100, (1, 0, 0, 99))).max_z == math.inf
 
 
 def test_compare_subnormal_prediction_has_nonzero_sigma():
     # 5e-324 * (1 - 5e-324) / 16 underflows to 0; the cell's sigma must not
     tiny = 5e-324
     model = pf.JointMatrix(tn=1.0 - 0.5 - tiny, fp=tiny, fn=0.0, tp=0.5)
-    report = pf.compare(model, (8, 0, 0, 8), m=16)
+    report = pf.compare(model, pf.SimOutcome("x", 16, (8, 0, 0, 8)))
     assert report.cells[1].sigma > 0.0
     assert report.max_z < 1.0 and report.passed
-    report = pf.compare(model, (7, 1, 0, 8), m=16)
+    report = pf.compare(model, pf.SimOutcome("x", 16, (7, 1, 0, 8)))
     assert math.isfinite(report.max_z) and not report.passed
 
 
@@ -813,7 +813,7 @@ def test_report_verdict_follows_its_threshold():
     # max_z and passed are read from cells and threshold, so a report copied
     # with another threshold cannot keep a stale verdict
     model = pf.JointMatrix(tn=0.2, fp=0.2, fn=0.2, tp=0.4)
-    report = pf.compare(model, (480, 320, 320, 480), m=1600, z_threshold=20.0)
+    report = pf.compare(model, pf.SimOutcome("x", 1600, (480, 320, 320, 480)), z_threshold=20.0)
     assert report.max_z > 0.0 and report.passed
     assert not dataclasses.replace(report, threshold=report.max_z / 2).passed
 
@@ -825,15 +825,9 @@ def test_report_verdict_follows_its_threshold():
 def test_compare_scores_a_rounded_prediction_clamped(cells, counts, outside):
     # the closed form can round a cell just outside [0, 1]; sqrt(p (1-p) / m)
     # of such a cell is the square root of a negative number
-    report = pf.compare(pf.JointMatrix(*cells), counts, m=100)
+    report = pf.compare(pf.JointMatrix(*cells), pf.SimOutcome("x", 100, counts))
     assert report.cells[outside].z == 0.0
     assert report.passed
-
-
-def test_compare_requires_m_for_raw_counts():
-    model = pf.JointMatrix(tn=0.4, fp=0.1, fn=0.05, tp=0.45)
-    with pytest.raises(ValueError):
-        pf.compare(model, (40, 10, 5, 45))
 
 
 # --- imbalance sweep ------------------------------------------------------------------

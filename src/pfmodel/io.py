@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from io import StringIO
 from itertools import chain, combinations
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple,
@@ -174,8 +173,7 @@ def _parse_row_matrix(
     return NormalizedConfusionMatrix(**vals), renormalized
 
 
-@dataclass(frozen=True)
-class InputBundle:
+class InputBundle(NamedTuple):
     """Parsed, cross-validated taxonomy plus profiles, ready for analysis."""
 
     taxonomy: Taxonomy
@@ -516,8 +514,7 @@ def write_pipelines(pipelines: Iterable[Pipeline], out: TextIO | None = None) ->
 # --- analysis report ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Deterministic analysis of every requested pipeline of a taxonomy."""
 
     taxonomy: Taxonomy

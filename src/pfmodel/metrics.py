@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     OMEGA_BASE,
@@ -46,8 +46,7 @@ class Verdict(enum.Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Metric values of one pipeline (or pipeline prefix).
 
     An undefined value is ``None``; ``f1`` is 0 when either constituent is
@@ -82,8 +81,7 @@ def pipeline_metrics(omega: JointMatrix) -> MetricReport:
     return MetricReport(precision=precision, recall=recall, f1=f1, accuracy=accuracy)
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     """Outcome of the per-step precision constraint."""
 
     verdict: Verdict
@@ -113,8 +111,7 @@ def _constraint_check(
     return ConstraintCheck(verdict=verdict, bound=bound)
 
 
-@dataclass(frozen=True, slots=True)
-class DepthRow:
+class DepthRow(NamedTuple):
     """The prefix of a pipeline that ends at depth ``k`` (0 = root only).
 
     ``f`` is the pipeline's edge probability into depth ``k`` as a float,
@@ -131,8 +128,7 @@ class DepthRow:
     check: ConstraintCheck | None
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(NamedTuple):
     """Per-prefix view of a pipeline: one :class:`DepthRow` per depth.
 
     ``rows[k]`` is the prefix ending at depth ``k``, and ``state`` the

@@ -31,9 +31,8 @@ Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     MissingGammaError,
@@ -48,8 +47,7 @@ _EPS = 1e-12
 _UNIT_MAX = 1.0 + _EPS
 
 
-@dataclass(frozen=True, slots=True)
-class Cells2x2:
+class Cells2x2(NamedTuple):
     """Plain 2x2 cell holder in (tn, fp, fn, tp) order; no invariants."""
 
     tn: float
@@ -68,23 +66,20 @@ class Cells2x2:
         return max(abs(a - b) for a, b in zip(self.as_tuple(), other.as_tuple()))
 
 
-def _check_unit_range(cells: Cells2x2) -> None:
-    """Reject a cell outside [0, 1]; store an int cell as the float it equals."""
-    tn, fp, fn, tp = cells.tn, cells.fp, cells.fn, cells.tp
+def _check_unit_range(tn: float, fp: float, fn: float, tp: float) -> tuple[float, ...]:
+    """The cells as floats; reject a cell outside [0, 1]."""
     if (type(tn) is type(fp) is type(fn) is type(tp) is float
             and -_EPS <= tn <= _UNIT_MAX and -_EPS <= fp <= _UNIT_MAX
             and -_EPS <= fn <= _UNIT_MAX and -_EPS <= tp <= _UNIT_MAX):
-        return
-    for name, v in zip(("tn", "fp", "fn", "tp"), cells.as_tuple()):
+        return tn, fp, fn, tp
+    for name, v in zip(("tn", "fp", "fn", "tp"), (tn, fp, fn, tp)):
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise OutOfRangeProbabilityError(f"{name}={v!r} is not a finite number")
         if v < -_EPS or v > 1.0 + _EPS:
             raise OutOfRangeProbabilityError(f"{name}={v} outside [0, 1]")
-        if type(v) is not float:
-            object.__setattr__(cells, name, float(v))
+    return float(tn), float(fp), float(fn), float(tp)
 
 
-@dataclass(frozen=True, slots=True)
 class NormalizedConfusionMatrix(Cells2x2):
     """Row-normalized 2x2 conditional behavior of one binary classifier.
 
@@ -93,13 +88,18 @@ class NormalizedConfusionMatrix(Cells2x2):
     input.
     """
 
-    def __post_init__(self):
-        _check_unit_range(self)
+    __slots__ = ()
+
+    def __new__(cls, tn: float, fp: float, fn: float, tp: float):
+        self = tuple.__new__(cls, _check_unit_range(tn, fp, fn, tp))
         for label, s in (("negative", self.tn + self.fp), ("positive", self.fn + self.tp)):
             if abs(s - 1.0) > _EPS:
                 raise OutOfRangeProbabilityError(
                     f"{label} row sums to {s!r}, expected 1 within {_EPS}"
                 )
+        return self
+
+    _make = classmethod(lambda cls, cells: cls(*cells))  # so that _replace checks too
 
 
 #: The intrinsic profile of a category string shares the confusion-matrix
@@ -107,16 +107,20 @@ class NormalizedConfusionMatrix(Cells2x2):
 IntrinsicMatrix = NormalizedConfusionMatrix
 
 
-@dataclass(frozen=True, slots=True)
 class JointMatrix(Cells2x2):
     """Joint outcome mass of a pipeline; all four cells sum to 1."""
 
-    def __post_init__(self):
-        _check_unit_range(self)
+    __slots__ = ()
+
+    def __new__(cls, tn: float, fp: float, fn: float, tp: float):
+        self = tuple.__new__(cls, _check_unit_range(tn, fp, fn, tp))
         if abs(self.total - 1.0) > _EPS:
             raise OutOfRangeProbabilityError(
                 f"joint mass sums to {self.total!r}, expected 1 within {_EPS}"
             )
+        return self
+
+    _make = classmethod(lambda cls, cells: cls(*cells))
 
 
 #: The neutral classifier: accepts everything, so composing with it changes
@@ -176,8 +180,10 @@ def omega_step(
     return oplus(context_switch(f_k, omega_prev), gamma_k)
 
 
-@dataclass(frozen=True)
-class ClassifierProfileSet:
+class ClassifierProfileSet(NamedTuple("ClassifierProfileSet", [
+        ("base", Mapping[CategoryId, NormalizedConfusionMatrix]),
+        ("overrides", Mapping[tuple[str, CategoryId], NormalizedConfusionMatrix]),
+        ("root", CategoryId | None)])):
     """Confusion profiles for the classifiers embedded in a taxonomy.
 
     ``base`` maps a category to its classifier's profile.  ``overrides``
@@ -188,24 +194,22 @@ class ClassifierProfileSet:
     is fixed to the neutral classifier.
     """
 
-    base: Mapping[CategoryId, NormalizedConfusionMatrix]
-    overrides: Mapping[tuple[str, CategoryId], NormalizedConfusionMatrix] = field(
-        default_factory=dict
-    )
-    root: CategoryId | None = None
-
-    def __post_init__(self):
-        if self.root in self.base:
+    def __new__(cls, base, overrides=None, root=None):
+        if root in base:
             raise RootProfileForbiddenError(
-                f"root {self.root!r} has fixed neutral behavior; remove its profile"
+                f"root {root!r} has fixed neutral behavior; remove its profile"
             )
-        for path, cat in self.overrides:
-            if cat == self.root:
+        overrides = {} if overrides is None else overrides
+        for path, cat in overrides:
+            if cat == root:
                 raise RootProfileForbiddenError(
-                    f"override for root {self.root!r} in pipeline {path!r} is forbidden"
+                    f"override for root {root!r} in pipeline {path!r} is forbidden"
                 )
             if path.rpartition("/")[2] != cat:
                 raise ParseError(f"override of {cat!r} keyed by {path!r}, which does not end at it")
+        return super().__new__(cls, base, overrides, root)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def resolve(self, pipeline: Pipeline, k: int) -> NormalizedConfusionMatrix:
         """Profile of step ``k`` of ``pipeline`` (k=0 is the neutral root)."""
@@ -344,8 +348,7 @@ def homomorphism_map(
     return ev(0, len(gammas))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """A pipeline's joint mass split into oracle priors and deterioration.
 
     ``prior_pos`` is the probability that an oracle chain would carry an
@@ -387,8 +390,7 @@ class Factorization:
         )
 
 
-@dataclass(frozen=True)
-class PrefixState:
+class PrefixState(NamedTuple):
     """Running quantities of a pipeline prefix, advanced one step at a time.
 
     ``leak`` accumulates, over the depths where truth switched to negative,

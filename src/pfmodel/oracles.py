@@ -14,8 +14,7 @@ Philox stream (:class:`.rng.PhiloxStream`), so this module, like everything
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (ClassifierProfileSet, JointMatrix, NormalizedConfusionMatrix, _closed_form,
                     _recurrence, omega_recursive, omega_step)
@@ -116,8 +115,7 @@ def _closed_matrix(pipeline: Pipeline, fs: Sequence[float],
     return JointMatrix(*_closed_form(fs, chain))
 
 
-@dataclass(frozen=True, slots=True)
-class OracleCheck:
+class OracleCheck(NamedTuple):
     """One check of :func:`verify_oracles`: two evaluations' largest cell
     difference, or the mass's distance from 1."""
 
@@ -128,8 +126,7 @@ class OracleCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Verification:
+class Verification(NamedTuple):
     """Every oracle check of a ``verify`` run, with the settings it ran under."""
 
     tolerance: float

@@ -9,14 +9,16 @@ by a SHA-256 digest of the name, so
 * any contiguous block of a stream can be regenerated in isolation, which
   lets parallel workers split on document index without changing results.
 
-:class:`PhiloxStream` draws numpy's ``Generator(Philox(key))`` values in
-pure Python, so a caller that needs a few hundred of them does not load
-numpy; only :func:`uniforms` imports it.
+Each thread draws every stream from one numpy ``Generator(Philox())``,
+re-keyed by :func:`generator`, as a new ``Philox`` first seeds itself from
+OS entropy.  :class:`PhiloxStream` draws the same values in pure Python,
+so a caller that needs a few hundred of them does not load numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,8 +32,8 @@ def stream_key(seed: int, *tags: object) -> list[int]:
     only when both words are below 2^63 or both are at least 2^63.  Otherwise
     int64 and uint64 promote to float64, and both words are stored rounded
     to 53 significant bits: about half of all streams.  The rounding is
-    deterministic, so outputs still reproduce, and :class:`PhiloxStream`
-    stores its key the same way.
+    deterministic, so outputs still reproduce, and :func:`_stored_key`
+    rounds the same way for :func:`generator` and :class:`PhiloxStream`.
     """
     blob = repr((int(seed),) + tags).encode("utf-8")
     digest = hashlib.sha256(blob).digest()
@@ -41,25 +43,45 @@ def stream_key(seed: int, *tags: object) -> list[int]:
     ]
 
 
+def _stored_key(key: list[int]) -> list[int]:
+    """The two key words as ``Philox(key=key)`` stores them (see :func:`stream_key`)."""
+    return key if key[0] >> 63 == key[1] >> 63 else [int(float(word)) for word in key]
+
+
+_MASK64 = 2**64 - 1
+_thread = threading.local()  # .generator: the thread's Generator(Philox())
+
+
+def generator(seed: int, tags: tuple[object, ...], block: int = 0) -> np.random.Generator:
+    """This thread's generator, set to draw what
+    ``Generator(Philox(key=stream_key(seed, *tags)))`` draws once advanced
+    by ``block``, bit for bit.  The next call on the thread re-keys it."""
+    gen = getattr(_thread, "generator", None)
+    if gen is None:
+        from numpy.random import Generator, Philox
+
+        gen = _thread.generator = Generator(Philox())
+    # an empty buffer: the next draw increments the counter, as after advance()
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {
+        "counter": [(block >> shift) & _MASK64 for shift in (0, 64, 128, 192)],
+        "key": _stored_key(stream_key(seed, *tags))},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
 def uniforms(seed: int, tags: tuple[object, ...], count: int, start: int = 0) -> np.ndarray:
     """``count`` float64 uniforms from the named stream, starting at ``start``.
 
     ``uniforms(s, t, n)[a:b]`` equals ``uniforms(s, t, b - a, start=a)``
     bit for bit.
     """
-    from numpy.random import Generator, Philox
-
     if count < 0 or start < 0:
         raise ValueError("count and start must be non-negative")
-    bitgen = Philox(key=stream_key(seed, *tags))
     # Philox advances in blocks of four 64-bit words, one word per double.
-    bitgen.advance(start // 4)
     skip = start % 4
-    draws = Generator(bitgen).random(skip + count)
-    return draws[skip:]
+    return generator(seed, tags, start // 4).random(skip + count)[skip:]
 
 
-_MASK64 = 2**64 - 1
 # Philox-4x64's round multipliers and the Weyl increments of its key
 # (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3")
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -78,9 +100,7 @@ class PhiloxStream:
     """
 
     def __init__(self, key: list[int]):
-        if (key[0] >> 63) != (key[1] >> 63):  # numpy's float64 promotion; see stream_key
-            key = [int(float(word)) for word in key]
-        self.key = tuple(key)
+        self.key = tuple(_stored_key(key))
         k0, k1 = self.key
         self._round_keys = [((k0 + r * _W0) & _MASK64, (k1 + r * _W1) & _MASK64)
                             for r in range(_ROUNDS)]

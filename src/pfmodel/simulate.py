@@ -16,11 +16,9 @@ outcomes are reproducible bit for bit from the seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import (
     InfeasibleTargetError,
@@ -29,22 +27,23 @@ from .errors import (
 )
 from .metrics import DEFAULT_Z_THRESHOLD, MetricReport, pipeline_metrics
 from .model import ClassifierProfileSet, JointMatrix, _closed_form, omega_closed
-from .rng import stream_key, uniforms
+from .rng import generator, uniforms
 from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple("SimConfig", [("m", int), ("seed", int)])):
     """Settings of a simulation run; identical config + inputs => identical output."""
 
-    m: int
-    seed: int = 42
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0 <= self.seed < 2**64:
+    def __new__(cls, m: int, seed: int = 42):
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        return super().__new__(cls, m, seed)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _tally(x: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
@@ -55,17 +54,18 @@ def _tally(x: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
     return x.size - positive - accepted + tp, accepted - tp, positive - tp, tp
 
 
-@dataclass(frozen=True, slots=True)
-class SimOutcome:
+class SimOutcome(NamedTuple("SimOutcome", [("pipeline", str), ("m", int),
+                                           ("counts", tuple[int, int, int, int])])):
     """Tally of one simulated pipeline: counts in (tn, fp, fn, tp) order."""
 
-    pipeline: str
-    m: int
-    counts: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(self.counts) != self.m:
+    def __new__(cls, pipeline: str, m: int, counts: tuple[int, int, int, int]):
+        if sum(counts) != m:
             raise ValueError("counts must sum to m")
+        return super().__new__(cls, pipeline, m, counts)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def simulate_pipeline(
@@ -137,8 +137,7 @@ def _coin_probability(t: Taxonomy, node: CategoryId, q_of: Mapping[CategoryId, f
     return min(q, 1.0)
 
 
-@dataclass(frozen=True)
-class TaxonomySimOutcome:
+class TaxonomySimOutcome(NamedTuple):
     """Whole-taxonomy simulation: per-pipeline tallies and the joint matrix
     each pipeline is expected to follow, :func:`omega_closed`'s bit for bit.
     The truth is not kept; :func:`taxonomy_memberships` regenerates it bit
@@ -160,9 +159,10 @@ def taxonomy_memberships(t: Taxonomy, cfg: SimConfig) -> dict[CategoryId, np.nda
     q_of: dict[CategoryId, float] = {t.root: 1.0}
     for node in t.topological_order[1:]:
         q = q_of[node] = _coin_probability(t, node, q_of)
-        gate = np.ones(m, dtype=bool)
-        for p in t.parents_of(node):
-            gate &= memberships[p]
+        first, *others = t.parents_of(node)
+        gate = memberships[first]
+        for p in others:
+            gate = gate & memberships[p]
         u = uniforms(cfg.seed, ("taxonomy-membership", node), m)
         memberships[node] = gate & (u < q)
     return memberships
@@ -216,8 +216,7 @@ def _simulate_taxonomy(
     return TaxonomySimOutcome(per_pipeline=per_pipeline, models=models)
 
 
-@dataclass(frozen=True, slots=True)
-class CellDeviation:
+class CellDeviation(NamedTuple):
     """Model-vs-empirical deviation of one joint-matrix cell."""
 
     cell: str
@@ -226,8 +225,7 @@ class CellDeviation:
     z: float
 
 
-@dataclass(frozen=True, slots=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Cell-by-cell comparison of a predicted joint matrix to a tally."""
 
     cells: tuple[CellDeviation, ...]
@@ -273,9 +271,7 @@ def compare(
     return DeviationReport(cells=tuple(cells), threshold=z_threshold)
 
 
-# Slotted, like the records it holds: a run keeps one of each per pipeline.
-@dataclass(frozen=True, slots=True)
-class SimRun:
+class SimRun(NamedTuple):
     """One simulated pipeline of one replication, scored against its model."""
 
     replication: int
@@ -285,8 +281,7 @@ class SimRun:
     deviation: DeviationReport
 
 
-@dataclass(frozen=True)
-class Simulation:
+class Simulation(NamedTuple):
     """Every run of a ``simulate`` invocation, with the settings it ran under."""
 
     m: int
@@ -323,8 +318,7 @@ def run_simulation(t: Taxonomy, profiles: ClassifierProfileSet, m: int, seed: in
     return Simulation(m, seed, replications, z_threshold, tuple(runs))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sampled edge-probability chain and the metrics it induces."""
 
     fs: tuple[float, ...]
@@ -332,8 +326,7 @@ class SweepRow:
     report: MetricReport
 
 
-@dataclass(frozen=True)
-class SweepSpread:
+class SweepSpread(NamedTuple):
     """Min/max/mean of a metric across the sweep (ignoring undefined rows);
     ``None`` when the metric is undefined in every row."""
 
@@ -344,8 +337,7 @@ class SweepSpread:
     undefined: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     pipeline: str
     target: float
     seed: int
@@ -392,11 +384,11 @@ def imbalance_sweep(
     if n_distributions < 1:
         raise InfeasibleTargetError("need at least one distribution")
 
-    rng = Generator(Philox(key=stream_key(seed, "sweep", pipeline.path)))
     gammas = profiles.gamma_chain(pipeline)
+    weights = generator(seed, ("sweep", pipeline.path)).dirichlet(np.ones(depth),
+                                                                  size=n_distributions)
     # Python's scalar pow, not numpy's array power, which can differ in the last bit
-    chains = [(1.0,) + tuple(target_positive_rate**w for w in weights)
-              for weights in rng.dirichlet(np.ones(depth), size=n_distributions).tolist()]
+    chains = [(1.0,) + tuple(target_positive_rate**w for w in row) for row in weights.tolist()]
     # every row's cells in one pass: step k's f values are column k
     columns = _closed_form(np.array(chains).T, gammas)
     rows = []

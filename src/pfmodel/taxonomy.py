@@ -15,9 +15,8 @@ across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     CycleDetectedError,
@@ -35,8 +34,7 @@ CategoryId = str
 _CONTROL_OR_LINE_BREAK = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A covering edge ``child < parent`` with optional conditional probability.
 
     ``f`` estimates p(child | parent): the fraction of the parent's domain
@@ -48,8 +46,8 @@ class Edge:
     f: float | None = None
 
 
-@dataclass(frozen=True)
-class Pipeline:
+class Pipeline(NamedTuple("Pipeline", [("nodes", tuple[CategoryId, ...]),
+                                       ("fs", tuple[float | None, ...])])):
     """A rooted path ``c_0 / c_1 / ... / c_L`` through a taxonomy.
 
     ``fs[k]`` is the conditional probability attached to the covering edge
@@ -57,19 +55,19 @@ class Pipeline:
     root).  Entries may be ``None`` when the source edge carries no f.
     """
 
-    nodes: tuple[CategoryId, ...]
-    fs: tuple[float | None, ...]
-
-    def __post_init__(self):
-        if not self.nodes:
+    def __new__(cls, nodes: tuple[CategoryId, ...], fs: tuple[float | None, ...]):
+        if not nodes:
             raise ValueError("a pipeline has at least the root")
-        if len(self.fs) != len(self.nodes):
+        if len(fs) != len(nodes):
             raise ValueError("fs must align with nodes")
-        if self.fs[0] != 1.0:
+        if fs[0] != 1.0:
             raise ValueError("f_0 is 1 by definition")
-        for f in self.fs[1:]:
+        for f in fs[1:]:
             if f is not None and not 0.0 <= f <= 1.0:
                 raise OutOfRangeProbabilityError(f"edge probability {f} outside [0, 1]")
+        return super().__new__(cls, nodes, fs)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def depth(self) -> int:
@@ -99,17 +97,13 @@ class Pipeline:
         return Pipeline(self.nodes[: k + 1], self.fs[: k + 1])
 
 
-@dataclass(frozen=True)
-class Taxonomy:
+class Taxonomy(NamedTuple("Taxonomy", [("categories", frozenset[CategoryId]),
+                                       ("edges", tuple[Edge, ...]), ("root", CategoryId)])):
     """Validated rooted DAG of categories.
 
     Use :func:`validate_taxonomy` to construct one; the constructor itself
     does not re-check global invariants.
     """
-
-    categories: frozenset[CategoryId]
-    edges: tuple[Edge, ...]
-    root: CategoryId
 
     @cached_property
     def _parents(self) -> dict[CategoryId, tuple[Edge, ...]]:
@@ -235,7 +229,7 @@ def validate_taxonomy(
                 f"edge {e.child!r}<{e.parent!r}: f={e.f} outside [0, 1]"
             )
         if e.f is not None and type(e.f) is not float:  # an int f is stored as a real
-            norm_edges[i] = replace(e, f=float(e.f))
+            norm_edges[i] = e._replace(f=float(e.f))
 
     roots = sorted(cats - {e.child for e in norm_edges})
     if not roots:

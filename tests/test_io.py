@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -693,12 +692,12 @@ def test_report_with_shared_rows_writes_what_unshared_rows_write(bundle):
     reports = [build_report(bundle), build_report(bundle, leaf_only=True)]
     reports += [build_report(bundle, pipeline_path=path) for path in paths]
     for report in reports:
-        unshared = dataclasses.replace(report, blocks=tuple(
+        unshared = report._replace(blocks=tuple(
             pf.depth_profile(b.pipeline, bundle.profiles) for b in report.blocks))
         for fmt in ("json", "tsv"):
             assert write_report(report, fmt) == write_report(unshared, fmt)
         # each block alone, so that no row can be taken for another pipeline's
-        bodies = [write_report(dataclasses.replace(report, blocks=(b,)), "tsv").split("\n", 1)[1]
+        bodies = [write_report(report._replace(blocks=(b,)), "tsv").split("\n", 1)[1]
                   for b in unshared.blocks]
         assert write_report(report, "tsv").split("\n", 1)[1] == "".join(bodies)
 
@@ -711,17 +710,15 @@ def test_report_row_records_reused_at_two_depths_print_each_depth():
     (b,) = report.blocks
     root, one = b.rows[:2]
     assert one.check is not None
-    shared = dataclasses.replace(
-        b, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, one.f, one.f)),
-        rows=(root, one, dataclasses.replace(one, k=2)))
-    twin = pf.DepthRow(2, float(repr(one.f)), dataclasses.replace(one.omega),
-                       dataclasses.replace(one.metrics), dataclasses.replace(one.check))
-    copies = dataclasses.replace(
-        shared, pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, one.f, twin.f)),
-        rows=(root, one, twin))
+    shared = b._replace(pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, one.f, one.f)),
+                        rows=(root, one, one._replace(k=2)))
+    twin = pf.DepthRow(2, float(repr(one.f)), one.omega._replace(),
+                       one.metrics._replace(), one.check._replace())
+    copies = shared._replace(pipeline=pf.Pipeline(b.pipeline.nodes, (1.0, one.f, twin.f)),
+                             rows=(root, one, twin))
     for fmt in ("json", "tsv"):
-        text = write_report(dataclasses.replace(report, blocks=(shared,)), fmt)
-        assert text == write_report(dataclasses.replace(report, blocks=(copies,)), fmt)
+        text = write_report(report._replace(blocks=(shared,)), fmt)
+        assert text == write_report(report._replace(blocks=(copies,)), fmt)
     rows = text.splitlines()[1:]
     assert [r.split("\t")[1] for r in rows] == ["0", "1", "2"]
     assert rows[1].split("\t")[2:] == rows[2].split("\t")[2:]

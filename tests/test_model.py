@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -339,7 +338,7 @@ def test_factorize_l2_fixture(l2_pipeline):
 
 def test_factorization_prior_neg_follows_prior_pos(l2_pipeline):
     fact = pf.factorize(*l2_pipeline)
-    assert dataclasses.replace(fact, prior_pos=0.25).prior_neg == 0.75
+    assert fact._replace(prior_pos=0.25).prior_neg == 0.75
 
 
 def test_factorize_all_f_one():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -140,3 +141,75 @@ assert "numpy" not in sys.modules, "numpy was imported"
 def test_lazy_names_load_only_their_own_modules(script):
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs the CLI in a fresh interpreter and fails if it loaded any module named
+# in the first argument (comma-separated).
+_MODULES_SCRIPT = """
+import sys
+from pfmodel import cli
+code = cli.main(sys.argv[2:])
+loaded = [name for name in sys.argv[1].split(",") if name in sys.modules]
+sys.exit(f"loaded {loaded}" if loaded else code)
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["pipelines"], "dataclasses,inspect"),
+    (["analyze", "--format", "json"], "dataclasses,inspect"),
+    (["analyze", "--format", "tsv"], "dataclasses,inspect"),
+    (["verify"], "dataclasses,inspect"),
+    # numpy itself loads inspect
+    (["simulate", "--m", "1000"], "dataclasses"),
+    (["simulate", "--pipeline", "A/B/D", "--m", "1000"], "dataclasses"),
+    (["sweep", "--pipeline", "A/B/D", "--target", "0.1", "--n", "20"], "dataclasses"),
+], ids=["pipelines", "analyze-json", "analyze-tsv", "verify", "simulate", "simulate-pipeline",
+        "sweep"])
+def test_no_subcommand_loads_dataclasses(dag_files, tmp_path, argv, unloaded):
+    taxonomy, profiles = dag_files
+    argv = [argv[0], "--taxonomy", taxonomy, *argv[1:], "--out", str(tmp_path / "out")]
+    if argv[0] != "pipelines":
+        argv += ["--profiles", profiles]
+    proc = _python(_MODULES_SCRIPT, unloaded, *argv)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_records_are_immutable_tuples_that_validate_their_fields():
+    pf = pfmodel
+    joint = pf.JointMatrix(0, 0, 0, 1)
+    assert joint == pf.OMEGA_BASE and [type(c) for c in joint] == [float] * 4
+    gamma = pf.NormalizedConfusionMatrix(0.9, 0.1, 0.2, 0.8)
+    assert type(pf.oplus(joint, gamma)) is pf.JointMatrix
+    assert type(pf.oplus(gamma, gamma)) is pf.NormalizedConfusionMatrix
+    pipeline = pf.Pipeline(("A", "B"), (1.0, 0.5))
+    records = [joint, gamma, pipeline, pf.SimConfig(m=3), pf.Edge("B", "A", 0.5),
+               pf.validate_taxonomy(["A", "B"], [pf.Edge("B", "A", 0.5)])]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+    out_of_range = pf.OutOfRangeProbabilityError
+    bad = [
+        (lambda: pf.JointMatrix(0.5, 0.5, 0.5, 0.5), out_of_range, "joint mass sums to 2.0"),
+        (lambda: pf.JointMatrix(-0.5, 0.5, 0.0, 1.0), out_of_range, r"tn=-0.5 outside \[0, 1\]"),
+        (lambda: pf.JointMatrix(math.nan, 0, 0, 1), out_of_range, "tn=nan is not a finite number"),
+        (lambda: pf.NormalizedConfusionMatrix(0.9, 0.2, 0.2, 0.8), out_of_range,
+         "negative row sums to"),
+        # a copy with a changed field is checked as a new record is
+        (lambda: gamma._replace(tp=0.9), out_of_range, "positive row sums to"),
+        (lambda: joint._replace(tn=0.5), out_of_range, "joint mass sums to"),
+        (lambda: pipeline._replace(fs=(1.0, 2.0)), out_of_range, "edge probability 2.0"),
+        (lambda: pf.Pipeline((), ()), ValueError, "at least the root"),
+        (lambda: pf.ClassifierProfileSet({"A": gamma}, root="A"), pf.RootProfileForbiddenError,
+         "fixed neutral behavior"),
+        (lambda: pf.SimConfig(m=0), ValueError, "m must be >= 1"),
+        (lambda: pf.SimOutcome("A", 2, (1, 0, 0, 0)), ValueError, "counts must sum to m"),
+    ]
+    for make, error, message in bad:
+        with pytest.raises(error, match=message):
+            make()
+    # each profile set left without overrides gets a dict of its own
+    profiles = pf.ClassifierProfileSet({"B": gamma}, root="A")
+    assert profiles.overrides == {}
+    assert profiles.overrides is not pf.ClassifierProfileSet({"B": gamma}, root="A").overrides

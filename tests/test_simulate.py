@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,43 @@ def test_streams_differ_by_tag_and_seed():
     c = uniforms(43, ("x",), 100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_rekeyed_streams_draw_what_a_new_philox_draws():
+    # uniforms re-keys one generator per thread by setting its state; a new
+    # Generator(Philox(key)) per stream is the reference, rounded keys and
+    # starts inside a Philox block included
+    rng = random.Random(7)
+    rounded = unaligned = 0
+    for _ in range(1200):
+        seed = rng.randrange(2**64)
+        tags = tuple(rng.choice((rng.randrange(10**6), f"c{rng.randrange(99)}"))
+                     for _ in range(rng.randrange(1, 4)))
+        count, start = rng.randrange(40), rng.randrange(40)
+        key = stream_key(seed, *tags)
+        reference = np.random.Generator(np.random.Philox(key=key)).random(start + count)[start:]
+        assert np.array_equal(uniforms(seed, tags, count, start=start), reference)
+        stored = np.random.Philox(key=key).state["state"]["key"]
+        rounded += [int(word) for word in stored] != key
+        unaligned += start % 4 != 0
+    assert rounded > 400 and unaligned > 600
+
+
+def test_threads_draw_their_streams_independently():
+    # every thread re-keys its own generator, so streams drawn on 4 threads
+    # at once, switching every microsecond, equal the same streams drawn alone
+    streams = [(seed, ("t", i), 50 + i, i % 7) for i in range(40) for seed in (1, 2**63 + 5)]
+    alone = [uniforms(*s) for s in streams]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(lambda: [uniforms(*s) for s in streams]) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for drawn in results:
+        assert all(np.array_equal(a, b) for a, b in zip(alone, drawn))
 
 
 @pytest.mark.parametrize("count, start", [(-1, 0), (1, -1)])
@@ -815,7 +853,7 @@ def test_report_verdict_follows_its_threshold():
     model = pf.JointMatrix(tn=0.2, fp=0.2, fn=0.2, tp=0.4)
     report = pf.compare(model, pf.SimOutcome("x", 1600, (480, 320, 320, 480)), z_threshold=20.0)
     assert report.max_z > 0.0 and report.passed
-    assert not dataclasses.replace(report, threshold=report.max_z / 2).passed
+    assert not report._replace(threshold=report.max_z / 2).passed
 
 
 @pytest.mark.parametrize("cells, counts, outside", [

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,7 +247,7 @@ def test_pipeline_path_is_cached_not_a_field():
     q = pf.Pipeline(("A", "B"), (1.0, 0.5))
     assert p.path is p.path
     assert p.path == "A/B"
-    assert [f.name for f in fields(pf.Pipeline)] == ["nodes", "fs"]
+    assert pf.Pipeline._fields == ("nodes", "fs")
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
 
 

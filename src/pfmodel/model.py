@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     RootProfileForbiddenError,
 )
-from .taxonomy import CategoryId, Pipeline
+from .taxonomy import CategoryId, Pipeline, _Checked
 
 #: slack for probability range / normalization checks on constructed matrices
 _EPS = 1e-12
@@ -80,7 +80,7 @@ def _check_unit_range(tn: float, fp: float, fn: float, tp: float) -> tuple[float
     return float(tn), float(fp), float(fn), float(tp)
 
 
-class NormalizedConfusionMatrix(Cells2x2):
+class NormalizedConfusionMatrix(_Checked, Cells2x2):
     """Row-normalized 2x2 conditional behavior of one binary classifier.
 
     tn + fp = 1 and fn + tp = 1 (within 1e-12): the rows are conditional
@@ -99,15 +99,13 @@ class NormalizedConfusionMatrix(Cells2x2):
                 )
         return self
 
-    _make = classmethod(lambda cls, cells: cls(*cells))  # so that _replace checks too
-
 
 #: The intrinsic profile of a category string shares the confusion-matrix
 #: shape and normalization; the alias marks intent at call sites.
 IntrinsicMatrix = NormalizedConfusionMatrix
 
 
-class JointMatrix(Cells2x2):
+class JointMatrix(_Checked, Cells2x2):
     """Joint outcome mass of a pipeline; all four cells sum to 1."""
 
     __slots__ = ()
@@ -119,8 +117,6 @@ class JointMatrix(Cells2x2):
                 f"joint mass sums to {self.total!r}, expected 1 within {_EPS}"
             )
         return self
-
-    _make = classmethod(lambda cls, cells: cls(*cells))
 
 
 #: The neutral classifier: accepts everything, so composing with it changes
@@ -180,7 +176,7 @@ def omega_step(
     return oplus(context_switch(f_k, omega_prev), gamma_k)
 
 
-class ClassifierProfileSet(NamedTuple("ClassifierProfileSet", [
+class ClassifierProfileSet(_Checked, NamedTuple("ClassifierProfileSet", [
         ("base", Mapping[CategoryId, NormalizedConfusionMatrix]),
         ("overrides", Mapping[tuple[str, CategoryId], NormalizedConfusionMatrix]),
         ("root", CategoryId | None)])):
@@ -208,8 +204,6 @@ class ClassifierProfileSet(NamedTuple("ClassifierProfileSet", [
             if path.rpartition("/")[2] != cat:
                 raise ParseError(f"override of {cat!r} keyed by {path!r}, which does not end at it")
         return super().__new__(cls, base, overrides, root)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def resolve(self, pipeline: Pipeline, k: int) -> NormalizedConfusionMatrix:
         """Profile of step ``k`` of ``pipeline`` (k=0 is the neutral root)."""

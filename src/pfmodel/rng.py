@@ -9,10 +9,9 @@ by a SHA-256 digest of the name, so
 * any contiguous block of a stream can be regenerated in isolation, which
   lets parallel workers split on document index without changing results.
 
-Each thread draws every stream from one numpy ``Generator(Philox())``,
-re-keyed by :func:`generator`, as a new ``Philox`` first seeds itself from
-OS entropy.  :class:`PhiloxStream` draws the same values in pure Python,
-so a caller that needs a few hundred of them does not load numpy.
+A thread re-keys one numpy ``Generator(Philox())`` for every stream, as a
+new ``Philox`` first seeds itself from OS entropy.  :class:`PhiloxStream`
+draws the same values in pure Python, without loading numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ def stream_key(seed: int, *tags: object) -> list[int]:
     int64 and uint64 promote to float64, and both words are stored rounded
     to 53 significant bits: about half of all streams.  The rounding is
     deterministic, so outputs still reproduce, and :func:`_stored_key`
-    rounds the same way for :func:`generator` and :class:`PhiloxStream`.
+    rounds the same way for :func:`_generator` and :class:`PhiloxStream`.
     """
     blob = repr((int(seed),) + tags).encode("utf-8")
     digest = hashlib.sha256(blob).digest()
@@ -52,10 +51,11 @@ _MASK64 = 2**64 - 1
 _thread = threading.local()  # .generator: the thread's Generator(Philox())
 
 
-def generator(seed: int, tags: tuple[object, ...], block: int = 0) -> np.random.Generator:
+def _generator(seed: int, tags: tuple[object, ...], block: int = 0) -> np.random.Generator:
     """This thread's generator, set to draw what
     ``Generator(Philox(key=stream_key(seed, *tags)))`` draws once advanced
-    by ``block``, bit for bit.  The next call on the thread re-keys it."""
+    by ``block``, bit for bit.  Draw from it at once: the next call on the
+    thread re-keys it."""
     gen = getattr(_thread, "generator", None)
     if gen is None:
         from numpy.random import Generator, Philox
@@ -79,7 +79,7 @@ def uniforms(seed: int, tags: tuple[object, ...], count: int, start: int = 0) ->
         raise ValueError("count and start must be non-negative")
     # Philox advances in blocks of four 64-bit words, one word per double.
     skip = start % 4
-    return generator(seed, tags, start // 4).random(skip + count)[skip:]
+    return _generator(seed, tags, start // 4).random(skip + count)[skip:]
 
 
 # Philox-4x64's round multipliers and the Weyl increments of its key

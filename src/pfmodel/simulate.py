@@ -27,11 +27,11 @@ from .errors import (
 )
 from .metrics import DEFAULT_Z_THRESHOLD, MetricReport, pipeline_metrics
 from .model import ClassifierProfileSet, JointMatrix, _closed_form, omega_closed
-from .rng import generator, uniforms
-from .taxonomy import CategoryId, Pipeline, Taxonomy, enumerate_pipelines
+from .rng import _generator, uniforms
+from .taxonomy import CategoryId, Pipeline, Taxonomy, _Checked, enumerate_pipelines
 
 
-class SimConfig(NamedTuple("SimConfig", [("m", int), ("seed", int)])):
+class SimConfig(_Checked, NamedTuple("SimConfig", [("m", int), ("seed", int)])):
     """Settings of a simulation run; identical config + inputs => identical output."""
 
     __slots__ = ()
@@ -43,8 +43,6 @@ class SimConfig(NamedTuple("SimConfig", [("m", int), ("seed", int)])):
             raise ValueError("seed must fit in 64 bits")
         return super().__new__(cls, m, seed)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
 
 def _tally(x: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
     """(tn, fp, fn, tp) counts of truth ``x`` against decision ``c``."""
@@ -54,8 +52,8 @@ def _tally(x: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
     return x.size - positive - accepted + tp, accepted - tp, positive - tp, tp
 
 
-class SimOutcome(NamedTuple("SimOutcome", [("pipeline", str), ("m", int),
-                                           ("counts", tuple[int, int, int, int])])):
+class SimOutcome(_Checked, NamedTuple("SimOutcome", [("pipeline", str), ("m", int),
+                                                     ("counts", tuple[int, int, int, int])])):
     """Tally of one simulated pipeline: counts in (tn, fp, fn, tp) order."""
 
     __slots__ = ()
@@ -64,8 +62,6 @@ class SimOutcome(NamedTuple("SimOutcome", [("pipeline", str), ("m", int),
         if sum(counts) != m:
             raise ValueError("counts must sum to m")
         return super().__new__(cls, pipeline, m, counts)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def simulate_pipeline(
@@ -385,8 +381,8 @@ def imbalance_sweep(
         raise InfeasibleTargetError("need at least one distribution")
 
     gammas = profiles.gamma_chain(pipeline)
-    weights = generator(seed, ("sweep", pipeline.path)).dirichlet(np.ones(depth),
-                                                                  size=n_distributions)
+    weights = _generator(seed, ("sweep", pipeline.path)).dirichlet(np.ones(depth),
+                                                                   size=n_distributions)
     # Python's scalar pow, not numpy's array power, which can differ in the last bit
     chains = [(1.0,) + tuple(target_positive_rate**w for w in row) for row in weights.tolist()]
     # every row's cells in one pass: step k's f values are column k

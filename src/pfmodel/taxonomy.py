@@ -46,8 +46,22 @@ class Edge(NamedTuple):
     f: float | None = None
 
 
-class Pipeline(NamedTuple("Pipeline", [("nodes", tuple[CategoryId, ...]),
-                                       ("fs", tuple[float | None, ...])])):
+class _Checked:
+    """Base of a record that checks its fields in ``__new__`` or caches values
+    in a ``__dict__``, which ``cached_property`` fills directly: ``_replace``
+    goes through ``__new__``, and no attribute can be set or deleted."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name: str, *value: object):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Pipeline(_Checked, NamedTuple("Pipeline", [("nodes", tuple[CategoryId, ...]),
+                                                 ("fs", tuple[float | None, ...])])):
     """A rooted path ``c_0 / c_1 / ... / c_L`` through a taxonomy.
 
     ``fs[k]`` is the conditional probability attached to the covering edge
@@ -66,8 +80,6 @@ class Pipeline(NamedTuple("Pipeline", [("nodes", tuple[CategoryId, ...]),
             if f is not None and not 0.0 <= f <= 1.0:
                 raise OutOfRangeProbabilityError(f"edge probability {f} outside [0, 1]")
         return super().__new__(cls, nodes, fs)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def depth(self) -> int:
@@ -97,8 +109,8 @@ class Pipeline(NamedTuple("Pipeline", [("nodes", tuple[CategoryId, ...]),
         return Pipeline(self.nodes[: k + 1], self.fs[: k + 1])
 
 
-class Taxonomy(NamedTuple("Taxonomy", [("categories", frozenset[CategoryId]),
-                                       ("edges", tuple[Edge, ...]), ("root", CategoryId)])):
+class Taxonomy(_Checked, NamedTuple("Taxonomy", [
+        ("categories", frozenset[CategoryId]), ("edges", tuple[Edge, ...]), ("root", CategoryId)])):
     """Validated rooted DAG of categories.
 
     Use :func:`validate_taxonomy` to construct one; the constructor itself

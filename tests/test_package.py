@@ -158,7 +158,8 @@ sys.exit(f"loaded {loaded}" if loaded else code)
     (["pipelines"], "dataclasses,inspect"),
     (["analyze", "--format", "json"], "dataclasses,inspect"),
     (["analyze", "--format", "tsv"], "dataclasses,inspect"),
-    (["verify"], "dataclasses,inspect"),
+    # verify draws its random pipelines from a pure-Python Philox
+    (["verify"], "dataclasses,inspect,numpy"),
     # numpy itself loads inspect
     (["simulate", "--m", "1000"], "dataclasses"),
     (["simulate", "--pipeline", "A/B/D", "--m", "1000"], "dataclasses"),
@@ -187,8 +188,26 @@ def test_records_are_immutable_tuples_that_validate_their_fields():
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], record[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
         twin = type(record)(*record)
         assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+    # records that cache derived values keep a __dict__ for them, but no
+    # attribute can be set or deleted from outside, a cached one included
+    taxonomy = records[-1]
+    profiles = pf.ClassifierProfileSet({"B": gamma}, root="A")
+    assert pipeline.path == "A/B" and taxonomy.topological_order == ("A", "B")
+    assert profiles.resolve(pipeline, 1) == gamma
+    for record, cached in [(pipeline, "path"), (taxonomy, "topological_order"),
+                           (profiles, "_overridden")]:
+        value = getattr(record, cached)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(record, cached, value)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(record, cached)
+        with pytest.raises(AttributeError, match="is immutable"):
+            record.extra = 1
+        assert getattr(record, cached) is value
     out_of_range = pf.OutOfRangeProbabilityError
     bad = [
         (lambda: pf.JointMatrix(0.5, 0.5, 0.5, 0.5), out_of_range, "joint mass sums to 2.0"),
@@ -210,6 +229,5 @@ def test_records_are_immutable_tuples_that_validate_their_fields():
         with pytest.raises(error, match=message):
             make()
     # each profile set left without overrides gets a dict of its own
-    profiles = pf.ClassifierProfileSet({"B": gamma}, root="A")
     assert profiles.overrides == {}
     assert profiles.overrides is not pf.ClassifierProfileSet({"B": gamma}, root="A").overrides

@@ -17,7 +17,9 @@ Classifier profiles::
 Pipelines are serialized as slash-joined category names everywhere.  Parse
 errors carry a location; probabilities outside their contract are rejected,
 never coerced.  Confusion rows are accepted when they sum to 1 within 1e-9,
-renormalized exactly, and the adjustment is recorded in the report.
+renormalized exactly, and the adjustment is recorded in the report.  An
+edge or classifier of the common shape, a ``dict`` of exactly its keys whose
+values pass, is checked once; every other record takes the located checks.
 
 Every output layout lives here: one ``write_*`` function per library record,
 each writing JSON or TSV, byte-identical for identical inputs.  Pipelines
@@ -77,11 +79,9 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A JSON object as a dict, refusing a key given twice (``json`` keeps the last)."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValueError(f"duplicate key {key!r}")
-            seen.add(key)
+        first: dict[str, int] = {}
+        key = next(key for i, (key, _) in enumerate(pairs) if first.setdefault(key, i) != i)
+        raise ValueError(f"duplicate key {key!r}")
     return obj
 
 
@@ -99,11 +99,9 @@ def _load_json(text: str, what: str) -> Any:
 def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
     if not isinstance(obj, Mapping):
         raise ParseError(f"expected an object, got {type(obj).__name__}", location=where)
-    unknown = set(obj) - allowed
-    if unknown:
+    if unknown := set(obj) - allowed:
         raise ParseError(f"unknown keys {sorted(unknown)}", location=where)
-    missing = required - set(obj)
-    if missing:
+    if missing := required - set(obj):
         raise ParseError(f"missing keys {sorted(missing)}", location=where)
 
 
@@ -132,17 +130,21 @@ def parse_taxonomy(text: str) -> Taxonomy:
     _require_keys(data, {"root", "categories", "edges"}, {"root", "categories", "edges"},
                   "taxonomy")
     cats = data["categories"]
-    if not isinstance(cats, list) or not all(isinstance(c, str) for c in cats):
+    if not isinstance(cats, list) or not {*map(type, cats)} <= {str}:
         raise ParseError("categories must be a list of strings", location="taxonomy.categories")
-    seen: set[str] = set()
-    for i, c in enumerate(cats):
-        if c in seen:
-            raise ParseError(f"duplicate category {c!r}", location=f"taxonomy.categories[{i}]")
-        seen.add(c)
+    if len(set(cats)) < len(cats):  # name the first name given twice
+        first: dict[str, int] = {}
+        i = next(i for i, c in enumerate(cats) if first.setdefault(c, i) != i)
+        raise ParseError(f"duplicate category {cats[i]!r}", location=f"taxonomy.categories[{i}]")
     if not isinstance(data["edges"], list):
         raise ParseError("edges must be a list", location="taxonomy.edges")
     edges = []
     for i, raw in enumerate(data["edges"]):
+        if type(raw) is dict and len(raw) == 3:  # then the three keys are its only ones
+            child, parent, f = raw.get("child"), raw.get("parent"), raw.get("f")
+            if type(child) is type(parent) is str and type(f) is float and 0.0 <= f <= 1.0:
+                edges.append(tuple.__new__(Edge, (child, parent, f)))
+                continue
         where = f"taxonomy.edges[{i}]"
         _require_keys(raw, {"child", "parent", "f"}, {"child", "parent"}, where)
         if not isinstance(raw["child"], str) or not isinstance(raw["parent"], str):
@@ -154,23 +156,17 @@ def parse_taxonomy(text: str) -> Taxonomy:
     return validate_taxonomy(cats, edges, root=data["root"])
 
 
-def _parse_row_matrix(
-    raw: Mapping, where: str
-) -> tuple[NormalizedConfusionMatrix, bool]:
+def _parse_row_matrix(raw: Mapping, where: str) -> tuple[NormalizedConfusionMatrix, bool]:
     """Read a key-checked tn/fp/fn/tp object: the matrix, and whether rows moved."""
-    vals = {key: _probability(raw, key, where) for key in ("tn", "fp", "fn", "tp")}
-    renormalized = False
-    for row, (a, b) in (("negative", ("tn", "fp")), ("positive", ("fn", "tp"))):
-        s = vals[a] + vals[b]
+    tn, fp, fn, tp = (_probability(raw, key, where) for key in ("tn", "fp", "fn", "tp"))
+    sums = {"negative": tn + fp, "positive": fn + tp}
+    for row, s in sums.items():
         if abs(s - 1.0) > ROW_SUM_TOLERANCE:
             raise OutOfRangeProbabilityError(
-                f"{where}: {row} row sums to {s!r}, expected 1 within {ROW_SUM_TOLERANCE}"
-            )
-        if s != 1.0:
-            vals[a] /= s
-            vals[b] /= s
-            renormalized = True
-    return NormalizedConfusionMatrix(**vals), renormalized
+                f"{where}: {row} row sums to {s!r}, expected 1 within {ROW_SUM_TOLERANCE}")
+    neg, pos = sums.values()  # dividing by a sum of exactly 1.0 changes nothing
+    matrix = NormalizedConfusionMatrix(tn / neg, fp / neg, fn / pos, tp / pos)
+    return matrix, neg != 1.0 or pos != 1.0
 
 
 class InputBundle(NamedTuple):
@@ -191,17 +187,23 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
 
     renormalized: list[str] = []
     base: dict[str, NormalizedConfusionMatrix] = {}
-    for name in raw_cls:
+    cats = taxonomy.categories
+    for name, raw in raw_cls.items():
+        if type(raw) is dict and len(raw) == 4 and name in cats and name != taxonomy.root:
+            tn, fp, fn, tp = raw.get("tn"), raw.get("fp"), raw.get("fn"), raw.get("tp")
+            if (type(tn) is type(fp) is type(fn) is type(tp) is float and tn + fp == 1.0 == fn + tp
+                    and tn >= 0.0 and fp >= 0.0 and fn >= 0.0 and tp >= 0.0):  # so none is over 1
+                base[name] = tuple.__new__(NormalizedConfusionMatrix, (tn, fp, fn, tp))
+                continue
         where = f"profiles.classifiers.{name}"
-        if name not in taxonomy.categories:
+        if name not in cats:
             raise UnknownCategoryError(f"{where}: unknown category {name!r}")
         if name == taxonomy.root:
             raise RootProfileForbiddenError(
                 f"{where}: the root passes everything down; its profile is fixed"
             )
-        _require_keys(raw_cls[name], {"tn", "fp", "fn", "tp"}, {"tn", "fp", "fn", "tp"}, where)
-        matrix, moved = _parse_row_matrix(raw_cls[name], where)
-        base[name] = matrix
+        _require_keys(raw, {"tn", "fp", "fn", "tp"}, {"tn", "fp", "fn", "tp"}, where)
+        base[name], moved = _parse_row_matrix(raw, where)
         if moved:
             renormalized.append(name)
 
@@ -238,10 +240,7 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
         if moved:
             renormalized.append(f"{path}:{cat}")
 
-    missing = sorted(
-        c for c in taxonomy.categories if c != taxonomy.root and c not in base
-    )
-    if missing:
+    if missing := sorted(cats - base.keys() - {taxonomy.root}):
         raise MissingGammaError(f"categories without a classifier profile: {missing}")
 
     profile_set = ClassifierProfileSet(base=base, overrides=overrides, root=taxonomy.root)
@@ -251,8 +250,7 @@ def parse_profiles(text: str, taxonomy: Taxonomy) -> tuple[ClassifierProfileSet,
 def parse_inputs(taxonomy_text: str, profiles_text: str) -> InputBundle:
     """Parse both input files into a cross-validated bundle."""
     taxonomy = parse_taxonomy(taxonomy_text)
-    profiles, renormalized = parse_profiles(profiles_text, taxonomy)
-    return InputBundle(taxonomy=taxonomy, profiles=profiles, renormalized=renormalized)
+    return InputBundle(taxonomy, *parse_profiles(profiles_text, taxonomy))
 
 
 # --- serialization -----------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import ne
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -30,8 +31,9 @@ from .errors import (
 CategoryId = str
 
 #: Unicode category Cc (tab, LF, CR, U+0085, ...) and the line and paragraph
-#: separators: characters that would split a TSV cell or an output line
-_CONTROL_OR_LINE_BREAK = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+#: separators, which would split a TSV cell or an output line, and the
+#: surrogates (category Cs), which UTF-8 cannot encode
+_CONTROL_OR_LINE_BREAK = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
 
 
 class Edge(NamedTuple):
@@ -117,19 +119,15 @@ class Taxonomy(_Checked, NamedTuple("Taxonomy", [
     does not re-check global invariants.
     """
 
-    @cached_property
-    def _parents(self) -> dict[CategoryId, tuple[Edge, ...]]:
+    def _edges_by(self, end: int) -> dict[CategoryId, tuple[Edge, ...]]:
+        """Each category's edges at their end ``end`` (0 child, 1 parent), by their other end."""
         out: dict[CategoryId, list[Edge]] = {c: [] for c in self.categories}
-        for e in self.edges:
-            out[e.child].append(e)
-        return {c: tuple(sorted(v, key=lambda e: e.parent)) for c, v in out.items()}
+        for e in sorted(self.edges):
+            out[e[end]].append(e)
+        return {c: tuple(v) for c, v in out.items()}
 
-    @cached_property
-    def _children(self) -> dict[CategoryId, tuple[Edge, ...]]:
-        out: dict[CategoryId, list[Edge]] = {c: [] for c in self.categories}
-        for e in self.edges:
-            out[e.parent].append(e)
-        return {c: tuple(sorted(v, key=lambda e: e.child)) for c, v in out.items()}
+    _parents = cached_property(lambda self: self._edges_by(0))
+    _children = cached_property(lambda self: self._edges_by(1))
 
     @cached_property
     def _edge_map(self) -> dict[tuple[CategoryId, CategoryId], Edge]:
@@ -138,7 +136,7 @@ class Taxonomy(_Checked, NamedTuple("Taxonomy", [
     @cached_property
     def topological_order(self) -> tuple[CategoryId, ...]:
         """Every category after all its parents, root first (Kahn's walk); raises on a cycle."""
-        pending = dict.fromkeys(self.categories, 0)
+        children, pending = self._children, dict.fromkeys(self.categories, 0)
         for e in self.edges:
             pending[e.child] += 1
         order: list[CategoryId] = []
@@ -146,10 +144,10 @@ class Taxonomy(_Checked, NamedTuple("Taxonomy", [
         while stack:
             c = stack.pop()
             order.append(c)
-            for e in self._children[c]:
-                pending[e.child] -= 1
-                if pending[e.child] == 0:
+            for e in children[c]:
+                if not (left := pending[e.child] - 1):
                     stack.append(e.child)
+                pending[e.child] = left
         if len(order) != len(self.categories):
             cyclic = sorted(c for c in self.categories if pending[c] > 0)
             raise CycleDetectedError(f"cycle through {cyclic}")
@@ -198,52 +196,57 @@ def validate_taxonomy(
     """Check the poset invariants and return an immutable :class:`Taxonomy`.
 
     Verifies: there are categories, their names are unique, non-empty and
-    hold no '/', control character or line break, edges reference known
-    categories, no duplicate or self-loop edges, every supplied f lies in
-    [0, 1], exactly one category has no parent (the root, matching
-    ``root`` when given), and Kahn's walk from it orders every category: a
-    category it cannot order lies on or below a cycle.
+    hold no '/', control character, line break or surrogate, edges
+    reference known categories, no duplicate or self-loop edges, every
+    supplied f lies in [0, 1], exactly one category has no parent (the
+    root, matching ``root`` when given), and Kahn's walk from it orders
+    every category: a category it cannot order lies on or below a cycle.
+
+    Each check runs over all names or all edges at once; only where one
+    fails do they go one by one, so that the error names the first offender.
     """
-    names = list(categories)  # checked in the given order, so errors name the first
+    names = list(categories)
     if not names:
         raise UnknownCategoryError("the category list is empty")
-    seen: set[CategoryId] = set()
-    for c in names:
-        if not isinstance(c, str) or not c.strip():  # before hashing c
-            raise UnknownCategoryError(f"invalid category name {c!r}")
-        if c in seen:
-            raise UnknownCategoryError(f"duplicate category {c!r}")
-        seen.add(c)
-        if "/" in c:
-            raise UnknownCategoryError(
-                f"category name {c!r} may not contain '/' (reserved for pipeline paths)"
-            )
-        if _CONTROL_OR_LINE_BREAK.search(c):
-            raise UnknownCategoryError(
-                f"category name {c!r} may not contain control characters or line breaks"
-            )
+    if not ({*map(type, names)} == {str} and all(map(str.strip, names))
+            and len(set(names)) == len(names) and "/" not in (joined := "".join(names))
+            and not _CONTROL_OR_LINE_BREAK.search(joined)):
+        seen: set[CategoryId] = set()
+        for c in names:
+            if not isinstance(c, str) or not c.strip():  # before hashing c
+                raise UnknownCategoryError(f"invalid category name {c!r}")
+            if c in seen:
+                raise UnknownCategoryError(f"duplicate category {c!r}")
+            seen.add(c)
+            if "/" in c or _CONTROL_OR_LINE_BREAK.search(c):
+                what = ("'/' (reserved for pipeline paths)" if "/" in c
+                        else "control characters or line breaks")
+                raise UnknownCategoryError(f"category name {c!r} may not contain {what}")
 
     cats = frozenset(names)
     norm_edges = list(edges)
+    children, parents, fs = zip(*norm_edges) if norm_edges else ((), (), ())
+    if not ({*map(type, ends := children + parents)} <= {str} and cats.issuperset(ends)
+            and all(map(ne, children, parents)) and len(set(zip(children, parents))) == len(fs)
+            and all(type(f) is float and 0.0 <= f <= 1.0 or f is None for f in fs)):
+        pairs: set[tuple[CategoryId, CategoryId]] = set()
+        for i, e in enumerate(norm_edges):
+            for c in (e.child, e.parent):
+                if c not in cats:
+                    raise UnknownCategoryError(
+                        f"edge {e.child!r}<{e.parent!r}: unknown category {c!r}")
+            if e.child == e.parent:
+                raise CycleDetectedError(f"self-loop on {e.child!r}")
+            if (e.child, e.parent) in pairs:
+                raise DuplicateEdgeError(f"duplicate edge {e.child!r}<{e.parent!r}")
+            pairs.add((e.child, e.parent))
+            if e.f is not None and not 0.0 <= e.f <= 1.0:
+                raise OutOfRangeProbabilityError(
+                    f"edge {e.child!r}<{e.parent!r}: f={e.f} outside [0, 1]")
+            if e.f is not None and type(e.f) is not float:  # an int f is stored as a real
+                norm_edges[i] = e._replace(f=float(e.f))
 
-    seen: set[tuple[CategoryId, CategoryId]] = set()
-    for i, e in enumerate(norm_edges):
-        for c in (e.child, e.parent):
-            if c not in cats:
-                raise UnknownCategoryError(f"edge {e.child!r}<{e.parent!r}: unknown category {c!r}")
-        if e.child == e.parent:
-            raise CycleDetectedError(f"self-loop on {e.child!r}")
-        if (e.child, e.parent) in seen:
-            raise DuplicateEdgeError(f"duplicate edge {e.child!r}<{e.parent!r}")
-        seen.add((e.child, e.parent))
-        if e.f is not None and not 0.0 <= e.f <= 1.0:
-            raise OutOfRangeProbabilityError(
-                f"edge {e.child!r}<{e.parent!r}: f={e.f} outside [0, 1]"
-            )
-        if e.f is not None and type(e.f) is not float:  # an int f is stored as a real
-            norm_edges[i] = e._replace(f=float(e.f))
-
-    roots = sorted(cats - {e.child for e in norm_edges})
+    roots = sorted(cats.difference(children))
     if not roots:
         raise CycleDetectedError("no parentless category; the covering relation is cyclic")
     if len(roots) > 1:
@@ -251,8 +254,7 @@ def validate_taxonomy(
     found_root = roots[0]
     if root is not None and root != found_root:
         raise MultipleRootsError(
-            f"declared root {root!r} is not the unique parentless category {found_root!r}"
-        )
+            f"declared root {root!r} is not the unique parentless category {found_root!r}")
 
     taxonomy = Taxonomy(categories=cats, edges=tuple(norm_edges), root=found_root)
     taxonomy.topological_order  # raises CycleDetectedError on every category it cannot order

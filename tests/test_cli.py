@@ -309,6 +309,25 @@ def test_undecodable_input_is_invalid_input(tmp_path, capsys):
                    "not UTF-8 text: invalid continuation byte at byte 10\n")
 
 
+@pytest.mark.parametrize("argv", [["pipelines"], ["analyze"], ["analyze", "--format", "tsv"],
+                                  ["verify", "--format", "tsv"]],
+                         ids=["pipelines", "analyze-json", "analyze-tsv", "verify-tsv"])
+def test_a_category_name_utf8_cannot_encode_is_invalid_input(argv, tmp_path, capsys):
+    # "\ud800" is a valid JSON escape, but of a lone surrogate, which no
+    # output could write; it is rejected before any output is written
+    taxonomy, profiles = tmp_path / "taxonomy.json", tmp_path / "profiles.json"
+    taxonomy.write_text('{"root": "A", "categories": ["A", "\\ud800"],'
+                        ' "edges": [{"child": "\\ud800", "parent": "A", "f": 0.5}]}')
+    profiles.write_text('{"classifiers": {"\\ud800": %s}}' % json.dumps(GAMMA))
+    files = ["--taxonomy", str(taxonomy)] + ([] if argv == ["pipelines"]
+                                             else ["--profiles", str(profiles)])
+    code, out, err = run([argv[0], *files, *argv[1:]], capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == ("pfmodel: error: category name '\\ud800' may not contain"
+                   " control characters or line breaks\n")
+
+
 class BrokenPipeBuffer(io.BytesIO):
     """A byte buffer whose reader has gone, as a closed pipe's is."""
 

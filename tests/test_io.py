@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -17,7 +18,10 @@ from hypothesis import strategies as st
 import pfmodel as pf
 from pfmodel.io import _real, build_report, fmt12, write_report
 
-from conftest import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import gen  # noqa: E402  (the benchmark's input generator)
+from conftest import (  # noqa: E402
     DAG_PROFILES_JSON,
     DAG_TAXONOMY_JSON,
     L2_PROFILES_JSON,
@@ -250,6 +254,94 @@ def test_parse_taxonomy_keeps_a_missing_f():
     t = pf.parse_taxonomy(text)
     assert t == pf.validate_taxonomy(["A", "B"], [pf.Edge("B", "A")])
     assert t.edge("B", "A").f is None
+
+
+def bundle_digest(bundle: pf.InputBundle) -> str:
+    """SHA-256 of the text of every value of a bundle, reprs of floats included."""
+    t, p = bundle.taxonomy, bundle.profiles
+    text = repr((sorted(t.categories), t.edges, t.root, sorted(p.base.items()),
+                 sorted(p.overrides.items()), p.root, bundle.renormalized))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_common_shape_records_take_no_located_check(monkeypatch):
+    """An edge or classifier of the common shape is checked once; each near
+    miss, and every override, goes through the located checks on its own,
+    and the bundle holds the values the located checks gave every record."""
+    inputs = gen.tree(2000, 8, 42)  # every row sums to exactly 1
+    located, cells = [], []
+    require_keys, probability = pf.io._require_keys, pf.io._probability
+    monkeypatch.setattr(pf.io, "_require_keys", lambda obj, allowed, required, where: (
+        located.append(where) or require_keys(obj, allowed, required, where)))
+    monkeypatch.setattr(pf.io, "_probability", lambda raw, key, where: (
+        cells.append(where) or probability(raw, key, where)))
+    bundle = pf.parse_inputs(inputs.taxonomy, inputs.profiles)
+    assert located == ["taxonomy", "profiles"]  # the documents themselves
+    assert cells == []
+    assert bundle_digest(bundle) == (
+        "ffcfc61600dbb1c1bc6211996a75684331147e45de1db7aa8321a783295430ee")
+
+    taxonomy, profiles = json.loads(inputs.taxonomy), json.loads(inputs.profiles)
+    taxonomy["edges"][0]["f"] = 1  # an integer f
+    taxonomy["edges"][1]["f"] = None  # an explicit null
+    profiles["classifiers"]["c3"]["tn"] += 1e-10  # renormalized
+    profiles["classifiers"]["c4"].update(fn=0, tp=1.0)  # an integer cell
+    profiles["overrides"] = [{"pipeline": "c0/c1/c9", "category": "c9",
+                              "tn": 0.5, "fp": 0.5, "fn": 0.25, "tp": 0.75}]
+    located.clear()
+    bundle = pf.parse_inputs(json.dumps(taxonomy), json.dumps(profiles))
+    assert located == ["taxonomy", "taxonomy.edges[0]", "taxonomy.edges[1]", "profiles",
+                       "profiles.classifiers.c3", "profiles.classifiers.c4",
+                       "profiles.overrides[0]"]
+    assert cells == (["taxonomy.edges[0]"] + ["profiles.classifiers.c3"] * 4
+                     + ["profiles.classifiers.c4"] * 4 + ["profiles.overrides[0]"] * 4)
+    assert bundle.renormalized == ("c3",)
+    assert bundle.taxonomy.edges[:2] == (pf.Edge("c1", "c0", 1.0), pf.Edge("c2", "c0", None))
+    assert type(bundle.taxonomy.edges[0].f) is float
+    base = bundle.profiles.base
+    assert base["c3"] == (0.7888810558137255, 0.21111894418627447,
+                          0.11901907515029275, 0.8809809248497072)
+    assert base["c4"] == (0.7407600795389623, 0.2592399204610377, 0.0, 1.0)
+    assert type(base["c4"].fn) is float
+    assert bundle.profiles.overrides == {("c0/c1/c9", "c9"): (0.5, 0.5, 0.25, 0.75)}
+    assert bundle_digest(bundle) == (
+        "298c48e14ce3ebb89ba144ed8aef921783a7c0f610d5a7e777516ed3363099ea")
+
+
+def golden_taxonomy_with(*edits) -> str:
+    data = json.loads((Path(__file__).parent / "golden" / "taxonomy.json").read_text())
+    for edit in edits:
+        edit(data)
+    return json.dumps(data)
+
+
+def set_edge(i, **fields):
+    return lambda data: data["edges"][i].update(fields)
+
+
+@pytest.mark.parametrize("edits, error, message", [
+    # the parse stage runs before the validate stage
+    ((set_edge(0, child="Z"), set_edge(1, f=2)),
+     pf.OutOfRangeProbabilityError, "taxonomy.edges[1]: f=2 outside [0, 1]"),
+    # within the validate stage, file order decides
+    ((set_edge(0, child="Z"), set_edge(1, child="A")),
+     pf.UnknownCategoryError, "edge 'Z'<'A': unknown category 'Z'"),
+    ((set_edge(0, child="Z"), lambda data: data["edges"].append(data["edges"][2])),
+     pf.UnknownCategoryError, "edge 'Z'<'A': unknown category 'Z'"),
+    ((set_edge(2, child="B"), set_edge(3, parent="Q")),
+     pf.CycleDetectedError, "self-loop on 'B'"),
+    ((lambda data: data["edges"].append(data["edges"][0]), set_edge(5, parent="F")),
+     pf.CycleDetectedError, "self-loop on 'F'"),
+    ((lambda data: data["categories"].__setitem__(2, "C/x"),
+      lambda data: data["categories"].__setitem__(4, "E\t")),
+     pf.UnknownCategoryError,
+     "category name 'C/x' may not contain '/' (reserved for pipeline paths)"),
+], ids=["parse-first", "unknown-before-self-loop", "unknown-before-duplicate",
+        "self-loop-before-unknown", "self-loop-before-duplicate", "slash-before-tab"])
+def test_inputs_with_several_faults_report_the_first(edits, error, message):
+    with pytest.raises(error) as err:
+        pf.parse_taxonomy(golden_taxonomy_with(*edits))
+    assert str(err.value) == message
 
 
 # --- writers and sinks -----------------------------------------------------------

@@ -95,10 +95,12 @@ def test_an_unhashable_category_name_is_invalid(name):
         pf.validate_taxonomy([name], [])
 
 
-@pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x85", "\u2028"],
-                         ids=["tab", "lf", "cr", "nel", "line-separator"])
+@pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x85", "\u2028", "\ud800", "\udfff"],
+                         ids=["tab", "lf", "cr", "nel", "line-separator", "high-surrogate",
+                              "low-surrogate"])
 def test_category_names_with_control_characters_or_line_breaks(char):
-    # such a name would split a TSV cell or a line of ``pipelines`` output
+    # such a name would split a TSV cell or a line of ``pipelines`` output,
+    # and UTF-8 cannot encode a lone surrogate at all
     with pytest.raises(pf.UnknownCategoryError, match="control characters or line breaks"):
         pf.validate_taxonomy(["A", f"B{char}x"], [Edge(f"B{char}x", "A")])
 
@@ -106,6 +108,29 @@ def test_category_names_with_control_characters_or_line_breaks(char):
 def test_empty_category_list():
     with pytest.raises(pf.UnknownCategoryError, match="^the category list is empty$"):
         pf.validate_taxonomy([], [])
+
+
+@pytest.mark.parametrize("names, edges, error, message", [
+    (["A", "B/x", " ", "B/x"], [], pf.UnknownCategoryError,
+     "category name 'B/x' may not contain '/' (reserved for pipeline paths)"),
+    (["A", "B", "B", 5], [], pf.UnknownCategoryError, "duplicate category 'B'"),
+    (["A", "B", "C\x7f", "C/"], [], pf.UnknownCategoryError,
+     "category name 'C\\x7f' may not contain control characters or line breaks"),
+    (["A", "B", "C"], [Edge("B", "A", 0.5), Edge("C", "A", 2), Edge("Q", "A")],
+     pf.OutOfRangeProbabilityError, "edge 'C'<'A': f=2 outside [0, 1]"),
+    (["A", "B", "C"], [Edge("B", "A", 0.5), Edge("C", "C"), Edge("B", "A", 0.5)],
+     pf.CycleDetectedError, "self-loop on 'C'"),
+    (["A", "B"], [Edge("B", "A"), Edge("B", "A", 0.5), Edge("B", ["A"])],
+     pf.DuplicateEdgeError, "duplicate edge 'B'<'A'"),
+    (["A", "B", "C"], [Edge("B", "A", 0.5), Edge("C", "B", float("nan")), Edge("C", "C")],
+     pf.OutOfRangeProbabilityError, "edge 'C'<'B': f=nan outside [0, 1]"),
+], ids=["slash", "duplicate", "control", "f-range", "self-loop", "duplicate-edge", "f-nan"])
+def test_validation_names_the_first_offender(names, edges, error, message):
+    """Names, then edges, are checked in the given order: where several are
+    at fault, the error names the first."""
+    with pytest.raises(error) as err:
+        pf.validate_taxonomy(names, edges)
+    assert str(err.value) == message
 
 
 def test_dag_example_valid(dag_example):

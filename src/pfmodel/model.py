@@ -85,13 +85,18 @@ class NormalizedConfusionMatrix(_Checked, Cells2x2):
 
     tn + fp = 1 and fn + tp = 1 (within 1e-12): the rows are conditional
     distributions of the decision given a truly-negative / truly-positive
-    input.
+    input.  fp and tp, the rates that chains multiply, lie in [0, 1]
+    exactly; tn and fn keep the 1e-12 slack, as :func:`oplus` sums can
+    round one ulp above 1.
     """
 
     __slots__ = ()
 
     def __new__(cls, tn: float, fp: float, fn: float, tp: float):
         self = tuple.__new__(cls, _check_unit_range(tn, fp, fn, tp))
+        for name, v in (("fp", self.fp), ("tp", self.tp)):
+            if not 0.0 <= v <= 1.0:
+                raise OutOfRangeProbabilityError(f"{name}={v} outside [0, 1]")
         for label, s in (("negative", self.tn + self.fp), ("positive", self.fn + self.tp)):
             if abs(s - 1.0) > _EPS:
                 raise OutOfRangeProbabilityError(

@@ -108,11 +108,10 @@ def _exact_matrix(pipeline: Pipeline, histories: tuple, terms: list) -> JointMat
     return JointMatrix(tn=tn, fp=fp, fn=fn, tp=0.0 + inside)
 
 
-def _closed_matrix(pipeline: Pipeline, fs: Sequence[float],
-                   chain: Sequence[NormalizedConfusionMatrix]) -> JointMatrix:
-    """The closed form's joint matrix of ``pipeline``, given its f chain and
-    classifier chain: :func:`omega_closed` without their lookup."""
-    return JointMatrix(*_closed_form(fs, chain))
+def _closed_matrix(pipeline: Pipeline, chain: Sequence[NormalizedConfusionMatrix]) -> JointMatrix:
+    """The closed form's joint matrix of ``pipeline``, given its classifier
+    chain: :func:`omega_closed` on its checked ``fs``, without the lookup."""
+    return JointMatrix(*_closed_form(pipeline.fs, chain))
 
 
 class OracleCheck(NamedTuple):
@@ -160,10 +159,11 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
     drawn from the stream keyed by ``seed``; a check passes within ``tol``.
 
     Taxonomy pipelines come prefix-first, so the walk visits the prefix tree
-    once, and each pipeline extends its parent prefix by one step: its f
-    chain by one converted f, its classifier chain by one resolved profile,
-    its recurrence value by one :func:`omega_step` and, up to ``max_len``,
-    its live event-tree histories by one step of exact enumeration.  The
+    once, and each pipeline extends its parent prefix by one step: it checks
+    the f of its last edge, the one its parent's f chain lacks, and extends
+    the one live classifier chain by one resolved profile, its recurrence
+    value by one :func:`omega_step` and, up to ``max_len``, its live
+    event-tree histories by one step of exact enumeration.  The
     chains are input lookups; each oracle's algebra stays its own, and each
     value is, bit for bit, what :func:`omega_closed`, :func:`omega_recursive`
     and :func:`enumerate_exact` give the pipeline alone.  The root and the
@@ -181,38 +181,33 @@ def verify_oracles(t: Taxonomy, profiles: ClassifierProfileSet, tol: float, max_
         checks.extend(OracleCheck(source, pipeline, check, diff, diff <= tol)
                       for check, diff in rows)
 
-    # ``fs`` and ``chain`` hold the live prefix's f and classifier chains,
-    # ``live[k]`` the recurrence value and live histories (``None`` deeper
-    # than ``max_len``) of its prefix at depth k, and ``terms`` the tn terms
-    # along it; a pipeline cuts them back to its parent, so finished subtrees
-    # free theirs
-    fs: list[float] = []
+    # ``chain`` holds the live prefix's classifier chain, ``live[k]`` the
+    # recurrence value and live histories (``None`` deeper than ``max_len``)
+    # of its prefix at depth k, and ``terms`` the tn terms along it; a
+    # pipeline cuts them back to its parent, so finished subtrees free
+    # theirs.  Its parent checked every f of ``p.fs`` but its last.
     chain: list[NormalizedConfusionMatrix] = []
     live: list[tuple[JointMatrix, tuple | None]] = []
     terms: list = []
     for p in enumerate_pipelines(t):
+        p.require_fs(p.depth)  # the new f is checked before its profile is resolved
         if p.depth:
-            del fs[p.depth:], chain[p.depth - 1:], live[p.depth:]
+            del chain[p.depth - 1:], live[p.depth:]
             recursive, histories = live[-1]
-            fs += p.require_fs(p.depth)  # the new f is checked before its profile is resolved
             g = profiles.resolve(p, p.depth)
             chain.append(g)
-            closed = _closed_matrix(p, fs, chain)
-            recursive = omega_step(recursive, fs[-1], g)
-            histories = _extend(histories, terms, fs[-1], g) if p.depth <= max_len else None
+            recursive = omega_step(recursive, p.fs[-1], g)
+            histories = _extend(histories, terms, p.fs[-1], g) if p.depth <= max_len else None
         else:
-            fs += p.require_fs()
-            closed = _closed_matrix(p, fs, chain)
             recursive = omega_recursive(p, profiles)
             histories = (1.0, [], []) if max_len >= 0 else None
         live.append((recursive, histories))
-        run_one("taxonomy", p, closed, recursive,
+        run_one("taxonomy", p, _closed_matrix(p, chain), recursive,
                 _exact_matrix(p, histories, terms) if histories else None)
     rng = PhiloxStream(stream_key(seed, "verify"))
     for i in range(samples):
         pipeline, sample_chain = _random_pipeline(rng, max_len)
-        sample_fs = pipeline.require_fs()
-        run_one(f"random[{i}]", pipeline, _closed_matrix(pipeline, sample_fs, sample_chain),
-                _recurrence(sample_fs, sample_chain),
-                _exact_matrix(pipeline, *_walk(sample_fs, sample_chain)))
+        run_one(f"random[{i}]", pipeline, _closed_matrix(pipeline, sample_chain),
+                _recurrence(pipeline.fs, sample_chain),
+                _exact_matrix(pipeline, *_walk(pipeline.fs, sample_chain)))
     return Verification(tol, max_len, samples, seed, tuple(checks))

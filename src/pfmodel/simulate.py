@@ -188,26 +188,28 @@ def _simulate_taxonomy(
     memberships = taxonomy_memberships(t, cfg)
 
     # decisions: one stream per rooted prefix, shared by extending pipelines.
-    # Pipelines come prefix-first, so each one extends its parent prefix's
-    # decisions and resolved classifiers by one step.  ``path[k]``
-    # holds them for the live prefix at depth k, so finished subtrees free theirs.
-    path: list[tuple] = []
+    # Pipelines come prefix-first: each one cuts the live prefix's decisions
+    # (``path[k]`` at depth k) and classifier chain back to its parent's,
+    # which frees finished subtrees, extends both by one step and checks its
+    # last f, the one its parent did not.
+    path: list[np.ndarray] = []
+    chain: list = []
     per_pipeline: dict[str, SimOutcome] = {}
     for p in enumerate_pipelines(t):
         x = memberships[p.nodes[-1]]
-        del path[p.depth:]
         if p.depth == 0:
-            d, chain = np.ones(m, dtype=bool), ()
+            d = np.ones(m, dtype=bool)
         else:
-            d, chain = path[-1]
+            del path[p.depth:], chain[p.depth - 1:]
             g = profiles.resolve(p, p.depth)
             u = uniforms(cfg.seed, ("taxonomy-decision", p.path), m)
-            d = d & (u < np.where(x, g.tp, g.fp))
-            chain += (g,)
-        path.append((d, chain))
+            d = path[-1] & (u < np.where(x, g.tp, g.fp))
+            chain.append(g)
+        path.append(d)
         per_pipeline[p.path] = SimOutcome(pipeline=p.path, m=m, counts=_tally(x, d))
         if p.path not in models:
-            models[p.path] = JointMatrix(*_closed_form(p.require_fs(), chain))
+            p.require_fs(p.depth)
+            models[p.path] = JointMatrix(*_closed_form(p.fs, chain))
 
     return TaxonomySimOutcome(per_pipeline=per_pipeline, models=models)
 

@@ -37,6 +37,23 @@ def test_gamma_rejects_out_of_range():
         NormalizedConfusionMatrix(tn=-0.1, fp=1.1, fn=0.2, tp=0.8)
 
 
+@pytest.mark.parametrize("cells, message", [
+    ((0.0, 1.0, -5e-13, 1.0 + 5e-13), r"^tp=1.0000000000005 outside \[0, 1\]$"),
+    ((1.0 + 5e-13, -5e-13, 0.0, 1.0), r"^fp=-5e-13 outside \[0, 1\]$"),
+])
+def test_gamma_rejects_a_chained_rate_in_the_slack(cells, message):
+    # chains multiply fp and tp: a tp of 1 + 5e-13 raised B's recall above
+    # A's, and depth_profile failed an assertion on A/B
+    with pytest.raises(pf.OutOfRangeProbabilityError, match=message):
+        NormalizedConfusionMatrix(*cells)
+
+
+def test_gamma_keeps_the_slack_of_tn_and_fn():
+    # an oplus sum can round one ulp above 1; fp and tp stay in [0, 1]
+    gamma = NormalizedConfusionMatrix(tn=1.0 + 5e-13, fp=0.0, fn=1.0 + 5e-13, tp=0.0)
+    assert gamma.as_tuple() == (1.0 + 5e-13, 0.0, 1.0 + 5e-13, 0.0)
+
+
 def test_gamma_rejects_non_finite_cell():
     with pytest.raises(pf.OutOfRangeProbabilityError, match=r"^tn=nan is not a finite number$"):
         NormalizedConfusionMatrix(tn=math.nan, fp=0.0, fn=0.0, tp=1.0)

@@ -698,6 +698,25 @@ def test_verify_converts_each_f_chain_once_per_pipeline(monkeypatch):
     assert converted == [(0, 1), (0, 1), *((k, 1) for k in range(1, depth + 1))]
 
 
+def test_simulate_taxonomy_converts_each_f_once(monkeypatch):
+    # each pipeline's model reads the f chain its parent checked, plus its
+    # last edge's f; converting every pipeline's whole chain took 45,451
+    n = 301
+    bundle = pf.parse_inputs(*chain_json(n))
+    converted = []
+    require_fs = pf.Pipeline.require_fs
+
+    def counting(p, *start):
+        fs = require_fs(p, *start)
+        converted.append(len(fs))
+        return fs
+
+    monkeypatch.setattr(pf.Pipeline, "require_fs", counting)
+    outcome = pf.simulate_taxonomy(bundle.taxonomy, bundle.profiles, SimConfig(m=8, seed=0))
+    assert len(outcome.models) == n
+    assert sum(converted) == n
+
+
 def test_report_converts_each_f_once(monkeypatch):
     # a pipeline folded on from its parent converts the f of its one new
     # step; converting its whole chain took n(n+1)/2 = 80,200 values here
